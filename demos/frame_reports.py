@@ -8,7 +8,7 @@ fact used.
 Run with: python3 demos/frame_reports.py
 """
 
-from zklat import frame_existence_report
+from zklat import frame_report
 
 QUERIES = [
     ("D4_5", 2),    # yes: direct search at desk scale
@@ -20,7 +20,7 @@ QUERIES = [
 ]
 
 for lattice_id, k in QUERIES:
-    verdict = frame_existence_report(lattice_id, k)
+    verdict = frame_report(lattice_id, k)
     print(f"{lattice_id}, k={k}: {verdict.status}")
     for step in verdict.chain:
         print("   -", step)

@@ -8,7 +8,6 @@ from .arith import (
     RepresentationCase,
     StarCondition,
     four_square_decomposition,
-    frame_existence_report,
     representation_search,
     scale_frame,
     star_condition_check,

@@ -1,6 +1,6 @@
 """Number-theoretic searches: quadruple representations of primes,
-four-square decompositions, frame scaling, and the per-lattice
-frame-existence report.
+four-square decompositions, frame scaling, and the verdict type of the
+per-lattice frame-existence report (`catalog.frame_report`).
 
 Every search is a bounded exhaustive scan, so a "none" answer is a
 proof within the stated bound.
@@ -29,7 +29,6 @@ __all__ = [
     "scale_frame",
     "factorize",
     "star_condition_check",
-    "frame_existence_report",
 ]
 
 
@@ -141,12 +140,3 @@ class FrameVerdict:
     status: str  # yes | no | unknown
     chain: list[str] = field(default_factory=list)
     frame: Frame | None = None
-
-
-def frame_existence_report(lattice_id: str, k: int, allow_search: bool = True) -> FrameVerdict:
-    """Combine catalog codes, skew-seed quadruples, frame scaling and
-    direct search into a yes/no/unknown verdict with a certificate chain.
-    """
-    from . import catalog  # local import: catalog builds on this module
-
-    return catalog.frame_report(lattice_id, k, allow_search=allow_search)

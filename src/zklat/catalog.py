@@ -397,7 +397,7 @@ _SEARCH_DIM_CAP = 20      # direct frame search only in dimensions up to this
 _SEARCH_NORM_CAP = 8      # ... and for frame norms up to this
 _FINGERPRINT_DIM_CAP = 24  # live min-norm fingerprint check up to this dimension
 
-_base_cache: dict[tuple[str, int, bool], list[str] | None] = {}
+_base_cache: dict[tuple[str, int], list[str] | None] = {}
 _minnorm_cache: dict[str, Any] = {}
 
 
@@ -420,9 +420,9 @@ def _code_fingerprint_ok(lattice_id: str, code_id: str) -> tuple[bool, str]:
     return True, "fingerprint deferred to catalog annotation (large dimension)"
 
 
-def _base_cert(lattice_id: str, d: int, allow_search: bool) -> list[str] | None:
+def _base_cert(lattice_id: str, d: int) -> list[str] | None:
     """Certificate chain showing the model lattice contains a d-frame."""
-    key = (lattice_id, d, allow_search)
+    key = (lattice_id, d)
     if key in _base_cache:
         return _base_cache[key]
     info = lattice_info(lattice_id)
@@ -452,7 +452,7 @@ def _base_cert(lattice_id: str, d: int, allow_search: bool) -> list[str] | None:
                 f"{d}-frame, verified inside {lattice_id}"
             ]
 
-    if chain is None and allow_search:
+    if chain is None:
         model = build(lattice_id)
         if model.dim <= _SEARCH_DIM_CAP and d <= _SEARCH_NORM_CAP:
             try:
@@ -479,7 +479,7 @@ def _model_min_norm(lattice_id: str):
     return _minnorm_cache[lattice_id]
 
 
-def frame_report(lattice_id: str, k: int, allow_search: bool = True) -> FrameVerdict:
+def frame_report(lattice_id: str, k: int) -> FrameVerdict:
     info = lattice_info(lattice_id)
     if k < 1:
         raise UnknownId("frame norm must be a positive integer")
@@ -498,7 +498,7 @@ def frame_report(lattice_id: str, k: int, allow_search: bool = True) -> FrameVer
             continue
         if d != k and n % 4 != 0:
             continue  # frame scaling needs dimension divisible by 4
-        base = _base_cert(lattice_id, d, allow_search)
+        base = _base_cert(lattice_id, d)
         if base is not None:
             chain = list(base)
             if d != k:
@@ -509,7 +509,7 @@ def frame_report(lattice_id: str, k: int, allow_search: bool = True) -> FrameVer
             return FrameVerdict("yes", chain)
 
     # refutations: too few norm-k vectors, or an exhaustive search
-    if allow_search and n <= _SEARCH_DIM_CAP and k <= _SEARCH_NORM_CAP:
+    if n <= _SEARCH_DIM_CAP and k <= _SEARCH_NORM_CAP:
         try:
             count = theta_prefix(model, k).coefficient(k)
             if count < 2 * n:

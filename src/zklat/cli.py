@@ -300,11 +300,9 @@ def main(argv=None) -> int:
         prog="zklat",
         description="self-dual codes over Z_k, Construction A lattices, and k-frames",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism hint (current implementation is sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **pos):
+    def add(name, fn):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         return p

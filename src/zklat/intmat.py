@@ -74,7 +74,6 @@ def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:
     # transpose so we can do standard column elimination on A^T x^T = b^T
     m = [[Fraction(a[i][j]) for i in range(n)] for j in range(n)]
     v = [Fraction(x) for x in b]
-    perm = list(range(n))
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
@@ -89,7 +88,6 @@ def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
                 v[r] -= f * v[col]
-    del perm
     return v
 
 
@@ -120,52 +118,3 @@ def vec_gcd(v) -> int:
     for x in v:
         g = gcd(g, int(x))
     return g
-
-
-def lll_reduce(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Exact LLL reduction of an integer basis (row convention).
-
-    Classic rational-arithmetic LLL; used only as preprocessing before
-    exhaustive enumeration, so there is no tolerance to tune.
-    """
-    b = [list(map(int, r)) for r in rows]
-    n = len(b)
-    if n < 2:
-        return b
-
-    bstar: list[list[Fraction]] = [[] for _ in range(n)]
-    bsq: list[Fraction] = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-
-    def update_gso(i: int) -> None:
-        star = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            num = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j]))
-            mu[i][j] = num / bsq[j] if bsq[j] else Fraction(0)
-            star = [s - mu[i][j] * t for s, t in zip(star, bstar[j])]
-        bstar[i] = star
-        bsq[i] = sum(x * x for x in star)
-
-    for i in range(n):
-        update_gso(i)
-
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                q = round(mu[k][j])
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                update_gso(k)
-        if bsq[k] >= (delta - mu[k][k - 1] ** 2) * bsq[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            update_gso(k - 1)
-            update_gso(k)
-            # only the mu columns k-1, k change for the rows below the swap
-            for i in range(k + 1, n):
-                for j in (k - 1, k):
-                    num = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j]))
-                    mu[i][j] = num / bsq[j] if bsq[j] else Fraction(0)
-            k = max(k - 1, 1)
-    return b

@@ -24,7 +24,7 @@ from .errors import (
     NotSelfDual,
     PreconditionViolation,
 )
-from .intmat import det, hnf, inv_fraction, lll_reduce, solve_fraction
+from .intmat import det, hnf, inv_fraction, solve_fraction
 from .shortvec import block_reduce, enumerate_ball, first_nonzero_leq
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
@@ -40,6 +40,8 @@ class Lattice:
         n = self.basis.shape[0]
         if self.basis.shape != (n, n):
             raise PreconditionViolation("basis must be square")
+        # catalog.build hands one cached Lattice to every caller
+        self.basis.flags.writeable = False
         self._reduced = None
 
     @property
@@ -68,11 +70,8 @@ class Lattice:
 
     def reduced_basis(self) -> np.ndarray:
         if self._reduced is None:
-            b = np.array(lll_reduce(self.basis.tolist()), dtype=np.int64)
-            if self.dim > 28:
-                # stronger block reduction pays for itself many times over
-                # in the enumeration tree at these dimensions
-                b = block_reduce(b)
+            b = block_reduce(self.basis)
+            b.flags.writeable = False
             self._reduced = b
         return self._reduced
 
@@ -163,7 +162,7 @@ def construction_a(code: ZkCode) -> Lattice:
 
 
 def min_norm(lattice: Lattice, budget: int = DEFAULT_NODE_BUDGET):
-    """Exact minimum norm (LLL preprocessing + exhaustive enumeration).
+    """Exact minimum norm (block-reduced basis + exhaustive enumeration).
 
     The upper bound from the shortest reduced-basis row is tightened by
     early-exit probes; the final probe at best-1 finds nothing, which is

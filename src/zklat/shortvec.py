@@ -23,6 +23,10 @@ STATUS_BUDGET = 1
 STATUS_OVERFLOW = 2
 STATUS_FOUND = 3
 
+LLL_DELTA = 0.999
+BKZ_BLOCK = 20
+BKZ_TOURS = 4
+
 
 def _enum_core(R, t, basis, shift, bound, slack, budget, collect, early, half, out, hist):
     n = R.shape[0]
@@ -156,7 +160,7 @@ def _svp_core(R, bound):
             xmax[i] = int(math.floor((rad - s) / R[i, i]))
 
 
-def _lll_core(b, delta):
+def _lll_core(b):
     """In-place LLL on an int64 row basis with float Gram-Schmidt data."""
     n = b.shape[0]
     bstar = np.zeros((n, b.shape[1]), dtype=np.float64)
@@ -180,7 +184,7 @@ def _lll_core(b, delta):
                 q = int(round(mu[k, j]))
                 b[k] -= q * b[j]
                 gso_row(k)
-        if bsq[k] >= (delta - mu[k, k - 1] ** 2) * bsq[k - 1]:
+        if bsq[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * bsq[k - 1]:
             k += 1
         else:
             tmp = b[k].copy()
@@ -218,22 +222,20 @@ def _complete_unimodular(x):
     return np.array(u, dtype=np.int64)
 
 
-def block_reduce(basis: np.ndarray, block: int = 20, tours: int = 4) -> np.ndarray:
-    """BKZ-style strengthening of an LLL basis (heuristic preprocessing).
+def block_reduce(basis: np.ndarray) -> np.ndarray:
+    """Float LLL followed by BKZ tours (heuristic preprocessing).
 
-    Every transformation applied is unimodular, so the output spans the
-    same lattice; quality only affects downstream enumeration speed,
-    never correctness.
+    Accepts any integer basis, reduced or not.  Every transformation
+    applied is unimodular, so the output spans the same lattice; quality
+    only affects downstream enumeration speed, never correctness.
     """
     b = np.array(basis, dtype=np.int64)
     n = b.shape[0]
-    if n <= block:
-        tours = max(tours, 1)
-    _lll_core(b, 0.999)
-    for _ in range(tours):
+    _lll_core(b)
+    for _ in range(BKZ_TOURS):
         changed = False
         for i in range(n - 1):
-            j = min(i + block, n)
+            j = min(i + BKZ_BLOCK, n)
             gram = (b @ b.T).astype(np.float64)
             R = np.ascontiguousarray(np.linalg.cholesky(gram).T)
             rsub = np.ascontiguousarray(R[i:j, i:j])
@@ -242,7 +244,7 @@ def block_reduce(basis: np.ndarray, block: int = 20, tours: int = 4) -> np.ndarr
             if q < bound and np.any(x):
                 u = _complete_unimodular(x)
                 b[i:j] = u @ b[i:j]
-                _lll_core(b, 0.999)
+                _lll_core(b)
                 changed = True
         if not changed:
             break

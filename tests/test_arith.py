@@ -8,12 +8,12 @@ from zklat.arith import (
     StarCondition,
     factorize,
     four_square_decomposition,
-    frame_existence_report,
     quaternion_matrix,
     representation_search,
     scale_frame,
     star_condition_check,
 )
+from zklat.catalog import frame_report
 from zklat.errors import BadDimension, PreconditionViolation
 from zklat.lattice import Lattice, contains_frame, find_frame
 
@@ -94,6 +94,6 @@ def test_star_condition_check():
 
 
 def test_frame_existence_report_delegates():
-    verdict = frame_existence_report("D4_5", 2)
+    verdict = frame_report("D4_5", 2)
     assert verdict.status == "yes"
     assert verdict.chain

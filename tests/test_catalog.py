@@ -4,6 +4,7 @@ import pytest
 from zklat import catalog
 from zklat.codes import is_self_dual, min_euclidean_weight
 from zklat.errors import UnknownId
+from zklat.intmat import hnf
 from zklat.lattice import Lattice
 from zklat.skew import SkewSeed
 
@@ -39,6 +40,20 @@ def test_expected_weights_on_cheap_codes():
 
 def test_build_is_cached():
     assert catalog.build("D4_5") is catalog.build("D4_5")
+
+
+def test_cached_lattice_bases_are_read_only():
+    lat = catalog.build("D12_plus")
+    with pytest.raises(ValueError):
+        lat.basis[0, 0] = 7
+    with pytest.raises(ValueError):
+        lat.reduced_basis()[0, 0] = 7
+
+
+@pytest.mark.parametrize("lid", ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"])
+def test_reduced_basis_spans_the_model_lattice(lid):
+    lat = catalog.build(lid)
+    assert hnf(lat.reduced_basis().tolist()) == hnf(lat.basis.tolist())
 
 
 def test_unknown_ids_raise():

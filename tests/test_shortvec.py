@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from zklat.errors import BudgetExceeded
-from zklat.shortvec import enumerate_ball
+from zklat.intmat import det, hnf
+from zklat.shortvec import block_reduce, enumerate_ball
 
 
 def brute_counts(basis, bound, shift=None, box=12):
@@ -59,3 +61,19 @@ def test_budget_raises():
     basis = np.eye(8, dtype=np.int64)
     with pytest.raises(BudgetExceeded):
         enumerate_ball(basis, 16, budget=10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_block_reduce_preserves_lattice_and_shortens(seed):
+    rng = random.Random(seed)
+    n = 5
+    basis = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+    if det(basis) == 0:
+        pytest.skip("degenerate draw")
+    red = block_reduce(np.array(basis, dtype=np.int64)).tolist()
+    assert abs(det(red)) == abs(det(basis))
+    # same lattice: equal Hermite normal forms
+    assert hnf(red) == hnf(basis)
+    # reduction never increases the shortest basis-vector norm
+    norm = lambda rows: min(sum(x * x for x in r) for r in rows)
+    assert norm(red) <= norm(basis)
