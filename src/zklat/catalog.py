@@ -15,27 +15,22 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
-import numpy as np
-
-from .arith import REPRESENTATION_CASES, FrameVerdict, StarCondition, star_condition_check
+from .arith import FrameVerdict, StarCondition, scale_frame
 from .codes import (
-    ZkCode,
     build_bordered_circulant,
     build_four_negacirculant,
     build_z4_two_block,
 )
-from .errors import BudgetExceeded, UnknownId
+from .errors import BudgetExceeded, MembershipViolation, UnknownId
 from .lattice import (
     Frame,
-    Lattice,
     construction_a,
     contains_frame,
-    find_frame,
+    frame_in_shell,
     min_norm,
-    theta_prefix,
+    norm_shell,
 )
 from .skew import (
-    SkewSeed,
     build_code_from_skew,
     build_frame_rows,
     build_paley_skew,
@@ -397,13 +392,12 @@ _SEARCH_DIM_CAP = 20      # direct frame search only in dimensions up to this
 _SEARCH_NORM_CAP = 8      # ... and for frame norms up to this
 _FINGERPRINT_DIM_CAP = 24  # live min-norm fingerprint check up to this dimension
 
-_base_cache: dict[tuple[str, int], list[str] | None] = {}
+_base_cache: dict[tuple[str, int], tuple[list[str], Frame | None] | None] = {}
 _minnorm_cache: dict[str, Any] = {}
 
 
 def _divisors(k: int) -> list[int]:
-    out = [d for d in range(1, k + 1) if k % d == 0]
-    return out
+    return [d for d in range(2, k + 1) if k % d == 0]
 
 
 def _code_fingerprint_ok(lattice_id: str, code_id: str) -> tuple[bool, str]:
@@ -420,50 +414,45 @@ def _code_fingerprint_ok(lattice_id: str, code_id: str) -> tuple[bool, str]:
     return True, "fingerprint deferred to catalog annotation (large dimension)"
 
 
-def _base_cert(lattice_id: str, d: int) -> list[str] | None:
-    """Certificate chain showing the model lattice contains a d-frame."""
+def _base_cert(lattice_id: str, d: int) -> tuple[list[str], Frame | None] | None:
+    """Code or quadruple certificate that the model lattice has a d-frame.
+
+    Returns (chain, frame).  A quadruple certificate carries its explicit
+    frame, verified inside the model; a code certificate carries None,
+    since its frame lives in A_d(C), which is matched to the model only
+    by invariants.
+    """
     key = (lattice_id, d)
     if key in _base_cache:
         return _base_cache[key]
     info = lattice_info(lattice_id)
-    chain: list[str] | None = None
+    cert = None
 
     code_id = info.direct_codes.get(d)
     if code_id is not None:
         ok, note = _code_fingerprint_ok(lattice_id, code_id)
         if ok:
-            chain = [
+            cert = ([
                 f"catalog code {code_id} over Z_{d} is self-dual; "
                 f"its Construction A lattice carries the standard {d}-frame; {note}"
-            ]
+            ], None)
 
-    if chain is None:
+    if cert is None:
         seed = build(_ENTRIES[info.model_code].params["seed"])
         quad = search_quadruple(seed.k, seed.m, seed.ell, d)
         if quad is not None:
             rows = build_frame_rows(seed, quad)
             frame = Frame(tuple(map(tuple, rows.tolist())), seed.k, d)
-            model = build(lattice_id)
-            if not contains_frame(model, frame):
-                raise AssertionError("quadruple frame failed lattice membership")
-            chain = [
+            if not contains_frame(build(lattice_id), frame):
+                raise MembershipViolation("quadruple frame failed lattice membership")
+            cert = ([
                 f"quadruple (a,b,c,d)=({quad.a},{quad.b},{quad.c},{quad.d}) with "
                 f"(k,m,ell)=({seed.k},{seed.m},{seed.ell}) gives an explicit "
                 f"{d}-frame, verified inside {lattice_id}"
-            ]
+            ], frame)
 
-    if chain is None:
-        model = build(lattice_id)
-        if model.dim <= _SEARCH_DIM_CAP and d <= _SEARCH_NORM_CAP:
-            try:
-                found = find_frame(model, d)
-            except BudgetExceeded:
-                found = None
-            if found is not None:
-                chain = [f"direct search found a {d}-frame in {lattice_id}"]
-
-    _base_cache[key] = chain
-    return chain
+    _base_cache[key] = cert
+    return cert
 
 
 def _model_min_norm(lattice_id: str):
@@ -480,7 +469,17 @@ def _model_min_norm(lattice_id: str):
 
 
 def frame_report(lattice_id: str, k: int) -> FrameVerdict:
-    info = lattice_info(lattice_id)
+    """Yes / no / unknown: does the model lattice contain a k-frame?
+
+    A d-frame for a divisor d of k gives a k-frame by quaternion scaling
+    when 4 | n, so every divisor d >= 2 with d == k or 4 | n is usable.
+    Code and quadruple certificates are tried first, largest d first;
+    then direct search, smallest d first, one enumeration per divisor.
+    A search miss at d == k is exhaustive, hence a "no".  A "yes" carries
+    its explicit frame, membership-checked in the model, unless it rests
+    on a code certificate.
+    """
+    lattice_info(lattice_id)  # raises UnknownId for anything but a catalog lattice
     if k < 1:
         raise UnknownId("frame norm must be a positive integer")
     model = build(lattice_id)
@@ -492,42 +491,47 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
             f"minimum norm of {lattice_id} is {mn} > {k}: no vectors of norm {k} at all"
         ])
 
-    # positive certificates: a d-frame for a divisor d, scaled by k/d
-    for d in sorted(_divisors(k), reverse=True):
-        if d < 2:
-            continue
-        if d != k and n % 4 != 0:
-            continue  # frame scaling needs dimension divisible by 4
-        base = _base_cert(lattice_id, d)
-        if base is not None:
-            chain = list(base)
-            if d != k:
-                chain.append(
-                    f"quaternion scaling turns the {d}-frame into a {k}-frame "
-                    f"(multiplier {k // d}, dimension {n} divisible by 4)"
-                )
-            return FrameVerdict("yes", chain)
+    usable = [d for d in _divisors(k) if d == k or n % 4 == 0]
 
-    # refutations: too few norm-k vectors, or an exhaustive search
-    if n <= _SEARCH_DIM_CAP and k <= _SEARCH_NORM_CAP:
-        try:
-            count = theta_prefix(model, k).coefficient(k)
-            if count < 2 * n:
-                return FrameVerdict("no", [
-                    f"{lattice_id} has only {count} vectors of norm {k}, "
-                    f"fewer than the 2n = {2 * n} a frame needs"
-                ])
-            found = find_frame(model, k)
-            if found is None:
+    def yes(d: int, chain: list[str], frame: Frame | None) -> FrameVerdict:
+        chain = list(chain)
+        if d != k:
+            chain.append(
+                f"quaternion scaling turns the {d}-frame into a {k}-frame "
+                f"(multiplier {k // d}, dimension {n} divisible by 4)"
+            )
+            if frame is not None:
+                frame = scale_frame(frame, k // d)
+                if not contains_frame(model, frame):
+                    raise MembershipViolation("scaled frame failed lattice membership")
+        return FrameVerdict("yes", chain, frame)
+
+    for d in reversed(usable):
+        cert = _base_cert(lattice_id, d)
+        if cert is not None:
+            return yes(d, *cert)
+
+    if n <= _SEARCH_DIM_CAP:
+        for d in usable:
+            if d > _SEARCH_NORM_CAP:
+                break
+            try:
+                shell = norm_shell(model, d)
+                frame = frame_in_shell(model, shell, d)
+            except BudgetExceeded:
+                continue
+            if frame is not None:
+                return yes(d, [f"direct search found a {d}-frame in {lattice_id}"], frame)
+            if d == k:
+                if len(shell) < n:
+                    return FrameVerdict("no", [
+                        f"{lattice_id} has only {2 * len(shell)} vectors of norm {k}, "
+                        f"fewer than the 2n = {2 * n} a frame needs"
+                    ])
                 return FrameVerdict("no", [
                     f"exhaustive search over all norm-{k} vectors of {lattice_id}: "
                     f"no {n} mutually orthogonal ones"
                 ])
-            return FrameVerdict("yes", [
-                f"direct search found a {k}-frame in {lattice_id}"
-            ], found)
-        except BudgetExceeded:
-            pass
 
     return FrameVerdict("unknown", [
         f"no certificate found for a {k}-frame in {lattice_id} within desk-scale budgets"

@@ -17,34 +17,6 @@ import numpy as np
 
 from .errors import BudgetExceeded
 
-_BLOCK = 512
-
-
-def core_filter(vectors: np.ndarray, target: int) -> np.ndarray:
-    """Indices surviving iterated degree pruning.
-
-    Every member of an orthogonal set of the target size is orthogonal
-    to at least target-1 of the other candidates, so repeatedly dropping
-    low-degree vertices (a (target-1)-core in the orthogonality graph)
-    cannot discard any solution.  Degrees are accumulated blockwise;
-    nothing quadratic is ever stored.
-    """
-    v = np.ascontiguousarray(vectors, dtype=np.float32)
-    idx = np.arange(vectors.shape[0])
-    while True:
-        m = v.shape[0]
-        if m < target:
-            return idx[:0]
-        deg = np.zeros(m, dtype=np.int64)
-        for lo in range(0, m, _BLOCK):
-            dots = v[lo : lo + _BLOCK] @ v.T
-            deg[lo : lo + _BLOCK] = (dots == 0).sum(axis=1)
-        alive = deg >= target - 1
-        if alive.all():
-            return idx
-        v = v[alive]
-        idx = idx[alive]
-
 
 def find_orthogonal_set(
     vectors: np.ndarray, target: int, budget: int = 50_000_000
@@ -57,10 +29,9 @@ def find_orthogonal_set(
     """
     if target == 0:
         return []
-    core = core_filter(vectors, target)
-    if core.shape[0] < target:
+    if vectors.shape[0] < target:
         return None
-    v = np.ascontiguousarray(vectors[core], dtype=np.float32)
+    v = np.ascontiguousarray(vectors, dtype=np.float32)
     nodes = 0
 
     def dfs(chosen: list[int], pool: np.ndarray) -> list[int] | None:
@@ -86,4 +57,4 @@ def find_orthogonal_set(
     res = dfs([], np.arange(v.shape[0]))
     if res is None:
         return None
-    return sorted(int(core[i]) for i in res)
+    return sorted(res)

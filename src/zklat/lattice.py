@@ -385,6 +385,46 @@ def _rescale_matrix(mat: np.ndarray, from_scale: int, to_scale: int):
     return np.array(rows, dtype=np.int64)
 
 
+def norm_shell(
+    lattice: Lattice, k: int, budget: int = DEFAULT_NODE_BUDGET
+) -> np.ndarray:
+    """Sorted representatives of the +-pairs of norm-k vectors (scaled).
+
+    One exhaustive enumeration; the representative of a pair is the one
+    whose first nonzero coordinate is positive.  Every norm-k vector of
+    the lattice is one of these rows or its negative.
+    """
+    bound = k * lattice.scale
+    _, vecs = enumerate_ball(
+        lattice.reduced_basis(), bound, collect=True, budget=budget,
+        expected=1 << 16,
+    )
+    cand = vecs[vecs[:, -1] == bound][:, :-1]
+    keep = []
+    for row in cand:
+        nz = row[row != 0]
+        if len(nz) and nz[0] > 0:
+            keep.append(row.tolist())
+    keep.sort()
+    return np.array(keep, dtype=np.int64).reshape(len(keep), lattice.dim)
+
+
+def frame_in_shell(
+    lattice: Lattice, shell: np.ndarray, k: int, clique_budget: int = 50_000_000
+) -> Frame | None:
+    """A k-frame among the rows of `norm_shell(lattice, k)`, else None.
+
+    None is exhaustive over the shell; a budget overrun raises.
+    """
+    idx = find_orthogonal_set(shell, lattice.dim, budget=clique_budget)
+    if idx is None:
+        return None
+    frame = Frame(tuple(map(tuple, shell[idx].tolist())), lattice.scale, k)
+    if not contains_frame(lattice, frame):
+        raise MembershipViolation("frame vectors failed lattice membership")
+    return frame
+
+
 def find_frame(
     lattice: Lattice,
     k: int,
@@ -392,26 +432,5 @@ def find_frame(
     clique_budget: int = 50_000_000,
 ) -> Frame | None:
     """Search for a k-frame; None is exhaustive, budget overrun raises."""
-    bound = k * lattice.scale
-    hist, vecs = enumerate_ball(
-        lattice.reduced_basis(), bound, collect=True, budget=budget,
-        expected=1 << 16,
-    )
-    cand = vecs[vecs[:, -1] == bound][:, :-1]
-    # one representative per +-pair: first nonzero coordinate positive
-    keep = []
-    for row in cand:
-        nz = row[row != 0]
-        if len(nz) and nz[0] > 0:
-            keep.append(row.tolist())
-    if len(keep) < lattice.dim:
-        return None
-    keep.sort()
-    cand = np.array(keep, dtype=np.int64)
-    idx = find_orthogonal_set(cand, lattice.dim, budget=clique_budget)
-    if idx is None:
-        return None
-    frame = Frame(tuple(map(tuple, cand[idx].tolist())), lattice.scale, k)
-    if not contains_frame(lattice, frame):
-        raise MembershipViolation("frame vectors failed lattice membership")
-    return frame
+    shell = norm_shell(lattice, k, budget=budget)
+    return frame_in_shell(lattice, shell, k, clique_budget=clique_budget)

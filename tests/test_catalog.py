@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import zklat.lattice
 from zklat import catalog
 from zklat.codes import is_self_dual, min_euclidean_weight
 from zklat.errors import UnknownId
 from zklat.intmat import hnf
-from zklat.lattice import Lattice
+from zklat.lattice import Lattice, contains_frame
 from zklat.skew import SkewSeed
 
 
@@ -83,6 +84,29 @@ def test_frame_report_no_below_min_norm():
 def test_frame_report_no_via_vector_count():
     v = catalog.frame_report("D20", 3)
     assert v.status == "no" and "fewer than" in v.chain[0]
+
+
+def test_frame_report_scales_a_searched_smaller_frame():
+    v = catalog.frame_report("D12_plus", 4)
+    assert v.status == "yes"
+    assert "direct search found a 2-frame" in v.chain[0]
+    assert "quaternion scaling" in v.chain[1]
+    assert v.frame.norm_k == 4
+    assert contains_frame(catalog.build("D12_plus"), v.frame)
+
+
+def test_frame_report_enumerates_once_per_divisor(monkeypatch):
+    calls = []
+    enumerate_ball = zklat.lattice.enumerate_ball
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return enumerate_ball(*args, **kwargs)
+
+    monkeypatch.setattr(zklat.lattice, "enumerate_ball", counted)
+    v = catalog.frame_report("A5_4", 2)
+    assert v.status == "no" and "exhaustive search" in v.chain[0]
+    assert len(calls) == 1
 
 
 def test_frame_report_unknown_out_of_reach():

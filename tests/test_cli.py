@@ -1,8 +1,8 @@
 import numpy as np
 
-from zklat import fileio
+from zklat import catalog, fileio
 from zklat.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, main
-from zklat.lattice import Lattice
+from zklat.lattice import Lattice, contains_frame
 
 
 def test_verify_code(capsys):
@@ -91,6 +91,14 @@ def test_report_exit_codes(capsys):
     assert main(["report", "D4_5", "--k", "5"]) == EXIT_OK
     assert main(["report", "D20", "--k", "3"]) == EXIT_REFUTED
     assert main(["report", "L48", "--k", "17"]) == EXIT_UNKNOWN
+
+
+def test_report_writes_the_frame(tmp_path, capsys):
+    out = tmp_path / "frame.txt"
+    assert main(["report", "D12_plus", "--k", "4", "--out", str(out)]) == EXIT_OK
+    frame = fileio.load_frame(fileio.read_text(str(out)))
+    assert frame.norm_k == 4
+    assert contains_frame(catalog.build("D12_plus"), frame)
 
 
 def test_bound(capsys):

@@ -14,7 +14,9 @@ from zklat.lattice import (
     even_neighbors,
     even_sublattice_and_shadow,
     find_frame,
+    frame_in_shell,
     min_norm,
+    norm_shell,
     theta_prefix,
     two_neighbor_at_vector,
 )
@@ -146,6 +148,18 @@ def test_contains_frame_and_find_frame():
     assert frame is not None
     assert sorted(frame.vectors) == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
     assert contains_frame(lat, frame)
+
+
+def test_norm_shell_holds_one_of_each_pair():
+    lat = d6_lattice()
+    shell = norm_shell(lat, 2)
+    assert 2 * len(shell) == theta_prefix(lat, 2).coefficient(2)
+    assert shell.tolist() == sorted(shell.tolist())
+    for row in shell:
+        assert row[np.flatnonzero(row)[0]] > 0
+    frame = frame_in_shell(lat, shell, 2)
+    assert frame is not None and contains_frame(lat, frame)
+    assert frame_in_shell(lat, shell[: lat.dim - 1], 2) is None
 
 
 def test_frame_membership_rejects_perturbed():
