@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 
+NODE_BUDGET_HELP = (
+    "enumeration node budget: the number of Fincke-Pohst tree nodes "
+    "expanded, not loop iterations"
+)
+
 
 def _resolve(token: str):
     """A catalog id, or a path to one of the text formats."""
@@ -312,10 +317,10 @@ def main(argv=None) -> int:
     p.add_argument("--budget", type=int, default=2**31)
     p = add("lattice", cmd_lattice); p.add_argument("id"); p.add_argument("--out")
     p = add("minnorm", cmd_minnorm); p.add_argument("id")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
     p = add("theta", cmd_theta); p.add_argument("id")
     p.add_argument("--max-norm", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
     p.add_argument("--out")
     p = add("shadow", cmd_shadow); p.add_argument("id")
     p = add("neighbors", cmd_neighbors); p.add_argument("id"); p.add_argument("--out")
@@ -326,7 +331,7 @@ def main(argv=None) -> int:
     p.add_argument("--abcd", required=True); p.add_argument("--out")
     p = add("frame-find", cmd_frame_find); p.add_argument("id")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
     p.add_argument("--out")
     p = add("frame-scale", cmd_frame_scale); p.add_argument("frame")
     p.add_argument("--m", type=int, required=True); p.add_argument("--out")

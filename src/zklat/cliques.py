@@ -40,7 +40,7 @@ def find_orthogonal_set(
         for pos in range(pool.shape[0] - need + 1):
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded("clique search budget exhausted")
+                raise BudgetExceeded("clique search nodes", nodes, budget)
             i = int(pool[pos])
             chosen.append(i)
             if need == 1:

@@ -18,6 +18,7 @@ from .errors import BudgetExceeded, PreconditionViolation
 from .intmat import hnf, vec_gcd
 
 DEFAULT_CODEWORD_BUDGET = 2**31
+CODEWORD_CHUNK = 1 << 12  # partial messages expanded or scored per numpy step
 
 
 def euclidean_weight(x, k: int) -> int:
@@ -79,7 +80,7 @@ class ZkCode:
     def codewords(self) -> np.ndarray:
         """All codewords as an array (cardinality x n).  Small codes only."""
         if self.cardinality > 10**6:
-            raise BudgetExceeded("codeword listing capped at 10^6")
+            raise BudgetExceeded("codewords listed", self.cardinality, 10**6)
         grids = np.meshgrid(*[np.arange(o) for o in self.row_orders], indexing="ij")
         msgs = np.stack([g.ravel() for g in grids], axis=1)
         return (msgs @ self.matrix()) % self.k
@@ -197,16 +198,15 @@ def _pivot_columns(g: np.ndarray, orders, k: int) -> list[int | None]:
 def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
     """Exact minimum Euclidean weight by exhaustive pruned enumeration.
 
-    The search walks the message space level by level; a partial message
-    is dropped once the weight already pinned down on the generators'
-    pivot columns reaches the best complete codeword seen so far.  The
+    The search walks the message space depth first, a digit at a time
+    and in chunks of partial messages; a partial message is dropped once
+    the weight already pinned down on the generators' pivot columns
+    reaches the best complete codeword scored so far.  The
     pivot-column weight is a lower bound on any completion, so pruning
     never loses the true minimum.
     """
     if code.cardinality > budget:
-        raise BudgetExceeded(
-            f"cardinality {code.cardinality} exceeds budget {budget}"
-        )
+        raise BudgetExceeded("codewords", code.cardinality, budget)
     k = code.k
     g = code.matrix()
     orders = code.row_orders
@@ -217,56 +217,44 @@ def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_CODEWORD_BUDGET) ->
     pivots = _pivot_columns(g, orders, k)
     # digits with a pivot first so the partial-weight prune bites early
     digit_order = sorted(range(m), key=lambda i: pivots[i] is None)
-    # frontier: partial digit assignments plus their pivot-column weight
-    frontier = np.zeros((1, 0), dtype=np.int64)
-    fweight = np.zeros(1, dtype=np.int64)
-    for idx in digit_order:
-        o = orders[idx]
-        s = k // o
-        blocks = []
-        wblocks = []
-        for c in range(o):
-            if pivots[idx] is not None:
-                neww = fweight + int(wt[(s * c) % k])
-            else:
-                neww = fweight.copy()
-            keep = neww < best
-            if not keep.any():
-                continue
-            part = frontier[keep]
-            col = np.full((part.shape[0], 1), c, dtype=np.int64)
-            blocks.append(np.hstack([part, col]))
-            wblocks.append(neww[keep])
-        if not blocks:
-            frontier = np.zeros((0, frontier.shape[1] + 1), dtype=np.int64)
-            fweight = np.zeros(0, dtype=np.int64)
-            break
-        frontier = np.vstack(blocks)
-        fweight = np.concatenate(wblocks)
-
-    if frontier.shape[0]:
-        # undo the digit reordering, then score survivors exactly
-        inv = np.argsort(np.array(digit_order))
-        msgs = frontier[:, inv]
-        pivot_cols = [p for p in pivots if p is not None]
-        rest_cols = [j for j in range(code.n) if j not in pivot_cols]
-        g_rest = g[:, rest_cols]
-        chunk = 1 << 19
-        for lo in range(0, msgs.shape[0], chunk):
-            part = msgs[lo : lo + chunk]
-            words = (part @ g_rest) % k
-            tot = wt[words].sum(axis=1) + fweight[lo : lo + chunk]
-            nonzero = part.any(axis=1)
-            if nonzero.any():
-                cand = int(tot[nonzero].min())
-                best = min(best, cand)
+    # weight that each value of a digit pins down on its pivot column
+    pinned = [
+        wt[(k // orders[i]) * np.arange(orders[i]) % k]
+        if pivots[i] is not None
+        else np.zeros(orders[i], dtype=np.int64)
+        for i in digit_order
+    ]
+    pivot_cols = {p for p in pivots if p is not None}
+    rest_cols = [j for j in range(code.n) if j not in pivot_cols]
+    g_rest = g[digit_order][:, rest_cols]
+    # depth first over chunks of partial messages (digits in digit_order)
+    # and their pinned weight; scored leaves tighten `best` at once
+    stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64))]
+    while stack:
+        msgs, fweight = stack.pop()
+        if msgs.shape[0] > CODEWORD_CHUNK:
+            stack.append((msgs[CODEWORD_CHUNK:], fweight[CODEWORD_CHUNK:]))
+            msgs, fweight = msgs[:CODEWORD_CHUNK], fweight[:CODEWORD_CHUNK]
+        d = msgs.shape[1]
+        if d == m:
+            tot = wt[(msgs @ g_rest) % k].sum(axis=1) + fweight
+            tot = tot[msgs.any(axis=1)]
+            if tot.size:
+                best = min(best, int(tot.min()))
+            continue
+        neww = fweight[:, None] + pinned[d][None, :]
+        rows, vals = np.nonzero(neww < best)
+        child = np.empty((rows.size, d + 1), dtype=np.int64)
+        child[:, :d] = msgs[rows]
+        child[:, d] = vals
+        stack.append((child, neww[rows, vals]))
     return best
 
 
 def min_euclidean_weight_naive(code: ZkCode, cap: int = 10**6) -> int:
     """Unpruned reference enumeration; independent check for small codes."""
     if code.cardinality > cap:
-        raise BudgetExceeded("naive enumeration capped")
+        raise BudgetExceeded("codewords enumerated", code.cardinality, cap)
     words = code.codewords()
     wt = weight_table(code.k)
     weights = wt[words].sum(axis=1)

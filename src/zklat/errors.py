@@ -8,8 +8,17 @@ class ZklatError(Exception):
 class BudgetExceeded(ZklatError):
     """An enumeration ran out of its node / codeword budget.
 
-    The result is "unknown", never a silent truncation.
+    The result is "unknown", never a silent truncation.  `used` is the
+    work counted when the overrun was detected and `budget` the limit.
     """
+
+    def __init__(self, what: str, used: int, budget: int):
+        super().__init__(what, used, budget)
+        self.used = used
+        self.budget = budget
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.used} used, budget {self.budget}"
 
 
 class NotSelfDual(ZklatError):

@@ -395,18 +395,12 @@ def norm_shell(
     the lattice is one of these rows or its negative.
     """
     bound = k * lattice.scale
-    _, vecs = enumerate_ball(
-        lattice.reduced_basis(), bound, collect=True, budget=budget,
-        expected=1 << 16,
-    )
-    cand = vecs[vecs[:, -1] == bound][:, :-1]
-    keep = []
-    for row in cand:
-        nz = row[row != 0]
-        if len(nz) and nz[0] > 0:
-            keep.append(row.tolist())
-    keep.sort()
-    return np.array(keep, dtype=np.int64).reshape(len(keep), lattice.dim)
+    _, vecs = enumerate_ball(lattice.reduced_basis(), bound, collect=True, budget=budget)
+    # one row per +-pair comes back; flip it to the representative
+    shell = vecs[vecs[:, -1] == bound][:, :-1]
+    lead = shell[np.arange(shell.shape[0]), np.argmax(shell != 0, axis=1)]
+    shell = shell * np.sign(lead)[:, None]
+    return shell[np.lexsort(shell.T[::-1])]
 
 
 def frame_in_shell(

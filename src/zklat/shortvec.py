@@ -1,163 +1,119 @@
 """Exhaustive short-vector enumeration (Fincke-Pohst).
 
-Pruning intervals come from a float Cholesky factor padded with a
-conservative slack, while every emitted vector's norm is recomputed in
-integer arithmetic, so the reported counts and norms are exact.  The
-slack exceeds the float roundoff of the partial sums by many orders of
-magnitude at the matrix sizes used here (n <= 48, small entries).
+One enumerator, `_fincke_pohst`, serves every caller.  It expands the
+Fincke-Pohst tree one level at a time as numpy arrays and walks it depth
+first over frontier chunks of at most `CHUNK` rows, the scheme of
+parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo et al.,
+CHES 2011), so memory stays bounded at every dimension while the tree
+order stays that of Fincke-Pohst.  Every emitted vector's norm is then
+recomputed in integer arithmetic, so the reported counts and norms are
+exact.
 
-With numba present the inner loop is jit-compiled; otherwise the same
-function runs as plain Python.
+Pruning uses a float Cholesky factor R of the Gram matrix G and the
+bound padded by a slack of 1e-4 (bound + 1).  `_factor` checks once per
+call that the padding covers the float error: R is the exact factor of
+G + E, it measures err = max|E|, and it bounds the coefficient sum
+|x + t|_1 of every vector in the ball by c, from the dual basis norms.
+Every partial norm of such a vector, taken with G + E, is at most its
+full norm, bound + err c^2.  The check demands err c^2 <= slack / 1000
+(the rounding of the partial sums themselves is far smaller still) and
+raises PreconditionViolation otherwise, so no vector of the ball is
+ever pruned.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, PreconditionViolation
 
-STATUS_OK = 0
-STATUS_BUDGET = 1
-STATUS_OVERFLOW = 2
-STATUS_FOUND = 3
+CHUNK = 1024  # frontier rows created per numpy step
+SLACK_MARGIN = 1e-3  # float error allowed, as a share of the pruning slack
 
 LLL_DELTA = 0.999
 BKZ_BLOCK = 20
 BKZ_TOURS = 4
 
 
-def _enum_core(R, t, basis, shift, bound, slack, budget, collect, early, half, out, hist):
-    n = R.shape[0]
-    xs = np.zeros(n, dtype=np.int64)
-    xmax = np.zeros(n, dtype=np.int64)
-    inner = np.zeros(n, dtype=np.float64)
-    part = np.zeros(n + 1, dtype=np.float64)
-    wpart = np.zeros((n + 1, basis.shape[1]), dtype=np.int64)
-    wpart[n] = shift
-    limit = float(bound) + slack
-    count = 0
-    nodes = 0
-
-    i = n - 1
-    s = 0.0
-    inner[i] = 0.0
-    rem = limit
-    rad = math.sqrt(rem)
-    # half=True restricts the top level to x >= 0; each +-v pair keeps a
-    # representative, which is enough for existence/emptiness questions
-    xs[i] = 0 if half else int(math.ceil((-rad) / R[i, i] - t[i]))
-    xmax[i] = int(math.floor(rad / R[i, i] - t[i]))
-    while True:
-        nodes += 1
-        if nodes > budget:
-            return count, STATUS_BUDGET
-        if xs[i] > xmax[i]:
-            i += 1
-            if i >= n:
-                return count, STATUS_OK
-            xs[i] += 1
-            continue
-        y = R[i, i] * (xs[i] + t[i]) + inner[i]
-        newpart = part[i + 1] + y * y
-        if newpart > limit:
-            xs[i] += 1
-            continue
-        if i == 0:
-            q = 0
-            for j in range(basis.shape[1]):
-                w = wpart[1, j] + xs[0] * basis[0, j]
-                q += w * w
-            if q <= bound:
-                if early and q >= 1:
-                    return q, STATUS_FOUND
-                if q >= 0:
-                    hist[q] += 1
-                if collect:
-                    if count >= out.shape[0]:
-                        return count, STATUS_OVERFLOW
-                    for j in range(basis.shape[1]):
-                        out[count, j] = wpart[1, j] + xs[0] * basis[0, j]
-                    out[count, basis.shape[1]] = q
-                count += 1
-            xs[i] += 1
-        else:
-            part[i] = newpart
-            for j in range(basis.shape[1]):
-                wpart[i, j] = wpart[i + 1, j] + xs[i] * basis[i, j]
-            i -= 1
-            s = 0.0
-            for j in range(i + 1, n):
-                s += R[i, j] * (xs[j] + t[j])
-            inner[i] = s
-            rem = limit - part[i + 1]
-            if rem < 0.0:
-                rem = 0.0
-            rad = math.sqrt(rem)
-            lo = (-rad - s) / R[i, i] - t[i]
-            hi = (rad - s) / R[i, i] - t[i]
-            xs[i] = int(math.ceil(lo))
-            xmax[i] = int(math.floor(hi))
+def _factor(basis: np.ndarray, bound: int):
+    """Upper-triangular float R with R^T R = Gram, and the pruning limit."""
+    gram = (basis @ basis.T).astype(np.float64)
+    try:
+        R = np.ascontiguousarray(np.linalg.cholesky(gram).T)
+    except np.linalg.LinAlgError:
+        raise PreconditionViolation("Gram matrix is not numerically positive definite")
+    slack = 1e-4 * (bound + 1)
+    err = float(np.abs(R.T @ R - gram).max())
+    # |x_i + t_i| <= sqrt(bound * (G^-1)_ii) for every vector in the ball
+    coef = float(np.sqrt(bound * (np.linalg.inv(R) ** 2).sum(axis=1)).sum())
+    if not err * coef**2 <= SLACK_MARGIN * slack:
+        raise PreconditionViolation(
+            f"float pruning error bound {err * coef**2:.3g} (Cholesky residual "
+            f"{err:.3g}) is not far below the slack {slack:.3g}"
+        )
+    return R, bound + slack
 
 
-def _svp_core(R, bound):
-    """Shortest nonzero coefficient vector of the block with factor R.
+def _fincke_pohst(R, t, limit, budget):
+    """Blocks of integer rows x with float |(x + t) R^T|^2 <= limit.
 
-    Plain Fincke-Pohst over the upper-triangular float factor, keeping
-    the best candidate.  Heuristic only (used for basis preprocessing),
-    so float norms are fine here.
+    Each step takes the deepest pending block, expands its leading rows
+    whose children number at most CHUNK (at least one row) to the next
+    level and leaves the rest on the stack, so the walk is depth first
+    and holds at most one block of about CHUNK rows per level.  When t
+    is zero the tree is symmetric under x -> -x and only the zero row
+    and, of each +-pair, the row whose last nonzero entry is positive
+    are walked.  Raises BudgetExceeded once more than `budget` tree
+    nodes were expanded.
     """
     n = R.shape[0]
-    xs = np.zeros(n, dtype=np.int64)
-    xmax = np.zeros(n, dtype=np.int64)
-    inner = np.zeros(n, dtype=np.float64)
-    part = np.zeros(n + 1, dtype=np.float64)
-    best = bound
-    bestx = np.zeros(n, dtype=np.int64)
-
-    i = n - 1
-    inner[i] = 0.0
-    rad = math.sqrt(best)
-    # half-space x_{n-1} >= 0 (the +-x symmetry halves the tree)
-    xs[i] = 0
-    xmax[i] = int(math.floor(rad / R[i, i]))
-    while True:
-        if xs[i] > xmax[i]:
-            i += 1
-            if i >= n:
-                return best, bestx
-            xs[i] += 1
+    diag = R.diagonal()
+    # (x + t) . R[i, i+1:] = x . R[i, i+1:] + toff[i]
+    toff = np.array([t[i + 1 :] @ R[i, i + 1 :] for i in range(n)])
+    pairs = not np.any(t)
+    nodes = 0
+    # (level, suffix rows x[level:], their partial norms)
+    stack = [(n, np.zeros((1, 0), dtype=np.int64), np.zeros(1))]
+    while stack:
+        level, rows, parts = stack.pop()
+        xs, part = rows[:CHUNK], parts[:CHUNK]
+        i = level - 1
+        c = xs @ R[i, level:] + toff[i]
+        rad = np.sqrt(np.maximum(limit - part, 0.0))
+        lo = np.ceil((-rad - c) / diag[i] - t[i])
+        hi = np.floor((rad - c) / diag[i] - t[i])
+        if pairs:  # only the zero row has partial norm exactly 0
+            np.maximum(lo, 0.0, out=lo, where=part == 0.0)
+        width = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+        ends = np.cumsum(width)
+        # expand the leading rows whose children fit in CHUNK (at least one)
+        m = max(1, int(np.searchsorted(ends, CHUNK, side="right")))
+        if m < rows.shape[0]:
+            stack.append((level, rows[m:], parts[m:]))
+        total = int(ends[m - 1])
+        if total == 0:
             continue
-        y = R[i, i] * xs[i] + inner[i]
-        newpart = part[i + 1] + y * y
-        if newpart >= best:
-            xs[i] += 1
-            continue
+        xs, part, c, width = xs[:m], part[:m], c[:m], width[:m]
+        parent = np.repeat(np.arange(m), width)
+        x = np.arange(total) + np.repeat(lo[:m].astype(np.int64) - (ends[:m] - width), width)
+        y = diag[i] * (x + t[i]) + c[parent]
+        newpart = part[parent] + y * y
+        keep = newpart <= limit
+        x, parent, newpart = x[keep], parent[keep], newpart[keep]
+        nodes += x.size
+        if nodes > budget:
+            raise BudgetExceeded("enumeration nodes", nodes, budget)
+        child = np.empty((x.size, n - i), dtype=np.int64)
+        child[:, 0] = x
+        child[:, 1:] = xs[parent]
         if i == 0:
-            nz = False
-            for j in range(n):
-                if xs[j] != 0:
-                    nz = True
-                    break
-            if nz:
-                best = newpart
-                for j in range(n):
-                    bestx[j] = xs[j]
-            xs[i] += 1
+            yield child
         else:
-            part[i] = newpart
-            i -= 1
-            s = 0.0
-            for j in range(i + 1, n):
-                s += R[i, j] * xs[j]
-            inner[i] = s
-            rem = best - part[i + 1]
-            if rem < 0.0:
-                rem = 0.0
-            rad = math.sqrt(rem)
-            xs[i] = int(math.ceil((-rad - s) / R[i, i]))
-            xmax[i] = int(math.floor((rad - s) / R[i, i]))
+            stack.append((i, child, newpart))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", v, v)
 
 
 def _lll_core(b):
@@ -222,6 +178,21 @@ def _complete_unimodular(x):
     return np.array(u, dtype=np.int64)
 
 
+def _shortest(R, bound):
+    """Shortest nonzero coefficient row of the block with factor R, else None.
+
+    Heuristic only (basis preprocessing), so float norms are fine here.
+    """
+    best, bestx = bound, None
+    for xs in _fincke_pohst(R, np.zeros(R.shape[0]), bound, np.inf):
+        q = _norms(xs @ R.T)
+        q[~xs.any(axis=1)] = np.inf
+        j = int(np.argmin(q))
+        if q[j] < best:
+            best, bestx = q[j], xs[j]
+    return bestx
+
+
 def block_reduce(basis: np.ndarray) -> np.ndarray:
     """Float LLL followed by BKZ tours (heuristic preprocessing).
 
@@ -239,9 +210,8 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
             gram = (b @ b.T).astype(np.float64)
             R = np.ascontiguousarray(np.linalg.cholesky(gram).T)
             rsub = np.ascontiguousarray(R[i:j, i:j])
-            bound = 0.9999 * rsub[0, 0] ** 2
-            q, x = _svp_jit(rsub, bound)
-            if q < bound and np.any(x):
+            x = _shortest(rsub, 0.9999 * rsub[0, 0] ** 2)
+            if x is not None:
                 u = _complete_unimodular(x)
                 b[i:j] = u @ b[i:j]
                 _lll_core(b)
@@ -251,16 +221,6 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     return b
 
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _enum_jit = njit(cache=True)(_enum_core)
-    _svp_jit = njit(cache=True)(_svp_core)
-except Exception:  # pragma: no cover
-    _enum_jit = _enum_core
-    _svp_jit = _svp_core
-
-
 def enumerate_ball(
     basis: np.ndarray,
     bound: int,
@@ -268,74 +228,53 @@ def enumerate_ball(
     center: np.ndarray | None = None,
     collect: bool = False,
     budget: int = 2_000_000_000,
-    expected: int | None = None,
 ):
     """All vectors shift + x * basis with integer squared length <= bound.
 
     Returns (hist, vectors) where hist[q] counts vectors of squared
-    length q and vectors is an int64 array (or None when collect=False).
-    `center` is the coefficient-space image of shift (rational solve of
-    shift against the basis, passed in as floats); with shift it
-    describes a lattice coset.
+    length q and vectors is an int64 array (or None when collect=False)
+    whose last column holds each vector's squared length.  `center` is
+    the coefficient-space image of shift (rational solve of shift
+    against the basis, passed in as floats); with shift it describes a
+    lattice coset.  Without a shift the ball is symmetric: `vectors`
+    holds 0 and one vector of each +-pair, and hist counts both.
     """
     basis = np.asarray(basis, dtype=np.int64)
     n = basis.shape[0]
-    gram = (basis @ basis.T).astype(np.float64)
-    L = np.linalg.cholesky(gram)
-    R = np.ascontiguousarray(L.T)
+    R, limit = _factor(basis, bound)
     t = np.zeros(n) if center is None else np.asarray(center, dtype=np.float64)
-    sv = (
-        np.zeros(basis.shape[1], dtype=np.int64)
-        if shift is None
-        else np.asarray(shift, dtype=np.int64)
-    )
-    slack = 1e-4 * (bound + 1)
+    sv = 0 if shift is None else np.asarray(shift, dtype=np.int64)
     hist = np.zeros(bound + 1, dtype=np.int64)
-    if collect:
-        cap = expected if expected is not None else 4096
-        while True:
-            hist[:] = 0
-            out = np.zeros((cap, basis.shape[1] + 1), dtype=np.int64)
-            count, status = _enum_jit(
-                R, t, basis, sv, bound, slack, budget, True, False, False, out, hist
-            )
-            if status == STATUS_BUDGET:
-                raise BudgetExceeded("enumeration node budget exhausted")
-            if status == STATUS_OVERFLOW:
-                cap *= 4
-                continue
-            return hist, out[:count]
-    out = np.zeros((0, basis.shape[1] + 1), dtype=np.int64)
-    count, status = _enum_jit(
-        R, t, basis, sv, bound, slack, budget, False, False, False, out, hist
-    )
-    if status == STATUS_BUDGET:
-        raise BudgetExceeded("enumeration node budget exhausted")
-    return hist, None
+    found = []
+    for xs in _fincke_pohst(R, t, limit, budget):
+        v = xs @ basis + sv
+        q = _norms(v)
+        inside = q <= bound
+        hist += np.bincount(q[inside], minlength=bound + 1)
+        if collect:
+            found.append(np.column_stack([v[inside], q[inside]]))
+    if not np.any(t):  # the walk held one vector of each +-pair
+        hist[1:] *= 2
+    if not collect:
+        return hist, None
+    if not found:
+        return hist, np.zeros((0, basis.shape[1] + 1), dtype=np.int64)
+    return hist, np.concatenate(found)
 
 
 def first_nonzero_leq(basis: np.ndarray, bound: int, budget: int = 2_000_000_000):
     """Squared length of some nonzero lattice vector <= bound, else None.
 
-    Early-exit probe: returns as soon as any nonzero vector inside the
-    ball is touched, so a hit is much cheaper than a full enumeration
-    while a miss is an exhaustive emptiness proof.
+    Early-exit probe: returns at the first block of the walk that holds
+    a nonzero vector inside the ball (the shortest of that block), so a
+    hit is much cheaper than a full enumeration while a miss is an
+    exhaustive emptiness proof.
     """
     basis = np.asarray(basis, dtype=np.int64)
-    n = basis.shape[0]
-    gram = (basis @ basis.T).astype(np.float64)
-    L = np.linalg.cholesky(gram)
-    R = np.ascontiguousarray(L.T)
-    t = np.zeros(n)
-    sv = np.zeros(basis.shape[1], dtype=np.int64)
-    slack = 1e-4 * (bound + 1)
-    hist = np.zeros(bound + 1, dtype=np.int64)
-    out = np.zeros((0, basis.shape[1] + 1), dtype=np.int64)
-    q, status = _enum_jit(
-        R, t, basis, sv, bound, slack, budget, False, True, True, out, hist
-    )
-    if status == STATUS_BUDGET:
-        raise BudgetExceeded("enumeration node budget exhausted")
-    if status == STATUS_FOUND:
-        return int(q)
+    R, limit = _factor(basis, bound)
+    for xs in _fincke_pohst(R, np.zeros(basis.shape[0]), limit, budget):
+        q = _norms(xs @ basis)
+        q = q[(q >= 1) & (q <= bound)]
+        if q.size:
+            return int(q.min())
     return None

@@ -33,6 +33,15 @@ def test_dmin_budget_maps_to_unknown(capsys):
     assert "budget exceeded" in capsys.readouterr().out
 
 
+def test_budget_line_prints_used_and_budget(capsys):
+    assert main(["dmin", "C_13_12", "--budget", "10"]) == EXIT_UNKNOWN
+    assert "codewords: 4826809 used, budget 10" in capsys.readouterr().out
+    assert main(["theta", "D12_plus", "--max-norm", "4", "--budget", "50"]) == EXIT_UNKNOWN
+    line = capsys.readouterr().out
+    assert line.startswith("budget exceeded: enumeration nodes: ")
+    assert "used, budget 50" in line
+
+
 def test_lattice_and_minnorm_from_file(tmp_path, capsys):
     out = tmp_path / "lat.txt"
     assert main(["lattice", "C_13_12", "--out", str(out)]) == EXIT_OK

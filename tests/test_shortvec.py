@@ -1,12 +1,14 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zklat.errors import BudgetExceeded
+from zklat import catalog
+from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
-from zklat.shortvec import block_reduce, enumerate_ball
+from zklat.shortvec import CHUNK, _factor, block_reduce, enumerate_ball, first_nonzero_leq
 
 
 def brute_counts(basis, bound, shift=None, box=12):
@@ -77,3 +79,116 @@ def test_block_reduce_preserves_lattice_and_shortens(seed):
     # reduction never increases the shortest basis-vector norm
     norm = lambda rows: min(sum(x * x for x in r) for r in rows)
     assert norm(red) <= norm(basis)
+
+
+# -- the chunked enumerator against numpy brute force ------------------------
+
+
+def random_basis(rng, n, spread=3):
+    while True:
+        basis = rng.integers(-spread, spread + 1, size=(n, n)).astype(np.int64)
+        if round(np.linalg.det(basis.astype(float))) != 0:
+            return basis
+
+
+def brute_ball(basis, bound, shift=None, center=None):
+    """Every vector shift + x * basis of norm <= bound, from a provable box."""
+    n = basis.shape[0]
+    shift = np.zeros(basis.shape[1], dtype=np.int64) if shift is None else shift
+    center = np.zeros(n) if center is None else center
+    ginv = np.linalg.inv((basis @ basis.T).astype(float))
+    # |x_i + t_i| <= sqrt(bound * (G^-1)_ii) inside the ball
+    box = int(np.ceil((np.sqrt(bound * ginv.diagonal()) + np.abs(center)).max())) + 1
+    coeffs = np.indices((2 * box + 1,) * n).reshape(n, -1).T - box
+    v = shift + coeffs @ basis
+    q = np.einsum("ij,ij->i", v, v)
+    return v[q <= bound], q[q <= bound]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_nonzero_leq_hits_and_misses_like_bruteforce(seed):
+    rng = np.random.default_rng(100 + seed)
+    basis = random_basis(rng, int(rng.integers(2, 5)))
+    _, q = brute_ball(basis, int(basis[0] @ basis[0]) + 6)
+    shortest = int(q[q > 0].min())
+    assert first_nonzero_leq(basis, shortest) == shortest
+    assert first_nonzero_leq(basis, shortest - 1) is None  # exhaustive miss
+    hit = first_nonzero_leq(basis, shortest + 6)
+    assert hit is not None and hit in set(q.tolist()) and hit <= shortest + 6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_shift_cosets_match_bruteforce(seed):
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(2, 5))
+    den = int(rng.integers(2, 5))
+    basis = den * random_basis(rng, n, spread=2)
+    num = rng.integers(-den, den + 1, size=n)
+    shift = num @ (basis // den)  # = (num / den) * basis, an integer vector
+    center = num / den
+    bound = int(rng.integers(8, 40))
+    hist, vecs = enumerate_ball(basis, bound, shift=shift, center=center, collect=True)
+    want, q = brute_ball(basis, bound, shift=shift, center=center)
+    assert np.array_equal(hist, np.bincount(q, minlength=bound + 1))
+    assert sorted(vecs[:, :-1].tolist()) == sorted(want.tolist())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_collect_holds_one_vector_of_each_pair(seed):
+    rng = np.random.default_rng(300 + seed)
+    basis = random_basis(rng, int(rng.integers(2, 5)))
+    bound = int(rng.integers(6, 20))
+    hist, vecs = enumerate_ball(basis, bound, collect=True)
+    rows = {tuple(r) for r in vecs[:, :-1].tolist()}
+    negs = {tuple(-x for x in r) for r in rows}
+    zero = tuple([0] * basis.shape[1])
+    want, _ = brute_ball(basis, bound)
+    assert len(rows) == len(vecs) and rows & negs == {zero}
+    assert rows | negs == {tuple(r) for r in want.tolist()}
+    assert hist.sum() == len(want)
+
+
+def test_ball_of_many_chunks_matches_bruteforce():
+    basis = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.int64)
+    hist, vecs = enumerate_ball(basis, 60, collect=True)
+    assert len(vecs) > 8 * CHUNK
+    _, q = brute_ball(basis, 60)
+    assert np.array_equal(hist, np.bincount(q, minlength=61))
+
+
+def test_d20_ball_runs_in_bounded_memory():
+    lat = catalog.build("D20")
+    basis = lat.reduced_basis()
+    tracemalloc.start()
+    try:
+        hist, _ = enumerate_ball(basis, 5 * lat.scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.sum() == 602609
+    # collecting the same ball holds 301,305 rows of 21 int64 (~50 MB)
+    assert peak < 8 * 2**20
+
+
+def test_budget_exceeded_carries_used_and_budget():
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_ball(np.eye(8, dtype=np.int64), 16, budget=10)
+    assert info.value.budget == 10 and info.value.used > 10
+    assert f"{info.value.used} used, budget 10" in str(info.value)
+
+
+def test_near_singular_basis_trips_the_float_check():
+    # rows (3, 1) and (3 * 10**6 + 1, 10**6) span Z^2 but are nearly parallel
+    basis = np.array([[3, 1], [3 * 10**6 + 1, 10**6]], dtype=np.int64)
+    with pytest.raises(PreconditionViolation, match="not far below the slack"):
+        enumerate_ball(basis, 4)
+    with pytest.raises(PreconditionViolation):
+        first_nonzero_leq(basis, 4)
+    hist, _ = enumerate_ball(block_reduce(basis), 4)
+    assert hist.tolist() == [1, 4, 4, 0, 4]
+
+
+def test_float_check_passes_on_every_catalog_lattice():
+    for lid in catalog.catalog_list("lattice"):
+        lat = catalog.build(lid)
+        _factor(lat.basis, 5 * lat.scale)  # raises if the margin were thin
