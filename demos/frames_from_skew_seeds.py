@@ -10,14 +10,12 @@ Run with: python3 demos/frames_from_skew_seeds.py
 
 from zklat.catalog import build as catalog_build
 from zklat import (
-    Frame,
     build_code_from_skew,
-    build_frame_rows,
+    build_frame,
     construction_a,
     contains_frame,
-    find_quadruple,
-    frame_constant,
     scale_frame,
+    search_quadruple,
 )
 
 seed = catalog_build("D6_seed")
@@ -29,21 +27,18 @@ print(f"model lattice: dim {lat.dim}, unimodular = {lat.is_unimodular()}")
 # Ask for frames of several norms.  A returned quadruple is a complete
 # certificate; None is an exhaustive nonexistence proof for the scan.
 for target in [3, 6, 7, 11]:
-    quad = find_quadruple(seed, target)
+    quad = search_quadruple(seed.k, seed.m, seed.ell, target)
     if quad is None:
         print(f"  {target}-frame via quadruples: none (exhaustive scan)")
         continue
-    rows = build_frame_rows(seed, quad)  # checks F F^T = N k I exactly
-    frame = Frame(tuple(map(tuple, rows.tolist())), seed.k, frame_constant(seed, quad))
+    frame = build_frame(seed, quad)  # checks F F^T = N k I exactly
     ok = contains_frame(lat, frame)
     print(f"  {target}-frame: quadruple ({quad.a},{quad.b},{quad.c},{quad.d}),"
           f" rows in lattice = {ok}")
 
 # In dimensions divisible by 4 a k-frame scales to a km-frame by a
 # quaternion trick built on the four-square decomposition of m.
-quad = find_quadruple(seed, 3)
-rows = build_frame_rows(seed, quad)
-frame = Frame(tuple(map(tuple, rows.tolist())), seed.k, 3)
+frame = build_frame(seed, search_quadruple(seed.k, seed.m, seed.ell, 3))
 bigger = scale_frame(frame, 7)
 print(f"scaled: {frame.norm_k}-frame -> {bigger.norm_k}-frame,"
       f" still inside = {contains_frame(lat, bigger)}")

@@ -6,7 +6,6 @@ from .arith import (
     REPRESENTATION_CASES,
     FrameVerdict,
     RepresentationCase,
-    StarCondition,
     four_square_decomposition,
     representation_search,
     scale_frame,
@@ -54,10 +53,9 @@ from .skew import (
     FrameQuadruple,
     SkewSeed,
     build_code_from_skew,
-    build_frame_rows,
+    build_frame,
     build_paley_skew,
     build_skew_negacirculant,
-    find_quadruple,
     frame_constant,
     search_quadruple,
     skew_seed_from_rows,

@@ -1,6 +1,10 @@
-"""Number-theoretic searches: quadruple representations of primes,
-four-square decompositions, frame scaling, and the verdict type of the
-per-lattice frame-existence report (`catalog.frame_report`).
+"""Number theory for the frame constructions.
+
+`REPRESENTATION_CASES` is the one table of the cases (a)-(h): each row's
+(k, m, ell, excluded primes).  Catalog seeds and lattices name a row
+rather than repeat it.  Also here: quadruple representations of primes,
+four-square decompositions, frame scaling, the star condition, and the
+verdict type of the frame-existence report (`catalog.frame_report`).
 
 Every search is a bounded exhaustive scan, so a "none" answer is a
 proof within the stated bound.
@@ -20,10 +24,8 @@ from .skew import FrameQuadruple, _is_prime, search_quadruple
 __all__ = [
     "REPRESENTATION_CASES",
     "RepresentationCase",
-    "StarCondition",
     "FrameVerdict",
     "representation_search",
-    "search_quadruple",
     "four_square_decomposition",
     "quaternion_matrix",
     "scale_frame",
@@ -102,13 +104,7 @@ def scale_frame(frame: Frame, m: int) -> Frame:
     q = quaternion_matrix(m)
     blocks = [q @ v[i : i + 4] for i in range(0, n, 4)]
     out = np.vstack(blocks)
-    return Frame(tuple(map(tuple, out.tolist())), frame.scale, frame.norm_k * m)
-
-
-@dataclass(frozen=True)
-class StarCondition:
-    min_k: int
-    excluded_prime_basis: frozenset[int]
+    return Frame(out, frame.scale, frame.norm_k * m)
 
 
 def factorize(k: int) -> dict[int, int]:
@@ -126,13 +122,17 @@ def factorize(k: int) -> dict[int, int]:
     return out
 
 
-def star_condition_check(row: StarCondition, k: int) -> bool:
-    """True iff k >= min_k and some prime factor of k escapes the basis."""
+def star_condition_check(case: RepresentationCase, min_k: int, k: int) -> bool:
+    """True iff k >= min_k and some prime factor of k is not excluded by the case.
+
+    For a lattice, min_k is its minimum norm and the case is its model
+    seed's, so this says which k its quadruple construction covers.
+    """
     if k < 2:
         raise PreconditionViolation("k must be >= 2")
-    if k < row.min_k:
+    if k < min_k:
         return False
-    return any(p not in row.excluded_prime_basis for p in factorize(k))
+    return any(p not in case.excluded_primes for p in factorize(k))
 
 
 @dataclass

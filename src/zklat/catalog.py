@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
-from .arith import FrameVerdict, StarCondition, scale_frame
+from .arith import REPRESENTATION_CASES, FrameVerdict, RepresentationCase, scale_frame
 from .codes import (
     build_bordered_circulant,
     build_four_negacirculant,
@@ -31,12 +31,12 @@ from .lattice import (
     norm_shell,
 )
 from .skew import (
+    SkewSeed,
     build_code_from_skew,
-    build_frame_rows,
+    build_frame,
     build_paley_skew,
+    build_skew_negacirculant,
     search_quadruple,
-    skew_seed_from_rows,
-    with_params,
 )
 
 
@@ -72,45 +72,49 @@ def catalog_list(kind: str | None = None) -> list[str]:
 # skew seeds (negacirculant pairs and bordered quadratic-residue matrices)
 # ---------------------------------------------------------------------------
 
+# Each seed names its representation case; the case row of
+# arith.REPRESENTATION_CASES supplies (k, m, ell), and the seed's
+# constructor checks MM^T = mI against the transcribed rows.
+
 _SEED_ROWS = {
-    # id: (k, m, ell, r_A1, r_A2) -- negacirculant form
-    "D6_seed": (3, 25, 1, (0, 2, 2), (0, 1, -4)),
-    "D10_seed": (3, 25, 1, (0, 0, 2, 2, 0), (1, 2, 2, -2, 2)),
-    "Dp10_seed": (3, 25, 1, (0, 0, 0, 0, 0), (-3, -2, 2, -2, 2)),
-    "Dpp10_seed": (5, 49, 0, (0, 0, 3, 3, 0), (-2, -3, 4, -1, 1)),
-    "D14_seed": (3, 25, 1, (0, 2, 1, 0, 0, 1, 2), (-1, -2, 1, -2, 2, 1, 0)),
-    "Dp14_seed": (5, 25, 2, (0, 0, 2, -1, -1, 2, 0), (-2, -1, -2, 0, -1, -1, -2)),
-    "D16_seed": (4, 15, 2, (0, 1, 1, 0, 1, 0, 1, 1), (1, 1, 1, -1, -1, 2, -1, 0)),
-    "D18_seed": (6, 49, 2, (0, 1, -3, 0, 2, 2, 0, -3, 1), (-2, 2, -1, 2, 1, 2, 1, 1, 1)),
+    # id: (case, r_A1, r_A2) -- negacirculant form
+    "D6_seed": ("a", (0, 2, 2), (0, 1, -4)),
+    "D10_seed": ("a", (0, 0, 2, 2, 0), (1, 2, 2, -2, 2)),
+    "Dp10_seed": ("a", (0, 0, 0, 0, 0), (-3, -2, 2, -2, 2)),
+    "Dpp10_seed": ("c", (0, 0, 3, 3, 0), (-2, -3, 4, -1, 1)),
+    "D14_seed": ("a", (0, 2, 1, 0, 0, 1, 2), (-1, -2, 1, -2, 2, 1, 0)),
+    "Dp14_seed": ("d", (0, 0, 2, -1, -1, 2, 0), (-2, -1, -2, 0, -1, -1, -2)),
+    "D16_seed": ("e", (0, 1, 1, 0, 1, 0, 1, 1), (1, 1, 1, -1, -1, 2, -1, 0)),
+    "D18_seed": ("f", (0, 1, -3, 0, 2, 2, 0, -3, 1), (-2, 2, -1, 2, 1, 2, 1, 1, 1)),
     "D22_seed": (
-        5, 25, 2,
+        "d",
         (0, 0, -1, 1, 0, 0, 0, 0, 1, -1, 0),
         (1, 0, -2, 1, 1, 1, 2, 1, 0, 2, -2),
     ),
     "D24_seed": (
-        5, 39, 0,
+        "h",
         (0, 1, 1, 1, 2, -1, 1, -1, 2, 1, 1, 1),
         (-2, -1, 2, -1, -1, -2, 0, 1, 0, 2, -1, -1),
     ),
 }
 
 _PALEY_SEEDS = {
-    # id: (p, k, ell)
-    "P8_seed": (7, 4, 2),
-    "P20_seed": (19, 4, 0),
+    # id: case -- the bordered quadratic-residue matrix of order m + 1
+    "P8_seed": "b",
+    "P20_seed": "g",
 }
 
-for _sid, (_k, _m, _ell, _r1, _r2) in _SEED_ROWS.items():
+for _sid, (_case, _r1, _r2) in _SEED_ROWS.items():
     _add(CatalogEntry(
         _sid, "skew_seed",
         "reference table: skew seeds for the frame construction",
-        {"k": _k, "m": _m, "ell": _ell, "r_a1": _r1, "r_a2": _r2},
+        {"form": "negacirculant", "case": _case, "r_a1": _r1, "r_a2": _r2},
     ))
-for _sid, (_p, _k, _ell) in _PALEY_SEEDS.items():
+for _sid, _case in _PALEY_SEEDS.items():
     _add(CatalogEntry(
         _sid, "skew_seed",
         "reference table: skew seeds for the frame construction",
-        {"paley_p": _p, "k": _k, "ell": _ell, "m": _p},
+        {"form": "paley", "case": _case},
     ))
 
 
@@ -268,59 +272,39 @@ for _cid, _sid in _SEED_CODES.items():
 
 @dataclass(frozen=True)
 class LatticeInfo:
-    model_code: str          # catalog id of the code whose Construction A is the model
+    model_code: str          # catalog id of a seed code; Construction A of it is the model
     min_norm: int            # published (and, at desk scale, re-verified) minimum norm
-    star: StarCondition      # which k the quadruple construction covers
-    case: str                # representation-case label (a..h)
     direct_codes: dict       # modulus -> catalog code id with matching lattice
 
 
 _LATTICES: dict[str, LatticeInfo] = {
-    "D12_plus": LatticeInfo(
-        "C_12_3_D6", 2, StarCondition(2, frozenset({2, 5, 7, 13, 23})), "a",
-        {13: "C_13_12", 23: "C_23_12"},
-    ),
-    "D8_2": LatticeInfo(
-        "C_16_4_P8", 2, StarCondition(2, frozenset({2, 7})), "b",
-        {7: "C_7_16"},
-    ),
+    # id: (model code, minimum norm, direct codes); the representation case
+    # is the model seed's (see lattice_case)
+    "D12_plus": LatticeInfo("C_12_3_D6", 2, {13: "C_13_12", 23: "C_23_12"}),
+    "D8_2": LatticeInfo("C_16_4_P8", 2, {7: "C_7_16"}),
     "D4_5": LatticeInfo(
-        "C_20_3_D10", 2, StarCondition(2, frozenset({2, 5, 7, 13, 23})), "a",
-        {5: "C_5_20", 7: "C_7_20", 13: "C_13_20", 23: "C_23_20"},
+        "C_20_3_D10", 2, {5: "C_5_20", 7: "C_7_20", 13: "C_13_20", 23: "C_23_20"}
     ),
     "A5_4": LatticeInfo(
-        "C_20_3_Dp10", 2, StarCondition(2, frozenset({2, 5, 7, 13, 23})), "a",
+        "C_20_3_Dp10", 2,
         {4: "Cp_4_20", 5: "Cp_5_20", 7: "Cp_7_20", 13: "Cp_13_20", 23: "Cp_23_20"},
     ),
     "D20": LatticeInfo(
-        "C_20_5_Dpp10", 2, StarCondition(2, frozenset({2, 3, 7, 11, 19, 29})), "c",
+        "C_20_5_Dpp10", 2,
         {7: "Cpp_7_20", 9: "Cpp_9_20", 11: "Cpp_11_20", 19: "Cpp_19_20", 29: "Cpp_29_20"},
     ),
     "R28_32": LatticeInfo(
-        "C_28_3_D14", 3, StarCondition(3, frozenset({2, 5, 7, 13, 23})), "a",
+        "C_28_3_D14", 3,
         {4: "C_4_28", 5: "C_5_28", 7: "C_7_28", 13: "C_13_28", 23: "C_23_28"},
     ),
-    "R28_15": LatticeInfo(
-        "C_28_5_Dp14", 3, StarCondition(3, frozenset({2, 3, 17})), "d",
-        {4: "Cp_4_28", 17: "Cp_17_28"},
-    ),
-    "L32_82": LatticeInfo(
-        "C_32_4_D16", 4, StarCondition(4, frozenset({2, 3})), "e",
-        {6: "C_6_32", 9: "C_9_32"},
-    ),
+    "R28_15": LatticeInfo("C_28_5_Dp14", 3, {4: "Cp_4_28", 17: "Cp_17_28"}),
+    "L32_82": LatticeInfo("C_32_4_D16", 4, {6: "C_6_32", 9: "C_9_32"}),
     "L36": LatticeInfo(
-        "C_36_6_D18", 4, StarCondition(4, frozenset({2, 3, 5, 7})), "f",
-        {4: "C_4_36", 5: "C_5_36", 7: "C_7_36", 9: "C_9_36"},
+        "C_36_6_D18", 4, {4: "C_4_36", 5: "C_5_36", 7: "C_7_36", 9: "C_9_36"}
     ),
-    "L40": LatticeInfo(
-        "C_40_4_P20", 4, StarCondition(4, frozenset({2, 3, 13, 19})), "g", {},
-    ),
-    "L44": LatticeInfo(
-        "C_44_5_D22", 4, StarCondition(4, frozenset({2, 3, 17})), "d", {},
-    ),
-    "L48": LatticeInfo(
-        "C_48_5_D24", 5, StarCondition(5, frozenset({2, 3, 7, 17})), "h", {},
-    ),
+    "L40": LatticeInfo("C_40_4_P20", 4, {}),
+    "L44": LatticeInfo("C_44_5_D22", 4, {}),
+    "L48": LatticeInfo("C_48_5_D24", 5, {}),
 }
 
 _THETA_PREFIXES = {
@@ -355,9 +339,12 @@ def build(entry_id: str):
     entry = catalog_get(entry_id)
     p = entry.params
     if entry.kind == "skew_seed":
-        if "paley_p" in p:
-            return with_params(build_paley_skew(p["paley_p"]), p["k"], p["ell"])
-        return skew_seed_from_rows(p["r_a1"], p["r_a2"], p["k"], p["ell"])
+        case = REPRESENTATION_CASES[p["case"]]
+        if p["form"] == "paley":
+            mat = build_paley_skew(case.m).matrix
+        else:
+            mat = build_skew_negacirculant(p["r_a1"], p["r_a2"])
+        return SkewSeed(mat, k=case.k, m=case.m, ell=case.ell)
     if entry.kind == "code":
         form = p["form"]
         if form == "four_negacirculant":
@@ -382,6 +369,15 @@ def lattice_info(lattice_id: str) -> LatticeInfo:
     if lattice_id not in _LATTICES:
         raise UnknownId(f"no catalog lattice named {lattice_id!r}")
     return _LATTICES[lattice_id]
+
+
+def _model_seed_id(lattice_id: str) -> str:
+    return _ENTRIES[lattice_info(lattice_id).model_code].params["seed"]
+
+
+def lattice_case(lattice_id: str) -> RepresentationCase:
+    """The representation case of a lattice: that of its model seed."""
+    return REPRESENTATION_CASES[_ENTRIES[_model_seed_id(lattice_id)].params["case"]]
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +434,10 @@ def _base_cert(lattice_id: str, d: int) -> tuple[list[str], Frame | None] | None
             ], None)
 
     if cert is None:
-        seed = build(_ENTRIES[info.model_code].params["seed"])
+        seed = build(_model_seed_id(lattice_id))
         quad = search_quadruple(seed.k, seed.m, seed.ell, d)
         if quad is not None:
-            rows = build_frame_rows(seed, quad)
-            frame = Frame(tuple(map(tuple, rows.tolist())), seed.k, d)
+            frame = build_frame(seed, quad)
             if not contains_frame(build(lattice_id), frame):
                 raise MembershipViolation("quadruple frame failed lattice membership")
             cert = ([

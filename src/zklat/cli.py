@@ -12,11 +12,10 @@ from pathlib import Path
 
 from . import bounds, catalog, fileio
 from .arith import REPRESENTATION_CASES, representation_search, scale_frame, star_condition_check
-from .codes import ZkCode, is_self_dual, min_euclidean_weight
+from .codes import DEFAULT_CODEWORD_BUDGET, ZkCode, is_self_dual, min_euclidean_weight
 from .errors import BudgetExceeded, UnknownId, ZklatError
 from .lattice import (
     DEFAULT_NODE_BUDGET,
-    Frame,
     Lattice,
     construction_a,
     contains_frame,
@@ -27,7 +26,7 @@ from .lattice import (
     theta_prefix,
     two_neighbor_at_vector,
 )
-from .skew import FrameQuadruple, SkewSeed, build_frame_rows
+from .skew import FrameQuadruple, SkewSeed, build_frame
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -174,12 +173,9 @@ def cmd_two_neighbor(args) -> int:
 def cmd_frame_build(args) -> int:
     seed = _resolve(args.seed)
     a, b, c, d = _ints(args.abcd)
-    rows = build_frame_rows(seed, FrameQuadruple(a, b, c, d))
-    const = int(rows[0] @ rows[0]) // seed.k
-    frame = Frame(tuple(map(tuple, rows.tolist())), seed.k, const)
-    lat = _as_lattice(seed)
-    member = contains_frame(lat, frame)
-    print(f"{const}-frame, all rows in the lattice = {member}")
+    frame = build_frame(seed, FrameQuadruple(a, b, c, d))
+    member = contains_frame(_as_lattice(seed), frame)
+    print(f"{frame.norm_k}-frame, all rows in the lattice = {member}")
     _write_out(args, fileio.dump_frame(frame))
     return EXIT_OK if member else EXIT_REFUTED
 
@@ -219,8 +215,8 @@ def cmd_rep_search(args) -> int:
 
 
 def cmd_star(args) -> int:
-    info = catalog.lattice_info(args.row)
-    ok = star_condition_check(info.star, args.k)
+    min_k = catalog.lattice_info(args.row).min_norm
+    ok = star_condition_check(catalog.lattice_case(args.row), min_k, args.k)
     print(f"condition holds for k={args.k}: {ok}")
     return EXIT_OK if ok else EXIT_REFUTED
 
@@ -314,7 +310,7 @@ def main(argv=None) -> int:
 
     p = add("verify", cmd_verify); p.add_argument("id")
     p = add("dmin", cmd_dmin); p.add_argument("id")
-    p.add_argument("--budget", type=int, default=2**31)
+    p.add_argument("--budget", type=int, default=DEFAULT_CODEWORD_BUDGET)
     p = add("lattice", cmd_lattice); p.add_argument("id"); p.add_argument("--out")
     p = add("minnorm", cmd_minnorm); p.add_argument("id")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
@@ -348,7 +344,7 @@ def main(argv=None) -> int:
     p.add_argument("--type1", action="store_true")
     p = add("reproduce", cmd_reproduce)
     p.add_argument("table", choices=sorted(_REPRODUCE_TABLES))
-    p.add_argument("--budget", type=int, default=2**31)
+    p.add_argument("--budget", type=int, default=DEFAULT_CODEWORD_BUDGET)
     p.add_argument("--slow", action="store_true")
 
     args = parser.parse_args(argv)

@@ -43,6 +43,7 @@ class Lattice:
         # catalog.build hands one cached Lattice to every caller
         self.basis.flags.writeable = False
         self._reduced = None
+        self._hnf = None
 
     @property
     def dim(self) -> int:
@@ -76,34 +77,38 @@ class Lattice:
         return self._reduced
 
     def contains(self, coords, scale: int | None = None) -> bool:
-        """Membership of a vector given in scaled coordinates."""
+        """Membership of a vector given in scaled coordinates.
+
+        Exact back-substitution in Python ints against the row HNF H of
+        the basis: each pivot fixes one coefficient of x, and v is a member
+        iff every division is exact and the residual v - x H is zero.  The
+        residual also covers the non-pivot columns of a rank-deficient H.
+        """
         v = _rescale_vector(coords, self.scale if scale is None else scale, self.scale)
         if v is None:
             return False
-        # fast path: guess integer coordinates with a float solve, then
-        # verify the guess exactly; fall back to an exact solve on mismatch
-        try:
-            guess = np.linalg.solve(
-                self.basis.T.astype(np.float64), np.array(v, dtype=np.float64)
-            )
-            gi = np.rint(guess).astype(np.int64)
-            if np.all(np.abs(guess - gi) < 0.25) and np.array_equal(
-                gi @ self.basis, np.array(v, dtype=np.int64)
-            ):
-                return True
-        except np.linalg.LinAlgError:
-            pass
-        sol = solve_fraction(self.basis.tolist(), list(v))
-        return sol is not None and all(x.denominator == 1 for x in sol)
+        if self._hnf is None:
+            self._hnf = [
+                (next(j for j, a in enumerate(row) if a), row) for row in hnf(self.basis.tolist())
+            ]
+        for p, row in self._hnf:
+            q, r = divmod(v[p], row[p])
+            if r:
+                return False
+            if q:
+                v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
+        return not any(v)
 
 
 @dataclass(frozen=True)
 class Frame:
-    vectors: tuple[tuple[int, ...], ...]  # scaled coordinates
+    vectors: tuple[tuple[int, ...], ...]  # scaled coordinates; any integer array
     scale: int
     norm_k: int
 
     def __post_init__(self):
+        rows = tuple(tuple(int(x) for x in row) for row in self.vectors)
+        object.__setattr__(self, "vectors", rows)
         v = self.np_vectors()
         gram = v @ v.T
         n = v.shape[0]
@@ -244,15 +249,7 @@ def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
     parity = gt.diagonal() % 2
     if not parity.any():
         raise NotOdd("lattice has no odd-norm basis vector (even lattice)")
-    i0 = int(np.argmax(parity))
-    b = lattice.basis
-    rows = []
-    for j in range(lattice.dim):
-        if j == i0:
-            continue
-        rows.append(b[j] + (b[i0] if parity[j] else 0))
-    rows.append(2 * b[i0])
-    l0 = Lattice(np.array(hnf([list(map(int, r)) for r in rows]), dtype=np.int64), lattice.scale)
+    l0 = Lattice(_parity_kernel(lattice.basis, parity), lattice.scale)
 
     g0 = l0.gram_true()
     inv = inv_fraction(g0.tolist())
@@ -288,6 +285,16 @@ def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
         (v for v, f in zip(reps, in_l) if not f), key=lambda v: v.tolist()
     )
     return ShadowParts(l0, l0_ref, l0_dual, shadow_reps[0], rep_l2, shadow_reps[1])
+
+
+def _parity_kernel(b: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """HNF basis of the index-2 sublattice {x B : x . parity even}.
+
+    With i0 the first odd basis vector, the rows b_j + parity_j b_i0 span
+    it; row i0 itself becomes 2 b_i0.
+    """
+    i0 = int(np.argmax(parity))
+    return np.array(hnf((b + np.outer(parity, b[i0])).tolist()), dtype=np.int64)
 
 
 def _box_reps(diag):
@@ -343,17 +350,9 @@ def two_neighbor_at_vector(lattice: Lattice, x, y) -> Lattice:
 
     b = lattice.basis
     parity = (b @ x // s) % 2
-    idx = np.nonzero(parity)[0]
-    if len(idx) == 0:
+    if not parity.any():
         raise PreconditionViolation("(x, v) is even for every v (no odd pairing)")
-    i0 = int(idx[0])
-    rows = []
-    for j in range(lattice.dim):
-        if j == i0:
-            continue
-        rows.append(b[j] + (b[i0] if parity[j] else 0))
-    rows.append(2 * b[i0])
-    plus = np.array(hnf([list(map(int, r)) for r in rows]), dtype=np.int64)
+    plus = _parity_kernel(b, parity)
     glue = x + 2 * y  # coordinates of x/2 + y in scale 4s
     stacked = (2 * plus).tolist() + [glue.tolist()]
     out = simplify_scale(Lattice(np.array(hnf(stacked), dtype=np.int64), 4 * s))
@@ -363,26 +362,10 @@ def two_neighbor_at_vector(lattice: Lattice, x, y) -> Lattice:
 
 
 def contains_frame(lattice: Lattice, frame: Frame) -> bool:
-    v = _rescale_matrix(frame.np_vectors(), frame.scale, lattice.scale)
-    if v is None:
+    """All n frame vectors lie in the lattice (Frame has checked their Gram)."""
+    if len(frame.vectors) != lattice.dim or len(frame.vectors[0]) != lattice.dim:
         return False
-    gram = v @ v.T
-    n = lattice.dim
-    if v.shape != (n, n):
-        return False
-    if np.any(gram != frame.norm_k * lattice.scale * np.eye(n, dtype=np.int64)):
-        return False
-    return all(lattice.contains(row) for row in v)
-
-
-def _rescale_matrix(mat: np.ndarray, from_scale: int, to_scale: int):
-    rows = []
-    for r in mat:
-        v = _rescale_vector(r, from_scale, to_scale)
-        if v is None:
-            return None
-        rows.append(v)
-    return np.array(rows, dtype=np.int64)
+    return all(lattice.contains(row, frame.scale) for row in frame.vectors)
 
 
 def norm_shell(
@@ -413,7 +396,7 @@ def frame_in_shell(
     idx = find_orthogonal_set(shell, lattice.dim, budget=clique_budget)
     if idx is None:
         return None
-    frame = Frame(tuple(map(tuple, shell[idx].tolist())), lattice.scale, k)
+    frame = Frame(shell[idx], lattice.scale, k)
     if not contains_frame(lattice, frame):
         raise MembershipViolation("frame vectors failed lattice membership")
     return frame

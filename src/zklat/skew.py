@@ -14,6 +14,7 @@ import numpy as np
 
 from .codes import ZkCode, negacirculant
 from .errors import CongruenceViolation, PreconditionViolation, SkewViolation
+from .lattice import Frame
 
 
 def _is_prime(p: int) -> bool:
@@ -31,13 +32,14 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class SkewSeed:
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]  # any integer array
     k: int
     m: int
     ell: int
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.int64)
+        object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix))
+        mat = self.np_matrix()
         if np.any(mat.T != -mat):
             raise SkewViolation("M^T != -M")
         prod = mat @ mat.T
@@ -47,11 +49,6 @@ class SkewSeed:
             raise PreconditionViolation("ell must satisfy 0 <= ell <= k-1")
         if (self.m + self.ell**2 + 1) % self.k != 0:
             raise SkewViolation("m + ell^2 != -1 (mod k)")
-        if (self.order // 2) % 2 == 1 and isqrt(self.m) ** 2 != self.m:
-            # known external constraint for orders 2 mod 4; warn, don't refuse
-            import warnings
-
-            warnings.warn("order is 2 mod 4 but m is not a square", stacklevel=2)
 
     @property
     def order(self) -> int:
@@ -92,7 +89,7 @@ def build_paley_skew(p: int) -> SkewSeed:
     mat[1:, 1:] = q
     # (k, ell) are attached by the caller; use a valid placeholder pair
     k, ell = _default_params(p)
-    return SkewSeed(tuple(map(tuple, mat.tolist())), k=k, m=p, ell=ell)
+    return SkewSeed(mat, k=k, m=p, ell=ell)
 
 
 def _default_params(m: int) -> tuple[int, int]:
@@ -124,15 +121,14 @@ def build_skew_negacirculant(r_a1, r_a2) -> np.ndarray:
 def skew_seed_from_rows(r_a1, r_a2, k: int, ell: int) -> SkewSeed:
     mat = build_skew_negacirculant(r_a1, r_a2)
     m = int((mat @ mat.T)[0, 0])
-    return SkewSeed(tuple(map(tuple, mat.tolist())), k=k, m=m, ell=ell)
+    return SkewSeed(mat, k=k, m=m, ell=ell)
 
 
 def build_code_from_skew(seed: SkewSeed) -> ZkCode:
     """Self-dual code of length 2n with generator (I_n | M + ell*I_n)."""
     n = seed.order
     mat = seed.np_matrix() + seed.ell * np.eye(n, dtype=np.int64)
-    gen = np.hstack([np.eye(n, dtype=np.int64), mat]) % seed.k
-    return ZkCode(seed.k, tuple(map(tuple, gen.tolist())))
+    return ZkCode(seed.k, np.hstack([np.eye(n, dtype=np.int64), mat]))
 
 
 def frame_constant(seed: SkewSeed, q: FrameQuadruple) -> int:
@@ -142,12 +138,12 @@ def frame_constant(seed: SkewSeed, q: FrameQuadruple) -> int:
     return total // seed.k
 
 
-def build_frame_rows(seed: SkewSeed, q: FrameQuadruple) -> np.ndarray:
-    """The 2n rows of F(M) in scaled (multiplied by sqrt(k)) coordinates.
+def build_frame(seed: SkewSeed, q: FrameQuadruple) -> Frame:
+    """The N-frame F(M) of a seed and a quadruple, N = frame_constant.
 
-    Verifies F F^T = frame_constant * k * I exactly in scaled coordinates.
+    Its 2n rows are in scaled (multiplied by sqrt(k)) coordinates at scale
+    k; the Frame constructor checks F F^T = N k I exactly.
     """
-    const = frame_constant(seed, q)
     n = seed.order
     mat = seed.np_matrix()
     eye = np.eye(n, dtype=np.int64)
@@ -157,14 +153,7 @@ def build_frame_rows(seed: SkewSeed, q: FrameQuadruple) -> np.ndarray:
             [-q.c * eye + q.d * mat, q.a * eye - q.b * mat],
         ]
     )
-    gram = rows @ rows.T
-    if np.any(gram != const * seed.k * np.eye(2 * n, dtype=np.int64)):
-        raise SkewViolation("frame rows fail F F^T = N k I")
-    return rows
-
-
-def find_quadruple(seed: SkewSeed, target: int) -> FrameQuadruple | None:
-    return search_quadruple(seed.k, seed.m, seed.ell, target)
+    return Frame(rows, seed.k, frame_constant(seed, q))
 
 
 def _signed_range(limit: int):

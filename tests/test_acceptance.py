@@ -33,7 +33,7 @@ from zklat.lattice import (
     min_norm,
     theta_prefix,
 )
-from zklat.skew import FrameQuadruple, build_code_from_skew, build_frame_rows
+from zklat.skew import FrameQuadruple, build_code_from_skew, build_frame, frame_constant
 
 SLOW_NODE_BUDGET = 2 * 10**11
 
@@ -111,9 +111,11 @@ def test_frame_rows_from_each_seed(sid):
     rng = np.random.default_rng(zlib.crc32(sid.encode()))
     for _ in range(5):
         quad = _random_valid_quadruple(seed, rng)
-        rows = build_frame_rows(seed, quad)  # verifies F F^T = N k I exactly
-        const = int(rows[0] @ rows[0]) // seed.k
-        frame = Frame(tuple(map(tuple, rows.tolist())), seed.k, const)
+        frame = build_frame(seed, quad)  # Frame verifies F F^T = N k I exactly
+        assert isinstance(frame, Frame)
+        assert frame.scale == seed.k and frame.norm_k == frame_constant(seed, quad)
+        rows = frame.np_vectors()
+        assert np.array_equal(rows @ rows.T, frame.norm_k * seed.k * np.eye(len(rows), dtype=np.int64))
         assert contains_frame(lat, frame)
 
 

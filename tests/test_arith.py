@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from zklat.arith import (
     REPRESENTATION_CASES,
-    StarCondition,
     factorize,
     four_square_decomposition,
     quaternion_matrix,
@@ -84,13 +83,13 @@ def test_factorize():
 
 
 def test_star_condition_check():
-    row = StarCondition(3, frozenset({2, 5, 7, 13, 23}))
-    assert star_condition_check(row, 3)
-    assert not star_condition_check(row, 2)  # below the minimum
-    assert not star_condition_check(row, 5 * 7)  # all primes in the basis
-    assert star_condition_check(row, 5 * 11)
+    case = REPRESENTATION_CASES["a"]  # excluded primes {2, 5, 7, 13, 23}
+    assert star_condition_check(case, 3, 3)
+    assert not star_condition_check(case, 3, 2)  # below the minimum
+    assert not star_condition_check(case, 3, 5 * 7)  # all primes in the basis
+    assert star_condition_check(case, 3, 5 * 11)
     with pytest.raises(PreconditionViolation):
-        star_condition_check(row, 1)
+        star_condition_check(case, 3, 1)
 
 
 def test_frame_existence_report_delegates():

@@ -4,7 +4,7 @@ import pytest
 import zklat.lattice
 from zklat import catalog
 from zklat.codes import is_self_dual, min_euclidean_weight
-from zklat.errors import UnknownId
+from zklat.errors import SkewViolation, UnknownId
 from zklat.intmat import hnf
 from zklat.lattice import Lattice, contains_frame
 from zklat.skew import SkewSeed
@@ -67,7 +67,7 @@ def test_unknown_ids_raise():
 def test_lattice_info_fields():
     info = catalog.lattice_info("D4_5")
     assert info.model_code == "C_20_3_D10"
-    assert info.min_norm == 2 and info.case == "a"
+    assert info.min_norm == 2 and catalog.lattice_case("D4_5").label == "a"
     assert 5 in info.direct_codes
 
 
@@ -112,3 +112,25 @@ def test_frame_report_enumerates_once_per_divisor(monkeypatch):
 def test_frame_report_unknown_out_of_reach():
     v = catalog.frame_report("L48", 17)
     assert v.status == "unknown"
+
+
+def test_every_model_seed_has_its_case_row():
+    labels = set()
+    for lid in catalog.catalog_list("lattice"):
+        sid = catalog.catalog_get(catalog.lattice_info(lid).model_code).params["seed"]
+        seed = catalog.build(sid)
+        case = catalog.lattice_case(lid)
+        assert (seed.k, seed.m, seed.ell) == (case.k, case.m, case.ell), lid
+        labels.add(case.label)
+    assert labels == set("abcdefgh")
+
+
+def test_seed_rows_must_give_their_case_m(monkeypatch):
+    # the D6_seed rows give MM^T = 25 I, but case c has m = 49
+    entry = catalog.CatalogEntry(
+        "D6_as_case_c", "skew_seed", "test entry",
+        {"form": "negacirculant", "case": "c", "r_a1": (0, 2, 2), "r_a2": (0, 1, -4)},
+    )
+    monkeypatch.setitem(catalog._ENTRIES, entry.id, entry)
+    with pytest.raises(SkewViolation, match=r"MM\^T != mI"):
+        catalog.build(entry.id)

@@ -3,8 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zklat import catalog
 from zklat.codes import ZkCode, build_four_negacirculant, min_euclidean_weight
 from zklat.errors import BadDimension, NotOdd, NotSelfDual, PreconditionViolation
+from zklat.intmat import hnf, solve_fraction
 from zklat.lattice import (
     Frame,
     Lattice,
@@ -20,7 +22,7 @@ from zklat.lattice import (
     theta_prefix,
     two_neighbor_at_vector,
 )
-from zklat.skew import FrameQuadruple, build_code_from_skew, build_frame_rows, skew_seed_from_rows
+from zklat.skew import FrameQuadruple, build_code_from_skew, build_frame, skew_seed_from_rows
 
 D6_SEED = skew_seed_from_rows((0, 2, 2), (0, 1, -4), k=3, ell=1)
 
@@ -164,10 +166,67 @@ def test_norm_shell_holds_one_of_each_pair():
 
 def test_frame_membership_rejects_perturbed():
     lat = d6_lattice()
-    rows = build_frame_rows(D6_SEED, FrameQuadruple(0, 0, 3, 0))
-    frame = Frame(tuple(map(tuple, rows.tolist())), 3, 3)
+    frame = build_frame(D6_SEED, FrameQuadruple(0, 0, 3, 0))
     assert contains_frame(lat, frame)
-    bad = rows.copy()
+    bad = frame.np_vectors()
     bad[0, 0] += 1
     with pytest.raises(PreconditionViolation):
-        Frame(tuple(map(tuple, bad.tolist())), 3, 3)  # Gram check fires
+        Frame(bad, 3, 3)  # Gram check fires
+
+
+def _solve_member(basis, v) -> bool:
+    """Reference membership: an exact rational solve of x B = v."""
+    sol = solve_fraction(np.asarray(basis).tolist(), [int(a) for a in v])
+    return sol is not None and all(x.denominator == 1 for x in sol)
+
+
+def _perturbed(v, rng):
+    w = v.copy()
+    w[rng.integers(len(w))] += int(rng.choice([-1, 1]))
+    return w
+
+
+def test_contains_agrees_with_solve_fraction():
+    lat = catalog.build("D12_plus")
+    red = Lattice(lat.reduced_basis(), lat.scale)
+    assert hnf(red.basis.tolist()) != red.basis.tolist()  # not in HNF
+    rng = np.random.default_rng(12)
+    for target in (lat, red):
+        b = target.basis
+        outside = 0
+        for _ in range(30):
+            v = rng.integers(-3, 4, size=target.dim) @ b
+            assert target.contains(v) and _solve_member(b, v)
+            w = _perturbed(v, rng)
+            assert target.contains(w) == _solve_member(b, w)
+            outside += not _solve_member(b, w)
+            # the same vectors given in the scales 4s and 9s
+            for r in (2, 3):
+                s = r * r * target.scale
+                assert target.contains(r * v, s)
+                assert target.contains(r * w, s) == _solve_member(b, w)
+                assert not target.contains(r * v + 1, s)  # not divisible by r
+            assert not target.contains(v, 2 * target.scale)  # ratio not a square
+        assert outside > 0
+
+
+def test_contains_rank_deficient_basis():
+    full = catalog.build("D12_plus").reduced_basis()
+    b = full.copy()
+    b[-1] = b[0] + b[1]  # rank 11: the lattice spanned by rows 0..10 of full
+    lat = Lattice(b, 3)
+
+    def reference(v):
+        # in lat iff integral in the full basis with no component on row 11
+        sol = solve_fraction(full.tolist(), [int(a) for a in v])
+        return all(x.denominator == 1 for x in sol) and sol[-1] == 0
+
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        v = rng.integers(-3, 4, size=12) @ b
+        assert lat.contains(v) and reference(v)
+        w = _perturbed(v, rng)
+        assert lat.contains(w) == reference(w)
+        u = v + full[-1]  # in the full lattice, outside lat
+        assert _solve_member(full, u) and not reference(u)
+        assert not lat.contains(u)

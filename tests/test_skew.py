@@ -7,10 +7,9 @@ from zklat.skew import (
     FrameQuadruple,
     SkewSeed,
     build_code_from_skew,
-    build_frame_rows,
+    build_frame,
     build_paley_skew,
     build_skew_negacirculant,
-    find_quadruple,
     frame_constant,
     search_quadruple,
     skew_seed_from_rows,
@@ -86,17 +85,17 @@ def test_frame_constant_and_congruences():
 
 def test_frame_rows_gram():
     seed = skew_seed_from_rows(*D6, k=3, ell=1)
-    rows = build_frame_rows(seed, FrameQuadruple(1, 0, 1, 1))
+    rows = build_frame(seed, FrameQuadruple(1, 0, 1, 1)).np_vectors()
     assert np.array_equal(rows @ rows.T, 9 * 3 * np.eye(12, dtype=np.int64))
 
 
 def test_find_quadruple_matches_direct_search():
     seed = skew_seed_from_rows(*D6, k=3, ell=1)
-    q = find_quadruple(seed, 3)
+    q = search_quadruple(seed.k, seed.m, seed.ell, 3)
     assert q is not None and frame_constant(seed, q) == 3
     assert q == search_quadruple(3, 25, 1, 3)
     # excluded target: the scan bound makes this a proof
-    assert find_quadruple(seed, 7) is None
+    assert search_quadruple(seed.k, seed.m, seed.ell, 7) is None
 
 
 def test_search_quadruple_verifies_identity():
