@@ -58,8 +58,6 @@ from .skew import (
     build_skew_negacirculant,
     frame_constant,
     search_quadruple,
-    skew_seed_from_rows,
-    with_params,
 )
 
 __version__ = "0.1.0"

@@ -341,7 +341,7 @@ def build(entry_id: str):
     if entry.kind == "skew_seed":
         case = REPRESENTATION_CASES[p["case"]]
         if p["form"] == "paley":
-            mat = build_paley_skew(case.m).matrix
+            mat = build_paley_skew(case.m)
         else:
             mat = build_skew_negacirculant(p["r_a1"], p["r_a2"])
         return SkewSeed(mat, k=case.k, m=case.m, ell=case.ell)

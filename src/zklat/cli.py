@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bounds, catalog, fileio
 from .arith import REPRESENTATION_CASES, representation_search, scale_frame, star_condition_check
 from .codes import DEFAULT_CODEWORD_BUDGET, ZkCode, is_self_dual, min_euclidean_weight
-from .errors import BudgetExceeded, UnknownId, ZklatError
+from .errors import BudgetExceeded, PreconditionViolation, UnknownId, ZklatError
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     Lattice,
@@ -48,7 +48,10 @@ def _resolve(token: str):
     if not path.exists():
         raise UnknownId(f"{token!r} is neither a catalog id nor a file")
     text = path.read_text()
-    tag = fileio._data_lines(text)[0].split()[0]
+    lines = fileio._data_lines(text)
+    if not lines:
+        raise PreconditionViolation(f"{token!r} holds no data lines")
+    tag = lines[0].split()[0]
     loader = {
         "zkcode": fileio.load_code,
         "skewseed": fileio.load_seed,
@@ -57,7 +60,10 @@ def _resolve(token: str):
     }.get(tag)
     if loader is None:
         raise UnknownId(f"unrecognized file header {tag!r}")
-    return loader(text)
+    try:
+        return loader(text)
+    except ValueError as e:  # a token that is not an integer
+        raise PreconditionViolation(f"{token!r}: {e}") from None
 
 
 def _as_lattice(obj) -> Lattice:
@@ -99,11 +105,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dmin(args) -> int:
     code = _resolve(args.id)
-    try:
-        d = min_euclidean_weight(code, budget=args.budget)
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}")
-        return EXIT_UNKNOWN
+    d = min_euclidean_weight(code, budget=args.budget)
     label = bounds.classify(code.n, code.k, d)
     print(f"d_E = {d}  ({label}, bound {bounds.d_E_upper_bound(code.n, code.k).value})")
     return EXIT_OK
@@ -119,21 +121,13 @@ def cmd_lattice(args) -> int:
 
 def cmd_minnorm(args) -> int:
     lat = _as_lattice(_resolve(args.id))
-    try:
-        print(f"min norm = {min_norm(lat, budget=args.budget)}")
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}")
-        return EXIT_UNKNOWN
+    print(f"min norm = {min_norm(lat, budget=args.budget)}")
     return EXIT_OK
 
 
 def cmd_theta(args) -> int:
     lat = _as_lattice(_resolve(args.id))
-    try:
-        th = theta_prefix(lat, args.max_norm, budget=args.budget)
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}")
-        return EXIT_UNKNOWN
+    th = theta_prefix(lat, args.max_norm, budget=args.budget)
     for q, c in th.as_pairs():
         print(q, c)
     _write_out(args, fileio.dump_theta(th))
@@ -182,11 +176,7 @@ def cmd_frame_build(args) -> int:
 
 def cmd_frame_find(args) -> int:
     lat = _as_lattice(_resolve(args.id))
-    try:
-        frame = find_frame(lat, args.k, budget=args.budget)
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}")
-        return EXIT_UNKNOWN
+    frame = find_frame(lat, args.k, budget=args.budget)
     if frame is None:
         print("none (exhaustive)")
         return EXIT_REFUTED
@@ -350,9 +340,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceeded as e:
+        print(f"budget exceeded: {e}")
+        return EXIT_UNKNOWN
     except ZklatError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNKNOWN if isinstance(e, BudgetExceeded) else EXIT_REFUTED
+        return EXIT_REFUTED
 
 
 if __name__ == "__main__":

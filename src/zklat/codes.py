@@ -47,6 +47,8 @@ class ZkCode:
         if self.k < 2:
             raise PreconditionViolation("modulus must be >= 2")
         gens = tuple(tuple(int(v) % self.k for v in row) for row in self.generators)
+        if not gens:
+            raise PreconditionViolation("a code needs at least one generator row")
         object.__setattr__(self, "generators", gens)
         orders = tuple(self.k // gcd(self.k, vec_gcd(row)) for row in gens)
         object.__setattr__(self, "row_orders", orders)

@@ -4,8 +4,8 @@ neighbors, and frame search.
 A lattice is stored as an integer basis with a global scale s: the true
 lattice is spanned by the rows divided by sqrt(s).  Construction A
 lattices carry s = k so every vector has integer coordinates; shadow
-machinery refines the scale to 4s (or 16s) as needed.  All
-correctness-critical arithmetic is exact.
+machinery refines the scale to 4s.  All correctness-critical arithmetic
+is exact.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from .errors import (
     NotSelfDual,
     PreconditionViolation,
 )
-from .intmat import det, hnf, inv_fraction, solve_fraction
+from .intmat import det, hnf, inv_fraction
 from .shortvec import block_reduce, enumerate_ball, first_nonzero_leq
 
 DEFAULT_NODE_BUDGET = 2_000_000_000
+CLIQUE_BUDGET = 50_000_000  # clique search nodes per frame search
 
 
 @dataclass
@@ -207,18 +208,7 @@ def coset_theta(
     bound = Fraction(max_norm) * lattice.scale
     if bound.denominator != 1:
         raise PreconditionViolation("max_norm * scale must be an integer")
-    b = lattice.reduced_basis()
-    shift = np.asarray(shift, dtype=np.int64)
-    center = solve_fraction(b.tolist(), list(shift))
-    if center is None:
-        raise PreconditionViolation("shift not in the lattice's span")
-    hist, _ = enumerate_ball(
-        b,
-        int(bound),
-        shift=shift,
-        center=np.array([float(x) for x in center]),
-        budget=budget,
-    )
+    hist, _ = enumerate_ball(lattice.reduced_basis(), int(bound), shift=shift, budget=budget)
     counts = {Fraction(q, lattice.scale): int(c) for q, c in enumerate(hist) if c}
     return ThetaPrefix(counts, Fraction(max_norm))
 
@@ -227,7 +217,7 @@ def coset_theta(
 class ShadowParts:
     """Even sublattice, its dual, and the three nontrivial coset shifts.
 
-    All vectors live in the refined scale `scale` (4s or 16s); l2 is the
+    All vectors live in the refined scale `scale` (4s); l2 is the
     coset with L = L0 + l2, while l1 and l3 make up the shadow.
     """
 
@@ -244,34 +234,35 @@ class ShadowParts:
 
 
 def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
-    """L0 = even-norm sublattice (index 2), shadow cosets of L0* (order 4)."""
+    """L0 = even-norm sublattice (index 2), shadow cosets of L0* (order 4).
+
+    L must be unimodular: then 2L lies in L0, so L0* lies in L/2 and the
+    dual basis has integer coordinates at the refined scale 4s.
+    """
+    if not lattice.is_unimodular():
+        raise PreconditionViolation("the shadow needs a unimodular lattice")
     gt = lattice.gram_true()
     parity = gt.diagonal() % 2
     if not parity.any():
         raise NotOdd("lattice has no odd-norm basis vector (even lattice)")
     l0 = Lattice(_parity_kernel(lattice.basis, parity), lattice.scale)
 
+    n = lattice.dim
     g0 = l0.gram_true()
     inv = inv_fraction(g0.tolist())
-    dual_frac = [
-        [sum(inv[i][t] * int(l0.basis[t, j]) for t in range(lattice.dim)) for j in range(lattice.dim)]
-        for i in range(lattice.dim)
-    ]
-    for mult in (2, 4):
-        scaled = [[x * mult for x in row] for row in dual_frac]
-        if all(x.denominator == 1 for row in scaled for x in row):
-            refine = mult
-            dual_basis = np.array([[int(x) for x in row] for row in scaled], dtype=np.int64)
-            break
-    else:
-        raise MembershipViolation("dual basis of L0 did not clear denominators")
-    scale = lattice.scale * refine * refine
+    # the rows of G0^-1 B0 span L0*; doubling them lands in L
+    dual_basis = np.array(
+        [[int(2 * sum(inv[i][t] * int(l0.basis[t, j]) for t in range(n))) for j in range(n)]
+         for i in range(n)],
+        dtype=np.int64,
+    )
+    scale = 4 * lattice.scale
     l0_dual = Lattice(dual_basis, scale)
-    l0_ref = Lattice(l0.basis * refine, scale)
+    l0_ref = Lattice(2 * l0.basis, scale)
 
     # coordinates of L0 in the dual basis equal the Gram matrix of L0
     h = hnf(g0.tolist())
-    diag = [h[i][i] for i in range(lattice.dim)]
+    diag = [h[i][i] for i in range(n)]
     reps = []
     for r in _box_reps(diag):
         v = np.array(r, dtype=np.int64) @ dual_basis
@@ -386,14 +377,12 @@ def norm_shell(
     return shell[np.lexsort(shell.T[::-1])]
 
 
-def frame_in_shell(
-    lattice: Lattice, shell: np.ndarray, k: int, clique_budget: int = 50_000_000
-) -> Frame | None:
+def frame_in_shell(lattice: Lattice, shell: np.ndarray, k: int) -> Frame | None:
     """A k-frame among the rows of `norm_shell(lattice, k)`, else None.
 
     None is exhaustive over the shell; a budget overrun raises.
     """
-    idx = find_orthogonal_set(shell, lattice.dim, budget=clique_budget)
+    idx = find_orthogonal_set(shell, lattice.dim, budget=CLIQUE_BUDGET)
     if idx is None:
         return None
     frame = Frame(shell[idx], lattice.scale, k)
@@ -402,12 +391,6 @@ def frame_in_shell(
     return frame
 
 
-def find_frame(
-    lattice: Lattice,
-    k: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    clique_budget: int = 50_000_000,
-) -> Frame | None:
+def find_frame(lattice: Lattice, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Frame | None:
     """Search for a k-frame; None is exhaustive, budget overrun raises."""
-    shell = norm_shell(lattice, k, budget=budget)
-    return frame_in_shell(lattice, shell, k, clique_budget=clique_budget)
+    return frame_in_shell(lattice, norm_shell(lattice, k, budget=budget), k)

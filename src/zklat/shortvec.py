@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolation
+from .intmat import solve_fraction
 
 CHUNK = 1024  # frontier rows created per numpy step
 SLACK_MARGIN = 1e-3  # float error allowed, as a share of the pruning slack
@@ -116,41 +117,35 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", v, v)
 
 
+def _gso(rows):
+    """Upper-triangular R with R^T R = rows rows^T and a positive diagonal.
+
+    Householder QR of the float rows: R_jj = |b*_j| and R_jk / R_jj is the
+    Gram-Schmidt coefficient mu_kj.  A QR factor, not a Cholesky factor of
+    the Gram matrix, since forming the Gram squares the condition number.
+    """
+    R = np.linalg.qr(rows.T.astype(np.float64), mode="r")
+    return R * np.where(R.diagonal() < 0, -1.0, 1.0)[:, None]
+
+
 def _lll_core(b):
-    """In-place LLL on an int64 row basis with float Gram-Schmidt data."""
+    """In-place LLL on an int64 row basis, reading mu and |b*|^2 from _gso."""
     n = b.shape[0]
-    bstar = np.zeros((n, b.shape[1]), dtype=np.float64)
-    bsq = np.zeros(n, dtype=np.float64)
-    mu = np.zeros((n, n), dtype=np.float64)
-
-    def gso_row(i):
-        star = b[i].astype(np.float64)
-        for j in range(i):
-            mu[i, j] = (b[i].astype(np.float64) @ bstar[j]) / bsq[j] if bsq[j] else 0.0
-            star = star - mu[i, j] * bstar[j]
-        bstar[i] = star
-        bsq[i] = star @ star
-
-    for i in range(n):
-        gso_row(i)
     k = 1
     while k < n:
+        R = _gso(b[: k + 1])
+        diag = R.diagonal()
+        mu = R[:, k] / diag  # mu[j] = mu_kj for j < k
         for j in range(k - 1, -1, -1):
-            if abs(mu[k, j]) > 0.5:
-                q = int(round(mu[k, j]))
+            if abs(mu[j]) > 0.5:
+                q = int(round(mu[j]))
                 b[k] -= q * b[j]
-                gso_row(k)
-        if bsq[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * bsq[k - 1]:
+                mu[: j + 1] -= q * R[: j + 1, j] / diag[: j + 1]
+        # size reduction leaves b*_k, so R_kk, unchanged
+        if diag[k] ** 2 >= (LLL_DELTA - mu[k - 1] ** 2) * diag[k - 1] ** 2:
             k += 1
         else:
-            tmp = b[k].copy()
-            b[k] = b[k - 1]
-            b[k - 1] = tmp
-            gso_row(k - 1)
-            gso_row(k)
-            for i in range(k + 1, n):
-                for j in (k - 1, k):
-                    mu[i, j] = (b[i].astype(np.float64) @ bstar[j]) / bsq[j] if bsq[j] else 0.0
+            b[[k - 1, k]] = b[[k, k - 1]]
             k = max(k - 1, 1)
     return b
 
@@ -207,9 +202,7 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
         changed = False
         for i in range(n - 1):
             j = min(i + BKZ_BLOCK, n)
-            gram = (b @ b.T).astype(np.float64)
-            R = np.ascontiguousarray(np.linalg.cholesky(gram).T)
-            rsub = np.ascontiguousarray(R[i:j, i:j])
+            rsub = np.ascontiguousarray(_gso(b[:j])[i:j, i:j])
             x = _shortest(rsub, 0.9999 * rsub[0, 0] ** 2)
             if x is not None:
                 u = _complete_unimodular(x)
@@ -225,7 +218,6 @@ def enumerate_ball(
     basis: np.ndarray,
     bound: int,
     shift: np.ndarray | None = None,
-    center: np.ndarray | None = None,
     collect: bool = False,
     budget: int = 2_000_000_000,
 ):
@@ -233,17 +225,22 @@ def enumerate_ball(
 
     Returns (hist, vectors) where hist[q] counts vectors of squared
     length q and vectors is an int64 array (or None when collect=False)
-    whose last column holds each vector's squared length.  `center` is
-    the coefficient-space image of shift (rational solve of shift
-    against the basis, passed in as floats); with shift it describes a
-    lattice coset.  Without a shift the ball is symmetric: `vectors`
-    holds 0 and one vector of each +-pair, and hist counts both.
+    whose last column holds each vector's squared length.  A shift in
+    the basis's rational span describes a lattice coset; its exact
+    coefficients against the basis centre the walk.  Without a shift the
+    ball is symmetric: `vectors` holds 0 and one vector of each +-pair,
+    and hist counts both.
     """
     basis = np.asarray(basis, dtype=np.int64)
-    n = basis.shape[0]
     R, limit = _factor(basis, bound)
-    t = np.zeros(n) if center is None else np.asarray(center, dtype=np.float64)
-    sv = 0 if shift is None else np.asarray(shift, dtype=np.int64)
+    t = np.zeros(basis.shape[0])
+    sv = 0
+    if shift is not None:
+        sv = np.asarray(shift, dtype=np.int64)
+        center = solve_fraction(basis.tolist(), sv.tolist())
+        if center is None:
+            raise PreconditionViolation("shift not in the lattice's span")
+        t = np.array([float(x) for x in center])
     hist = np.zeros(bound + 1, dtype=np.int64)
     found = []
     for xs in _fincke_pohst(R, t, limit, budget):

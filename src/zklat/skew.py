@@ -72,7 +72,7 @@ class FrameQuadruple:
             raise CongruenceViolation("d != a + ell*b (mod k)")
 
 
-def build_paley_skew(p: int) -> SkewSeed:
+def build_paley_skew(p: int) -> np.ndarray:
     """Bordered quadratic-residue matrix P_{p+1} with P P^T = p I."""
     if not _is_prime(p) or p % 4 != 3:
         raise PreconditionViolation("p must be a prime congruent to 3 mod 4")
@@ -87,41 +87,14 @@ def build_paley_skew(p: int) -> SkewSeed:
     mat[0, 1:] = 1
     mat[1:, 0] = -1
     mat[1:, 1:] = q
-    # (k, ell) are attached by the caller; use a valid placeholder pair
-    k, ell = _default_params(p)
-    return SkewSeed(mat, k=k, m=p, ell=ell)
-
-
-def _default_params(m: int) -> tuple[int, int]:
-    for k in range(2, 2 * m + 3):
-        for ell in range(k):
-            if (m + ell * ell + 1) % k == 0:
-                return k, ell
-    raise SkewViolation("no (k, ell) with m + ell^2 = -1 (mod k)")
-
-
-def with_params(seed: SkewSeed, k: int, ell: int) -> SkewSeed:
-    return SkewSeed(seed.matrix, k=k, m=seed.m, ell=ell)
-
-
-def build_skew_negacirculant(r_a1, r_a2) -> np.ndarray:
-    """(A1 A2 ; -A2^T A1^T) from negacirculant blocks; must come out skew."""
-    a1 = negacirculant(r_a1)
-    a2 = negacirculant(r_a2)
-    mat = np.block([[a1, a2], [-a2.T, a1.T]])
-    if np.any(mat.T != -mat):
-        raise SkewViolation("A1 is not skew; M^T != -M")
-    prod = mat @ mat.T
-    m = int(prod[0, 0])
-    if np.any(prod != m * np.eye(mat.shape[0], dtype=np.int64)):
-        raise SkewViolation("MM^T is not a scalar matrix")
     return mat
 
 
-def skew_seed_from_rows(r_a1, r_a2, k: int, ell: int) -> SkewSeed:
-    mat = build_skew_negacirculant(r_a1, r_a2)
-    m = int((mat @ mat.T)[0, 0])
-    return SkewSeed(mat, k=k, m=m, ell=ell)
+def build_skew_negacirculant(r_a1, r_a2) -> np.ndarray:
+    """(A1 A2 ; -A2^T A1^T) from negacirculant blocks; SkewSeed checks it."""
+    a1 = negacirculant(r_a1)
+    a2 = negacirculant(r_a2)
+    return np.block([[a1, a2], [-a2.T, a1.T]])
 
 
 def build_code_from_skew(seed: SkewSeed) -> ZkCode:

@@ -125,3 +125,25 @@ def test_reproduce_fig1(capsys):
 def test_reproduce_table1(capsys):
     assert main(["reproduce", "table1"]) == EXIT_OK
     assert "D24_seed: ok" in capsys.readouterr().out
+
+
+def test_malformed_file_is_an_error(tmp_path, capsys):
+    texts = [
+        "",
+        "# nothing here\n\n",
+        "zkcode 3 4\n",  # no generator rows
+        "lattice two 1\n1 0\n0 1\n",
+        "zkcode 3 2\n1 x\n",
+    ]
+    p = tmp_path / "in.txt"
+    for text in texts:
+        p.write_text(text)
+        assert main(["lattice", str(p)]) == EXIT_REFUTED, text
+        assert "error:" in capsys.readouterr().err
+
+
+def test_shadow_of_non_unimodular_lattice_is_an_error(tmp_path, capsys):
+    p = tmp_path / "lat.txt"
+    fileio.write_text(p, fileio.dump_lattice(Lattice(np.array([[1, 0], [0, 2]]), 1)))
+    assert main(["shadow", str(p)]) == EXIT_REFUTED
+    assert "error:" in capsys.readouterr().err

@@ -22,9 +22,15 @@ from zklat.lattice import (
     theta_prefix,
     two_neighbor_at_vector,
 )
-from zklat.skew import FrameQuadruple, build_code_from_skew, build_frame, skew_seed_from_rows
+from zklat.skew import (
+    FrameQuadruple,
+    SkewSeed,
+    build_code_from_skew,
+    build_frame,
+    build_skew_negacirculant,
+)
 
-D6_SEED = skew_seed_from_rows((0, 2, 2), (0, 1, -4), k=3, ell=1)
+D6_SEED = SkewSeed(build_skew_negacirculant((0, 2, 2), (0, 1, -4)), k=3, m=25, ell=1)
 
 
 def d6_lattice():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from zklat import catalog
 from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
-from zklat.shortvec import CHUNK, _factor, block_reduce, enumerate_ball, first_nonzero_leq
+from zklat.shortvec import (
+    CHUNK,
+    _factor,
+    _lll_core,
+    block_reduce,
+    enumerate_ball,
+    first_nonzero_leq,
+)
 
 
 def brute_counts(basis, bound, shift=None, box=12):
@@ -54,7 +62,7 @@ def test_random_lattices_match_bruteforce(seed):
 def test_coset_enumeration():
     basis = 2 * np.eye(2, dtype=np.int64)
     shift = np.array([1, 1], dtype=np.int64)
-    hist, _ = enumerate_ball(basis, 8, shift=shift, center=np.array([0.5, 0.5]))
+    hist, _ = enumerate_ball(basis, 8, shift=shift)
     assert np.array_equal(hist, brute_counts(basis, 8, shift=shift))
     assert hist[0] == 0 and hist[2] == 4  # (±1, ±1)
 
@@ -127,7 +135,7 @@ def test_random_shift_cosets_match_bruteforce(seed):
     shift = num @ (basis // den)  # = (num / den) * basis, an integer vector
     center = num / den
     bound = int(rng.integers(8, 40))
-    hist, vecs = enumerate_ball(basis, bound, shift=shift, center=center, collect=True)
+    hist, vecs = enumerate_ball(basis, bound, shift=shift, collect=True)
     want, q = brute_ball(basis, bound, shift=shift, center=center)
     assert np.array_equal(hist, np.bincount(q, minlength=bound + 1))
     assert sorted(vecs[:, :-1].tolist()) == sorted(want.tolist())
@@ -178,14 +186,44 @@ def test_budget_exceeded_carries_used_and_budget():
 
 
 def test_near_singular_basis_trips_the_float_check():
-    # rows (3, 1) and (3 * 10**6 + 1, 10**6) span Z^2 but are nearly parallel
-    basis = np.array([[3, 1], [3 * 10**6 + 1, 10**6]], dtype=np.int64)
-    with pytest.raises(PreconditionViolation, match="not far below the slack"):
-        enumerate_ball(basis, 4)
-    with pytest.raises(PreconditionViolation):
-        first_nonzero_leq(basis, 4)
-    hist, _ = enumerate_ball(block_reduce(basis), 4)
-    assert hist.tolist() == [1, 4, 4, 0, 4]
+    # rows (3, 1) and (3 * 10**e + 1, 10**e) span Z^2 but are nearly parallel
+    for e in (6, 8):
+        basis = np.array([[3, 1], [3 * 10**e + 1, 10**e]], dtype=np.int64)
+        with pytest.raises(PreconditionViolation, match="not far below the slack"):
+            enumerate_ball(basis, 4)
+        with pytest.raises(PreconditionViolation):
+            first_nonzero_leq(basis, 4)
+        hist, _ = enumerate_ball(block_reduce(basis), 4)
+        assert hist.tolist() == [1, 4, 4, 0, 4]
+
+
+def assert_lll_reduced(b, delta=Fraction(99, 100), eta=Fraction(51, 100)):
+    """Exact Gram-Schmidt check: |mu_ij| <= eta and the Lovasz condition."""
+    g = [[int(x) for x in row] for row in b @ b.T]
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bsq = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][t] * mu[i][t] * bsq[t] for t in range(j))) / bsq[j]
+            assert abs(mu[i][j]) <= eta, (i, j, mu[i][j])
+        bsq.append(g[i][i] - sum(mu[i][t] ** 2 * bsq[t] for t in range(i)))
+        if i:
+            assert bsq[i] >= (delta - mu[i][i - 1] ** 2) * bsq[i - 1], i
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lll_core_output_is_lll_reduced_random(seed):
+    rng = np.random.default_rng(400 + seed)
+    basis = random_basis(rng, 5, spread=30)
+    red = _lll_core(basis.copy())
+    assert hnf(red.tolist()) == hnf(basis.tolist())
+    assert_lll_reduced(red)
+
+
+@pytest.mark.parametrize("lid", ["D12_plus", "D8_2", "D4_5", "A5_4", "D20", "R28_32", "R28_15"])
+def test_lll_core_output_is_lll_reduced_catalog(lid):
+    assert_lll_reduced(_lll_core(np.array(catalog.build(lid).basis)))
 
 
 def test_float_check_passes_on_every_catalog_lattice():

@@ -12,24 +12,21 @@ from zklat.skew import (
     build_skew_negacirculant,
     frame_constant,
     search_quadruple,
-    skew_seed_from_rows,
-    with_params,
 )
 
 D6 = ((0, 2, 2), (0, 1, -4))
+D6_SEED = SkewSeed(build_skew_negacirculant(*D6), k=3, m=25, ell=1)
 
 
 def test_paley_q3():
-    seed = build_paley_skew(3)
-    q = np.array(seed.matrix)[1:, 1:]
-    assert q.tolist() == [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
-    m = seed.np_matrix()
+    m = build_paley_skew(3)
+    assert m[1:, 1:].tolist() == [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
     assert np.array_equal(m @ m.T, 3 * np.eye(4, dtype=np.int64))
 
 
 def test_paley_p7_p19():
     for p, k, ell in [(7, 4, 2), (19, 4, 0)]:
-        seed = with_params(build_paley_skew(p), k, ell)
+        seed = SkewSeed(build_paley_skew(p), k=k, m=p, ell=ell)
         m = seed.np_matrix()
         assert np.array_equal(m @ m.T, p * np.eye(p + 1, dtype=np.int64))
         assert np.array_equal(m.T, -m)
@@ -50,12 +47,13 @@ def test_skew_negacirculant_d6():
 
 def test_skew_negacirculant_rejects_nonskew():
     with pytest.raises(SkewViolation):
-        build_skew_negacirculant((1, 0, 0), (0, 0, 0))  # nonzero diagonal
+        # nonzero diagonal
+        SkewSeed(build_skew_negacirculant((1, 0, 0), (0, 0, 0)), k=3, m=1, ell=1)
 
 
 def test_seed_congruence_validation():
     with pytest.raises(SkewViolation):
-        skew_seed_from_rows(*D6, k=4, ell=1)  # 25 + 1 + 1 = 27 != 0 mod 4
+        SkewSeed(build_skew_negacirculant(*D6), k=4, m=25, ell=1)  # 27 != 0 mod 4
 
 
 def test_blocks_commute():
@@ -68,14 +66,14 @@ def test_blocks_commute():
 
 
 def test_code_from_skew_selfdual():
-    seed = skew_seed_from_rows(*D6, k=3, ell=1)
+    seed = D6_SEED
     code = build_code_from_skew(seed)
     assert code.n == 12 and code.k == 3
     assert is_self_dual(code)
 
 
 def test_frame_constant_and_congruences():
-    seed = skew_seed_from_rows(*D6, k=3, ell=1)
+    seed = D6_SEED
     assert frame_constant(seed, FrameQuadruple(0, 0, 3, 0)) == 3
     assert frame_constant(seed, FrameQuadruple(1, 0, 1, 1)) == 9
     assert frame_constant(seed, FrameQuadruple(1, 1, 0, 2)) == 42
@@ -84,13 +82,13 @@ def test_frame_constant_and_congruences():
 
 
 def test_frame_rows_gram():
-    seed = skew_seed_from_rows(*D6, k=3, ell=1)
+    seed = D6_SEED
     rows = build_frame(seed, FrameQuadruple(1, 0, 1, 1)).np_vectors()
     assert np.array_equal(rows @ rows.T, 9 * 3 * np.eye(12, dtype=np.int64))
 
 
 def test_find_quadruple_matches_direct_search():
-    seed = skew_seed_from_rows(*D6, k=3, ell=1)
+    seed = D6_SEED
     q = search_quadruple(seed.k, seed.m, seed.ell, 3)
     assert q is not None and frame_constant(seed, q) == 3
     assert q == search_quadruple(3, 25, 1, 3)
