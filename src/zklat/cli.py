@@ -12,10 +12,9 @@ from pathlib import Path
 
 from . import bounds, catalog, fileio
 from .arith import REPRESENTATION_CASES, representation_search, scale_frame, star_condition_check
-from .codes import DEFAULT_CODEWORD_BUDGET, ZkCode, is_self_dual, min_euclidean_weight
+from .codes import ZkCode, is_self_dual, min_euclidean_weight
 from .errors import BudgetExceeded, PreconditionViolation, UnknownId, ZklatError
 from .lattice import (
-    DEFAULT_NODE_BUDGET,
     Lattice,
     construction_a,
     contains_frame,
@@ -26,6 +25,7 @@ from .lattice import (
     theta_prefix,
     two_neighbor_at_vector,
 )
+from .shortvec import DEFAULT_NODE_BUDGET
 from .skew import FrameQuadruple, SkewSeed, build_frame
 
 EXIT_OK = 0
@@ -271,7 +271,7 @@ def cmd_reproduce(args) -> int:
             failures += not ok
             line = f"  {cid}: self-dual {ok}"
             exp = catalog.catalog_get(cid).expected.get("d_E")
-            if exp is not None and code.cardinality <= args.budget:
+            if exp is not None and (code.n <= 28 or args.slow):
                 d = min_euclidean_weight(code, budget=args.budget)
                 ok2 = d == exp
                 failures += not ok2
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
 
     p = add("verify", cmd_verify); p.add_argument("id")
     p = add("dmin", cmd_dmin); p.add_argument("id")
-    p.add_argument("--budget", type=int, default=DEFAULT_CODEWORD_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
     p = add("lattice", cmd_lattice); p.add_argument("id"); p.add_argument("--out")
     p = add("minnorm", cmd_minnorm); p.add_argument("id")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     p.add_argument("--type1", action="store_true")
     p = add("reproduce", cmd_reproduce)
     p.add_argument("table", choices=sorted(_REPRODUCE_TABLES))
-    p.add_argument("--budget", type=int, default=DEFAULT_CODEWORD_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
     p.add_argument("--slow", action="store_true")
 
     args = parser.parse_args(argv)

@@ -6,9 +6,7 @@ answer is a proof of nonexistence (a blown budget raises instead).
 
 Adjacency is never materialized: with six-figure candidate counts an
 n x n bitset runs to gigabytes, so neighbourhoods are recomputed from
-inner products on the fly (O(n) memory per search level).  Inner
-products are taken in float32, which is exact here: entries are tiny,
-so every product and partial sum stays far below 2**24.
+exact int64 inner products on the fly (O(n) memory per search level).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ def find_orthogonal_set(
         return []
     if vectors.shape[0] < target:
         return None
-    v = np.ascontiguousarray(vectors, dtype=np.float32)
+    v = np.ascontiguousarray(vectors, dtype=np.int64)
     nodes = 0
 
     def dfs(chosen: list[int], pool: np.ndarray) -> list[int] | None:
@@ -46,7 +44,7 @@ def find_orthogonal_set(
             if need == 1:
                 return list(chosen)
             rest = pool[pos + 1 :]
-            sub = rest[v[rest] @ v[i] == 0.0]
+            sub = rest[v[rest] @ v[i] == 0]
             if sub.shape[0] >= need - 1:
                 res = dfs(chosen, sub)
                 if res is not None:

@@ -10,15 +10,13 @@ determinant of the lift).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolation
 from .intmat import hnf, vec_gcd
-
-DEFAULT_CODEWORD_BUDGET = 2**31
-CODEWORD_CHUNK = 1 << 12  # partial messages expanded or scored per numpy step
+from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, enumerate_ball, shortest_norm
 
 
 def euclidean_weight(x, k: int) -> int:
@@ -66,15 +64,18 @@ class ZkCode:
     def n(self) -> int:
         return len(self.generators[0])
 
-    def _count_codewords(self) -> int:
-        n = self.n
+    def lift_basis(self) -> list[list[int]]:
+        """HNF basis of the lift C + k Z^n (the rows of A_k(C) times sqrt(k))."""
+        n, k = self.n, self.k
         rows = [list(r) for r in self.generators]
-        rows += [[self.k if i == j else 0 for j in range(n)] for i in range(n)]
-        h = hnf(rows)
+        rows += [[k if i == j else 0 for j in range(n)] for i in range(n)]
+        return hnf(rows)
+
+    def _count_codewords(self) -> int:
         d = 1
-        for i, row in enumerate(h):
+        for i, row in enumerate(self.lift_basis()):
             d *= row[i]
-        return self.k**n // d
+        return self.k**self.n // d
 
     def matrix(self) -> np.ndarray:
         return np.array(self.generators, dtype=np.int64)
@@ -161,96 +162,46 @@ def is_self_dual(code: ZkCode) -> bool:
     return code.cardinality == code.k ** (n // 2)
 
 
-def _pair_bound(g: np.ndarray, orders, k: int) -> int:
-    """Minimum weight over codewords supported on at most two generators."""
-    wt = weight_table(k)
-    best = None
-    m = len(orders)
-    for i in range(m):
-        for ci in range(1, orders[i]):
-            w = int(wt[(ci * g[i]) % k].sum())
-            best = w if best is None else min(best, w)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ci = np.arange(1, orders[i])[:, None, None]
-            cj = np.arange(1, orders[j])[None, :, None]
-            words = (ci * g[i][None, None, :] + cj * g[j][None, None, :]) % k
-            w = int(wt[words].sum(axis=2).min())
-            best = min(best, w)
-    return best
+def _cubic_theta(n: int, k: int, bound: int) -> np.ndarray:
+    """Vector counts of k Z^n by squared length 0..bound.
 
-
-def _pivot_columns(g: np.ndarray, orders, k: int) -> list[int | None]:
-    """Per row: a column where only this row is nonzero, carrying k/order."""
-    m, n = g.shape
-    pivots: list[int | None] = [None] * m
-    used: set[int] = set()
-    for i in range(m):
-        s = k // orders[i]
-        for j in range(n):
-            if j in used or g[i, j] != s:
-                continue
-            if np.count_nonzero(g[:, j]) == 1:
-                pivots[i] = j
-                used.add(j)
-                break
-    return pivots
-
-
-def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
-    """Exact minimum Euclidean weight by exhaustive pruned enumeration.
-
-    The search walks the message space depth first, a digit at a time
-    and in chunks of partial messages; a partial message is dropped once
-    the weight already pinned down on the generators' pivot columns
-    reaches the best complete codeword scored so far.  The
-    pivot-column weight is a lower bound on any completion, so pruning
-    never loses the true minimum.
+    The n-fold convolution of the theta series of k Z,
+    1 + 2q^(k^2) + 2q^(4k^2) + ..., truncated at q^bound.
     """
-    if code.cardinality > budget:
-        raise BudgetExceeded("codewords", code.cardinality, budget)
-    k = code.k
-    g = code.matrix()
-    orders = code.row_orders
-    m = len(orders)
-    wt = weight_table(k)
-    best = _pair_bound(g, orders, k)
+    line = np.zeros(bound + 1, dtype=np.int64)
+    line[(k * np.arange(isqrt(bound) // k + 1)) ** 2] = 2
+    line[0] = 1
+    out = np.zeros(bound + 1, dtype=np.int64)
+    out[0] = 1
+    for _ in range(n):
+        out = np.convolve(out, line)[: bound + 1]
+    return out
 
-    pivots = _pivot_columns(g, orders, k)
-    # digits with a pivot first so the partial-weight prune bites early
-    digit_order = sorted(range(m), key=lambda i: pivots[i] is None)
-    # weight that each value of a digit pins down on its pivot column
-    pinned = [
-        wt[(k // orders[i]) * np.arange(orders[i]) % k]
-        if pivots[i] is not None
-        else np.zeros(orders[i], dtype=np.int64)
-        for i in digit_order
-    ]
-    pivot_cols = {p for p in pivots if p is not None}
-    rest_cols = [j for j in range(code.n) if j not in pivot_cols]
-    g_rest = g[digit_order][:, rest_cols]
-    # depth first over chunks of partial messages (digits in digit_order)
-    # and their pinned weight; scored leaves tighten `best` at once
-    stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64))]
-    while stack:
-        msgs, fweight = stack.pop()
-        if msgs.shape[0] > CODEWORD_CHUNK:
-            stack.append((msgs[CODEWORD_CHUNK:], fweight[CODEWORD_CHUNK:]))
-            msgs, fweight = msgs[:CODEWORD_CHUNK], fweight[:CODEWORD_CHUNK]
-        d = msgs.shape[1]
-        if d == m:
-            tot = wt[(msgs @ g_rest) % k].sum(axis=1) + fweight
-            tot = tot[msgs.any(axis=1)]
-            if tot.size:
-                best = min(best, int(tot.min()))
-            continue
-        neww = fweight[:, None] + pinned[d][None, :]
-        rows, vals = np.nonzero(neww < best)
-        child = np.empty((rows.size, d + 1), dtype=np.int64)
-        child[:, :d] = msgs[rows]
-        child[:, d] = vals
-        stack.append((child, neww[rows, vals]))
-    return best
+
+def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Exact minimum Euclidean weight, by enumeration of the lift C + k Z^n.
+
+    The shortest vector of the coset c + k Z^n has squared length
+    euclidean_weight(c), and every nonzero vector of k Z^n has squared
+    length >= k^2; so the lift's minimum m0 is min(k^2, d_E), and m0 < k^2
+    is d_E.  Otherwise the lift's vector counts by norm, minus those of
+    k Z^n, are the counts of the nonzero cosets, and d_E is the first
+    norm where they differ.  The counts are taken to k^2 first, then to
+    the smallest weight of a generator row, which d_E cannot exceed.
+    `budget` is the node budget of each enumeration.
+    """
+    k = code.k
+    basis = block_reduce(np.array(code.lift_basis(), dtype=np.int64))
+    m0 = shortest_norm(basis, budget)
+    if m0 < k * k:
+        return m0
+    ub = min(euclidean_weight(row, k) for row in code.generators if any(row))
+    for bound in sorted({k * k, ub}):
+        hist, _ = enumerate_ball(basis, bound, budget=budget)
+        extra = np.flatnonzero(hist[1:] > _cubic_theta(code.n, k, bound)[1:])
+        if extra.size:
+            return int(extra[0]) + 1
+    raise AssertionError("a generator row of weight ub lies in the ball")
 
 
 def min_euclidean_weight_naive(code: ZkCode, cap: int = 10**6) -> int:

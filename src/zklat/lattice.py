@@ -25,9 +25,8 @@ from .errors import (
     PreconditionViolation,
 )
 from .intmat import det, hnf, inv_fraction
-from .shortvec import block_reduce, enumerate_ball, first_nonzero_leq
+from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, enumerate_ball, shortest_norm
 
-DEFAULT_NODE_BUDGET = 2_000_000_000
 CLIQUE_BUDGET = 50_000_000  # clique search nodes per frame search
 
 
@@ -157,31 +156,15 @@ def construction_a(code: ZkCode) -> Lattice:
     """A_k(C): lift of the code plus k Z^n, scale k."""
     if not is_self_dual(code):
         raise NotSelfDual("Construction A requires a self-dual code")
-    k, n = code.k, code.n
-    rows = [list(r) for r in code.generators]
-    rows += [[k if i == j else 0 for j in range(n)] for i in range(n)]
-    basis = hnf(rows)
-    lat = Lattice(np.array(basis, dtype=np.int64), k)
+    lat = Lattice(np.array(code.lift_basis(), dtype=np.int64), code.k)
     if not lat.is_unimodular():
         raise NotSelfDual("Construction A output failed the unimodularity check")
     return lat
 
 
 def min_norm(lattice: Lattice, budget: int = DEFAULT_NODE_BUDGET):
-    """Exact minimum norm (block-reduced basis + exhaustive enumeration).
-
-    The upper bound from the shortest reduced-basis row is tightened by
-    early-exit probes; the final probe at best-1 finds nothing, which is
-    an exhaustive proof of minimality.
-    """
-    b = lattice.reduced_basis()
-    best = int(min(np.einsum("ij,ij->i", b, b)))
-    while best > 1:
-        q = first_nonzero_leq(b, best - 1, budget=budget)
-        if q is None:
-            break
-        best = q
-    return _norm_value(best, lattice.scale)
+    """Exact minimum norm (block-reduced basis + exhaustive enumeration)."""
+    return _norm_value(shortest_norm(lattice.reduced_basis(), budget), lattice.scale)
 
 
 def _norm_value(q_scaled: int, scale: int):

@@ -29,6 +29,7 @@ from .errors import BudgetExceeded, PreconditionViolation
 from .intmat import solve_fraction
 
 CHUNK = 1024  # frontier rows created per numpy step
+DEFAULT_NODE_BUDGET = 2_000_000_000
 SLACK_MARGIN = 1e-3  # float error allowed, as a share of the pruning slack
 
 LLL_DELTA = 0.999
@@ -219,7 +220,7 @@ def enumerate_ball(
     bound: int,
     shift: np.ndarray | None = None,
     collect: bool = False,
-    budget: int = 2_000_000_000,
+    budget: int = DEFAULT_NODE_BUDGET,
 ):
     """All vectors shift + x * basis with integer squared length <= bound.
 
@@ -259,7 +260,7 @@ def enumerate_ball(
     return hist, np.concatenate(found)
 
 
-def first_nonzero_leq(basis: np.ndarray, bound: int, budget: int = 2_000_000_000):
+def first_nonzero_leq(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BUDGET):
     """Squared length of some nonzero lattice vector <= bound, else None.
 
     Early-exit probe: returns at the first block of the walk that holds
@@ -275,3 +276,19 @@ def first_nonzero_leq(basis: np.ndarray, bound: int, budget: int = 2_000_000_000
         if q.size:
             return int(q.min())
     return None
+
+
+def shortest_norm(basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Exact minimum squared length of a nonzero lattice vector.
+
+    The upper bound from the shortest basis row is tightened by
+    early-exit probes; the final probe at best-1 finds nothing, which is
+    an exhaustive proof of minimality.  Each probe has its own `budget`.
+    """
+    best = int(_norms(np.asarray(basis, dtype=np.int64)).min())
+    while best > 1:
+        q = first_nonzero_leq(basis, best - 1, budget=budget)
+        if q is None:
+            break
+        best = q
+    return best

@@ -92,6 +92,26 @@ def test_extremal_weights(cid):
     assert min_euclidean_weight(code) == 2 * code.k
 
 
+def _codes_with_d_e(lo, hi):
+    """Catalog codes of length lo..hi that carry an expected d_E."""
+    return [
+        cid for cid in catalog.catalog_list("code")
+        if "d_E" in catalog.catalog_get(cid).expected and lo <= catalog.build(cid).n <= hi
+    ]
+
+
+@pytest.mark.parametrize("cid", _codes_with_d_e(1, 28))
+def test_catalog_d_e(cid):
+    assert min_euclidean_weight(catalog.build(cid)) == catalog.catalog_get(cid).expected["d_E"]
+
+
+# length 48 is left out: its lattice proofs run at L48 scale (about an hour)
+@pytest.mark.slow
+@pytest.mark.parametrize("cid", _codes_with_d_e(29, 47))
+def test_catalog_d_e_large(cid):
+    assert min_euclidean_weight(catalog.build(cid)) == catalog.catalog_get(cid).expected["d_E"]
+
+
 # -- 4. frame certificates from every seed ----------------------------------
 
 def _random_valid_quadruple(seed, rng):

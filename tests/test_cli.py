@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 
 from zklat import catalog, fileio
@@ -35,7 +37,8 @@ def test_dmin_budget_maps_to_unknown(capsys):
 
 def test_budget_line_prints_used_and_budget(capsys):
     assert main(["dmin", "C_13_12", "--budget", "10"]) == EXIT_UNKNOWN
-    assert "codewords: 4826809 used, budget 10" in capsys.readouterr().out
+    line = capsys.readouterr().out
+    assert re.fullmatch(r"budget exceeded: enumeration nodes: \d+ used, budget 10\n", line)
     assert main(["theta", "D12_plus", "--max-norm", "4", "--budget", "50"]) == EXIT_UNKNOWN
     line = capsys.readouterr().out
     assert line.startswith("budget exceeded: enumeration nodes: ")
@@ -125,6 +128,13 @@ def test_reproduce_fig1(capsys):
 def test_reproduce_table1(capsys):
     assert main(["reproduce", "table1"]) == EXIT_OK
     assert "D24_seed: ok" in capsys.readouterr().out
+
+
+def test_reproduce_table3_checks_every_d_e(capsys):
+    assert main(["reproduce", "table3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "  C_13_20: self-dual True, d_E 26 (expected 26) ok\n" in out
+    assert "FAIL" not in out
 
 
 def test_malformed_file_is_an_error(tmp_path, capsys):

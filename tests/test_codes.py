@@ -101,7 +101,46 @@ def test_is_self_dual_tiny():
 def test_min_euclidean_weight_budget():
     code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
     with pytest.raises(BudgetExceeded):
-        min_euclidean_weight(code, budget=1000)
+        min_euclidean_weight(code, budget=100)
+
+
+EXTENDED_HAMMING = ZkCode(2, (
+    (1, 0, 0, 0, 0, 1, 1, 1),
+    (0, 1, 0, 0, 1, 0, 1, 1),
+    (0, 0, 1, 0, 1, 1, 0, 1),
+    (0, 0, 0, 1, 1, 1, 1, 0),
+))
+
+
+def _extended_golay():
+    # (I | bordered circulant of the non-residues mod 11, with 0)
+    residues = {i * i % 11 for i in range(1, 11)}
+    return build_bordered_circulant(2, [int(i not in residues) for i in range(11)])
+
+
+@pytest.mark.parametrize(
+    "code, d_e",
+    [(EXTENDED_HAMMING, 4), (_extended_golay(), 8)],
+    ids=["hamming_8_4_4", "golay_24_12_8"],
+)
+def test_binary_codes_at_or_above_k_squared(code, d_e):
+    # d_E >= k^2: decided by counting the lift's vectors against k Z^n
+    # (at norm 8, 2 Z^24 alone has 1104 vectors)
+    assert is_self_dual(code)
+    assert min_euclidean_weight(code) == min_euclidean_weight_naive(code) == d_e
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_matches_naive_on_random_codes(rnd):
+    # (I | B) with B random: independent rows, mostly not self-dual
+    k = rnd.choice([2, 3, 4, 5])
+    m = rnd.randint(1, 4)
+    n = m + rnd.randint(0, 4)
+    b = [[rnd.randrange(k) for _ in range(n - m)] for _ in range(m)]
+    gen = [[int(i == j) for j in range(m)] + b[i] for i in range(m)]
+    code = ZkCode(k, tuple(map(tuple, gen)))
+    assert min_euclidean_weight(code) == min_euclidean_weight_naive(code)
 
 
 def _random_selfdual_code(k, dsq, n_half, rnd):

@@ -158,6 +158,17 @@ def test_contains_frame_and_find_frame():
     assert contains_frame(lat, frame)
 
 
+def test_frame_in_shell_at_large_scale():
+    # Z^4 at scale 4099^2: inner products of these rows reach ~1.5e8 > 2^24
+    a, b, c, d = 1, 1, 3, 1
+    quaternion = np.array(
+        [[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]], dtype=np.int64
+    )
+    lat = Lattice(4099 * np.eye(4, dtype=np.int64), 4099**2)
+    frame = frame_in_shell(lat, 4099 * quaternion, 12)
+    assert frame is not None and frame.norm_k == 12 and frame.scale == 4099**2
+
+
 def test_norm_shell_holds_one_of_each_pair():
     lat = d6_lattice()
     shell = norm_shell(lat, 2)
