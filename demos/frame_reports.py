@@ -14,7 +14,8 @@ from zklat import frame_report
 QUERIES = [
     ("D4_5", 2),    # yes: direct search at desk scale
     ("D4_5", 5),    # yes: a catalog code over Z_5 matches this lattice
-    ("A5_4", 2),    # no: exhaustive search over all norm-2 vectors
+    ("A5_4", 2),    # no: the 60 root pairs form four orthogonal A5 components,
+                    # each of rank 5 but holding at most 3 orthogonal roots
     ("D20", 3),     # no: not even enough norm-3 vectors for a frame
     ("D12_plus", 21),  # yes: quadruple certificate with an explicit frame
     ("D12_plus", 8),   # yes: a searched 2-frame, then quaternion scaling

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Any
 
 from .arith import REPRESENTATION_CASES, FrameVerdict, RepresentationCase, scale_frame
+from .cliques import components
 from .codes import (
     build_bordered_circulant,
     build_four_negacirculant,
@@ -24,6 +25,7 @@ from .codes import (
 from .errors import BudgetExceeded, MembershipViolation, UnknownId
 from .lattice import (
     Frame,
+    Lattice,
     construction_a,
     contains_frame,
     frame_in_shell,
@@ -386,7 +388,7 @@ def lattice_case(lattice_id: str) -> RepresentationCase:
 
 _SEARCH_DIM_CAP = 20      # direct frame search only in dimensions up to this
 _SEARCH_NORM_CAP = 8      # ... and for frame norms up to this
-_FINGERPRINT_DIM_CAP = 24  # live min-norm fingerprint check up to this dimension
+_FINGERPRINT_DIM_CAP = 24  # live invariant fingerprint check up to this dimension
 
 _base_cache: dict[tuple[str, int], tuple[list[str], Frame | None] | None] = {}
 _minnorm_cache: dict[str, Any] = {}
@@ -396,18 +398,47 @@ def _divisors(k: int) -> list[int]:
     return [d for d in range(2, k + 1) if k % d == 0]
 
 
+def _root_system(lattice: Lattice) -> tuple[tuple[int, int], ...]:
+    """Sorted (root pairs, rank) over the components of the norm-2 shell."""
+    return tuple(sorted((len(idx), r) for idx, r in components(norm_shell(lattice, 2))))
+
+
+def _format_roots(roots: tuple[tuple[int, int], ...]) -> str:
+    if not roots:
+        return "empty"
+    return " + ".join(
+        f"{roots.count(c)} x ({c[0]} pairs, rank {c[1]})" for c in sorted(set(roots))
+    )
+
+
 def _code_fingerprint_ok(lattice_id: str, code_id: str) -> tuple[bool, str]:
+    """Identify A_d(C) with the model lattice by invariants.
+
+    Up to _FINGERPRINT_DIM_CAP the invariants are the dimension, the
+    minimum norm and the root system; they are necessary conditions for
+    an isometry, not a proof of one.
+    """
     info = lattice_info(lattice_id)
     code = build(code_id)
     model = build(lattice_id)
     if code.n != model.dim:
         return False, "dimension mismatch"
-    if code.n <= _FINGERPRINT_DIM_CAP:
-        mn = min_norm(construction_a(code))
-        if mn != info.min_norm:
-            return False, f"minimum-norm fingerprint mismatch ({mn} != {info.min_norm})"
-        return True, f"fingerprint verified (dimension {code.n}, minimum norm {mn})"
-    return True, "fingerprint deferred to catalog annotation (large dimension)"
+    if code.n > _FINGERPRINT_DIM_CAP:
+        return True, "fingerprint deferred to catalog annotation (large dimension)"
+    lat = construction_a(code)
+    mn = min_norm(lat)
+    if mn != info.min_norm:
+        return False, f"minimum-norm fingerprint mismatch ({mn} != {info.min_norm})"
+    roots, want = _root_system(lat), _root_system(model)
+    if roots != want:
+        return False, (
+            f"root-system fingerprint mismatch "
+            f"({_format_roots(roots)} != {_format_roots(want)})"
+        )
+    return True, (
+        f"identified with {lattice_id} by invariants (dimension {code.n}, "
+        f"minimum norm {mn}, root system {_format_roots(roots)})"
+    )
 
 
 def _base_cert(lattice_id: str, d: int) -> tuple[list[str], Frame | None] | None:

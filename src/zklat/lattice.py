@@ -27,8 +27,6 @@ from .errors import (
 from .intmat import det, hnf, inv_fraction
 from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, enumerate_ball, shortest_norm
 
-CLIQUE_BUDGET = 50_000_000  # clique search nodes per frame search
-
 
 @dataclass
 class Lattice:
@@ -363,9 +361,10 @@ def norm_shell(
 def frame_in_shell(lattice: Lattice, shell: np.ndarray, k: int) -> Frame | None:
     """A k-frame among the rows of `norm_shell(lattice, k)`, else None.
 
-    None is exhaustive over the shell; a budget overrun raises.
+    None is exhaustive over the shell; an overrun of the clique search's
+    node budget (`cliques.CLIQUE_BUDGET`) raises.
     """
-    idx = find_orthogonal_set(shell, lattice.dim, budget=CLIQUE_BUDGET)
+    idx = find_orthogonal_set(shell, lattice.dim)
     if idx is None:
         return None
     frame = Frame(shell[idx], lattice.scale, k)

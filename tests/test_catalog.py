@@ -76,6 +76,21 @@ def test_frame_report_yes_via_direct_code():
     assert v.status == "yes" and any("C_5_20" in line for line in v.chain)
 
 
+def test_frame_report_rejects_a_code_with_the_wrong_root_system(monkeypatch):
+    # Cp_5_20 is an A5^4 code: same dimension, minimum norm and root count
+    # as D4^5, but its root system is 4 x A5, not 5 x D4
+    info = catalog.lattice_info("D4_5")
+    swapped = catalog.LatticeInfo(
+        info.model_code, info.min_norm, {**info.direct_codes, 5: "Cp_5_20"}
+    )
+    monkeypatch.setitem(catalog._LATTICES, "D4_5", swapped)
+    monkeypatch.setattr(catalog, "_base_cache", {})
+    ok, note = catalog._code_fingerprint_ok("D4_5", "Cp_5_20")
+    assert not ok and "root-system" in note
+    v = catalog.frame_report("D4_5", 5)
+    assert not any("catalog code" in line for line in v.chain)
+
+
 def test_frame_report_no_below_min_norm():
     v = catalog.frame_report("R28_32", 2)
     assert v.status == "no" and "minimum norm" in v.chain[0]
