@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any
 
 from .arith import REPRESENTATION_CASES, FrameVerdict, RepresentationCase, scale_frame
 from .cliques import components
@@ -275,7 +274,7 @@ for _cid, _sid in _SEED_CODES.items():
 @dataclass(frozen=True)
 class LatticeInfo:
     model_code: str          # catalog id of a seed code; Construction A of it is the model
-    min_norm: int            # published (and, at desk scale, re-verified) minimum norm
+    min_norm: int            # published minimum norm; frame_report reads it above _SEARCH_DIM_CAP
     direct_codes: dict       # modulus -> catalog code id with matching lattice
 
 
@@ -386,16 +385,13 @@ def lattice_case(lattice_id: str) -> RepresentationCase:
 # frame-existence report
 # ---------------------------------------------------------------------------
 
-_SEARCH_DIM_CAP = 20      # direct frame search only in dimensions up to this
-_SEARCH_NORM_CAP = 8      # ... and for frame norms up to this
-_FINGERPRINT_DIM_CAP = 24  # live invariant fingerprint check up to this dimension
-
-_base_cache: dict[tuple[str, int], tuple[list[str], Frame | None] | None] = {}
-_minnorm_cache: dict[str, Any] = {}
+_SEARCH_DIM_CAP = 20  # live proofs (search, fingerprint) only in dimensions up to this
+_SEARCH_NORM_CAP = 8  # direct frame search only for frame norms up to this
 
 
 def _divisors(k: int) -> list[int]:
-    return [d for d in range(2, k + 1) if k % d == 0]
+    """The divisors d >= 2 of k; [1] for k = 1."""
+    return [d for d in range(2, k + 1) if k % d == 0] or [1]
 
 
 def _root_system(lattice: Lattice) -> tuple[tuple[int, int], ...]:
@@ -414,7 +410,7 @@ def _format_roots(roots: tuple[tuple[int, int], ...]) -> str:
 def _code_fingerprint_ok(lattice_id: str, code_id: str) -> tuple[bool, str]:
     """Identify A_d(C) with the model lattice by invariants.
 
-    Up to _FINGERPRINT_DIM_CAP the invariants are the dimension, the
+    Up to _SEARCH_DIM_CAP the invariants are the dimension, the
     minimum norm and the root system; they are necessary conditions for
     an isometry, not a proof of one.
     """
@@ -423,7 +419,7 @@ def _code_fingerprint_ok(lattice_id: str, code_id: str) -> tuple[bool, str]:
     model = build(lattice_id)
     if code.n != model.dim:
         return False, "dimension mismatch"
-    if code.n > _FINGERPRINT_DIM_CAP:
+    if code.n > _SEARCH_DIM_CAP:
         return True, "fingerprint deferred to catalog annotation (large dimension)"
     lat = construction_a(code)
     mn = min_norm(lat)
@@ -449,49 +445,27 @@ def _base_cert(lattice_id: str, d: int) -> tuple[list[str], Frame | None] | None
     since its frame lives in A_d(C), which is matched to the model only
     by invariants.
     """
-    key = (lattice_id, d)
-    if key in _base_cache:
-        return _base_cache[key]
-    info = lattice_info(lattice_id)
-    cert = None
-
-    code_id = info.direct_codes.get(d)
+    code_id = lattice_info(lattice_id).direct_codes.get(d)
     if code_id is not None:
         ok, note = _code_fingerprint_ok(lattice_id, code_id)
         if ok:
-            cert = ([
+            return ([
                 f"catalog code {code_id} over Z_{d} is self-dual; "
                 f"its Construction A lattice carries the standard {d}-frame; {note}"
             ], None)
 
-    if cert is None:
-        seed = build(_model_seed_id(lattice_id))
-        quad = search_quadruple(seed.k, seed.m, seed.ell, d)
-        if quad is not None:
-            frame = build_frame(seed, quad)
-            if not contains_frame(build(lattice_id), frame):
-                raise MembershipViolation("quadruple frame failed lattice membership")
-            cert = ([
-                f"quadruple (a,b,c,d)=({quad.a},{quad.b},{quad.c},{quad.d}) with "
-                f"(k,m,ell)=({seed.k},{seed.m},{seed.ell}) gives an explicit "
-                f"{d}-frame, verified inside {lattice_id}"
-            ], frame)
-
-    _base_cache[key] = cert
-    return cert
-
-
-def _model_min_norm(lattice_id: str):
-    if lattice_id not in _minnorm_cache:
-        info = lattice_info(lattice_id)
-        model = build(lattice_id)
-        if model.dim <= _FINGERPRINT_DIM_CAP:
-            mn = min_norm(model)
-            assert mn == info.min_norm, (lattice_id, mn)
-        else:
-            mn = info.min_norm  # catalog annotation for the large dimensions
-        _minnorm_cache[lattice_id] = mn
-    return _minnorm_cache[lattice_id]
+    seed = build(_model_seed_id(lattice_id))
+    quad = search_quadruple(seed.k, seed.m, seed.ell, d)
+    if quad is None:
+        return None
+    frame = build_frame(seed, quad)
+    if not contains_frame(build(lattice_id), frame):
+        raise MembershipViolation("quadruple frame failed lattice membership")
+    return ([
+        f"quadruple (a,b,c,d)=({quad.a},{quad.b},{quad.c},{quad.d}) with "
+        f"(k,m,ell)=({seed.k},{seed.m},{seed.ell}) gives an explicit "
+        f"{d}-frame, verified inside {lattice_id}"
+    ], frame)
 
 
 def frame_report(lattice_id: str, k: int) -> FrameVerdict:
@@ -501,20 +475,22 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
     when 4 | n, so every divisor d >= 2 with d == k or 4 | n is usable.
     Code and quadruple certificates are tried first, largest d first;
     then direct search, smallest d first, one enumeration per divisor.
-    A search miss at d == k is exhaustive, hence a "no".  A "yes" carries
-    its explicit frame, membership-checked in the model, unless it rests
-    on a code certificate.
+    A search miss at d == k is exhaustive, hence a "no"; for k below the
+    minimum norm the norm-k shell is empty.  Above _SEARCH_DIM_CAP that
+    case rests on the catalog's minimum norm.  A "yes" carries its
+    explicit frame, membership-checked in the model, unless it rests on
+    a code certificate.
     """
-    lattice_info(lattice_id)  # raises UnknownId for anything but a catalog lattice
+    info = lattice_info(lattice_id)  # raises UnknownId for anything but a catalog lattice
     if k < 1:
         raise UnknownId("frame norm must be a positive integer")
     model = build(lattice_id)
     n = model.dim
 
-    mn = _model_min_norm(lattice_id)
-    if k < mn:
+    if n > _SEARCH_DIM_CAP and k < info.min_norm:
         return FrameVerdict("no", [
-            f"minimum norm of {lattice_id} is {mn} > {k}: no vectors of norm {k} at all"
+            f"minimum norm of {lattice_id} is {info.min_norm} > {k} (catalog annotation): "
+            f"no vectors of norm {k} at all"
         ])
 
     usable = [d for d in _divisors(k) if d == k or n % 4 == 0]

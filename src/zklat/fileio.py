@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .codes import ZkCode
 from .errors import PreconditionViolation
 from .lattice import Frame, Lattice, ThetaPrefix
@@ -73,7 +71,7 @@ def load_lattice(text: str) -> Lattice:
     lines = _data_lines(text)
     n, s = _header(lines[0], "lattice", 2)
     rows = [[int(x) for x in line.split()] for line in lines[1 : n + 1]]
-    return Lattice(np.array(rows, dtype=np.int64), s)
+    return Lattice(rows, s)  # entries checked in exact ints by the constructor
 
 
 def dump_frame(frame: Frame) -> str:

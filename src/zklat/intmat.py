@@ -68,49 +68,39 @@ def det(rows: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:
-    """Solve x A = b exactly (row-vector convention); None if singular."""
+def solve_rows(a: list[list], rhs: list[list]) -> list[list[Fraction]] | None:
+    """Solve x A = b exactly for every row b of rhs; None if A is singular.
+
+    One Gauss-Jordan elimination on A^T, carrying every right-hand side
+    along as a column.
+    """
     n = len(a)
     # transpose so we can do standard column elimination on A^T x^T = b^T
-    m = [[Fraction(a[i][j]) for i in range(n)] for j in range(n)]
-    v = [Fraction(x) for x in b]
+    m = [[Fraction(a[i][j]) for i in range(n)] + [Fraction(b[j]) for b in rhs] for j in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        v[col], v[piv] = v[piv], v[col]
         inv = 1 / m[col][col]
         m[col] = [x * inv for x in m[col]]
-        v[col] *= inv
         for r in range(n):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                v[r] -= f * v[col]
-    return v
+    return [[m[j][n + i] for j in range(n)] for i in range(len(rhs))]
+
+
+def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:
+    """Solve x A = b exactly (row-vector convention); None if singular."""
+    x = solve_rows(a, [b])
+    return None if x is None else x[0]
 
 
 def inv_fraction(a: list[list]) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix; None if singular."""
     n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = 1 / m[col][col]
-        m[col] = [x * f for x in m[col]]
-        inv[col] = [x * f for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                g = m[r][col]
-                m[r] = [x - g * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - g * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    return solve_rows(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def vec_gcd(v) -> int:

@@ -24,8 +24,31 @@ from .errors import (
     NotSelfDual,
     PreconditionViolation,
 )
-from .intmat import det, hnf, inv_fraction
+from .intmat import det, hnf, solve_rows
 from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, enumerate_ball, shortest_norm
+
+
+ROW_NORM_CAP = 2**62  # every basis or frame row's scaled norm stays below this
+
+
+def _checked_rows(rows, what: str) -> list[list[int]]:
+    """The rows as Python ints, each of scaled norm below ROW_NORM_CAP.
+
+    The check runs in exact ints, before any int64 conversion.  It also
+    keeps every entry inside int64, and by Cauchy-Schwarz no Gram entry
+    <u, v> (nor any partial sum of one) can reach 2^62, so int64 Gram
+    products never wrap.
+    """
+    arr = np.asarray(rows)  # object dtype for entries beyond int64
+    if arr.ndim != 2:
+        raise PreconditionViolation(f"{what} rows must form a matrix")
+    exact = [[int(x) for x in row] for row in arr.tolist()]
+    for row in exact:
+        if sum(x * x for x in row) >= ROW_NORM_CAP:
+            raise PreconditionViolation(
+                f"{what} row of norm >= 2^62 would overflow the int64 Gram matrix"
+            )
+    return exact
 
 
 @dataclass
@@ -34,7 +57,7 @@ class Lattice:
     scale: int
 
     def __post_init__(self):
-        self.basis = np.array(self.basis, dtype=np.int64)
+        self.basis = np.array(_checked_rows(self.basis, "basis"), dtype=np.int64)
         n = self.basis.shape[0]
         if self.basis.shape != (n, n):
             raise PreconditionViolation("basis must be square")
@@ -105,12 +128,14 @@ class Frame:
     norm_k: int
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.vectors)
+        rows = tuple(map(tuple, _checked_rows(self.vectors, "frame")))
         object.__setattr__(self, "vectors", rows)
         v = self.np_vectors()
         gram = v @ v.T
         n = v.shape[0]
-        if np.any(gram != self.norm_k * self.scale * np.eye(n, dtype=np.int64)):
+        # no checked row reaches ROW_NORM_CAP, and a larger target would overflow the eye
+        target = self.norm_k * self.scale
+        if target >= ROW_NORM_CAP or np.any(gram != target * np.eye(n, dtype=np.int64)):
             raise PreconditionViolation("frame Gram is not k*I")
 
     def np_vectors(self) -> np.ndarray:
@@ -172,20 +197,18 @@ def _norm_value(q_scaled: int, scale: int):
 
 def theta_prefix(lattice: Lattice, max_norm, budget: int = DEFAULT_NODE_BUDGET) -> ThetaPrefix:
     """Exact vector counts for every norm <= max_norm."""
-    bound = Fraction(max_norm) * lattice.scale
-    if bound.denominator != 1:
-        raise PreconditionViolation("max_norm * scale must be an integer")
-    hist, _ = enumerate_ball(lattice.reduced_basis(), int(bound), budget=budget)
-    counts = {
-        Fraction(q, lattice.scale): int(c) for q, c in enumerate(hist) if c or q == 0
-    }
-    return ThetaPrefix(counts, Fraction(max_norm))
+    return _theta(lattice, None, max_norm, budget)
 
 
 def coset_theta(
     lattice: Lattice, shift, max_norm, budget: int = DEFAULT_NODE_BUDGET
 ) -> ThetaPrefix:
     """Theta prefix of the coset shift + lattice (shift in scaled coords)."""
+    return _theta(lattice, shift, max_norm, budget)
+
+
+def _theta(lattice: Lattice, shift, max_norm, budget: int) -> ThetaPrefix:
+    """Nonzero counts by norm; with no (or a zero) shift the zero vector counts at norm 0."""
     bound = Fraction(max_norm) * lattice.scale
     if bound.denominator != 1:
         raise PreconditionViolation("max_norm * scale must be an integer")
@@ -230,13 +253,10 @@ def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
 
     n = lattice.dim
     g0 = l0.gram_true()
-    inv = inv_fraction(g0.tolist())
-    # the rows of G0^-1 B0 span L0*; doubling them lands in L
-    dual_basis = np.array(
-        [[int(2 * sum(inv[i][t] * int(l0.basis[t, j]) for t in range(n))) for j in range(n)]
-         for i in range(n)],
-        dtype=np.int64,
-    )
+    # the rows of G0^-1 B0 span L0*; doubling them lands in L.  G0 is
+    # symmetric, so column j of G0^-1 B0 is the x with x G0 = column j of B0
+    cols = solve_rows(g0.tolist(), l0.basis.T.tolist())
+    dual_basis = np.array([[int(2 * c[i]) for c in cols] for i in range(n)], dtype=np.int64)
     scale = 4 * lattice.scale
     l0_dual = Lattice(dual_basis, scale)
     l0_ref = Lattice(2 * l0.basis, scale)

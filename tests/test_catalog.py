@@ -84,7 +84,6 @@ def test_frame_report_rejects_a_code_with_the_wrong_root_system(monkeypatch):
         info.model_code, info.min_norm, {**info.direct_codes, 5: "Cp_5_20"}
     )
     monkeypatch.setitem(catalog._LATTICES, "D4_5", swapped)
-    monkeypatch.setattr(catalog, "_base_cache", {})
     ok, note = catalog._code_fingerprint_ok("D4_5", "Cp_5_20")
     assert not ok and "root-system" in note
     v = catalog.frame_report("D4_5", 5)
@@ -94,6 +93,27 @@ def test_frame_report_rejects_a_code_with_the_wrong_root_system(monkeypatch):
 def test_frame_report_no_below_min_norm():
     v = catalog.frame_report("R28_32", 2)
     assert v.status == "no" and "minimum norm" in v.chain[0]
+
+
+def test_frame_report_no_below_min_norm_by_empty_shell():
+    # at search dimensions an exhaustive enumeration, not the annotation, proves it
+    v = catalog.frame_report("D12_plus", 1)
+    assert v.status == "no" and v.chain == [
+        "D12_plus has only 0 vectors of norm 1, fewer than the 2n = 24 a frame needs"
+    ]
+
+
+def test_quadruple_certificate_needs_no_reduction(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quadruple certificate needs no reduced basis")
+
+    # uncached builds, so no reduced basis is left over from other tests
+    monkeypatch.setattr(catalog, "build", catalog.build.__wrapped__)
+    monkeypatch.setattr(catalog, "min_norm", forbidden)
+    monkeypatch.setattr(zklat.lattice, "block_reduce", forbidden)
+    v = catalog.frame_report("D12_plus", 21)
+    assert v.status == "yes" and v.chain[0].startswith("quadruple")
+    assert v.frame.norm_k == 21
 
 
 def test_frame_report_no_via_vector_count():

@@ -52,6 +52,22 @@ def test_lattice_and_minnorm_from_file(tmp_path, capsys):
     assert "min norm = 2" in capsys.readouterr().out
 
 
+def test_minnorm_rejects_a_basis_whose_gram_wraps(tmp_path, capsys):
+    # the row (2^32, 0) has norm 2^64, which an int64 Gram reads as 0
+    p = tmp_path / "lat.txt"
+    p.write_text(f"lattice 2 1\n{2**32} 0\n0 1\n")
+    assert main(["minnorm", str(p)]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert "min norm" not in captured.out and "error:" in captured.err
+
+
+def test_minnorm_rejects_an_entry_outside_int64(tmp_path, capsys):
+    p = tmp_path / "lat.txt"
+    p.write_text(f"lattice 2 1\n{2**63} 0\n0 1\n")
+    assert main(["minnorm", str(p)]) == EXIT_REFUTED
+    assert "error:" in capsys.readouterr().err
+
+
 def test_theta_output(tmp_path, capsys):
     out = tmp_path / "theta.txt"
     assert main(["theta", "D12_plus", "--max-norm", "2", "--out", str(out)]) == EXIT_OK

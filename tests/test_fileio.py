@@ -59,6 +59,11 @@ def test_frame_roundtrip_reverifies_gram():
         load_frame(broken)
 
 
+def test_frame_file_with_a_wrapping_gram_is_rejected():
+    with pytest.raises(PreconditionViolation):
+        load_frame(f"frame 1 2 1\n{2**32} 1\n-1 {2**32}\n")
+
+
 def test_theta_roundtrip_with_fractions():
     lat = Lattice(2 * np.eye(2, dtype=np.int64), 4)  # norms are multiples of 1
     th = theta_prefix(lat, 2)

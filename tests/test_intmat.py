@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zklat.intmat import det, hnf, inv_fraction, solve_fraction, vec_gcd
+from zklat.intmat import det, hnf, inv_fraction, solve_fraction, solve_rows, vec_gcd
 
 
 def random_unimodular(n, rng, steps=20):
@@ -50,6 +50,14 @@ def test_solve_fraction_roundtrip():
     x = solve_fraction(a, [5, 3])
     assert x == [Fraction(2), Fraction(1)]  # (2,1)·A = (5,3)
     assert solve_fraction([[1, 0], [2, 0]], [0, 1]) is None
+
+
+def test_solve_rows_solves_every_right_hand_side():
+    a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    rhs = [[5, 3, 1], [0, 0, 1], [-7, 2, 9]]
+    xs = solve_rows(a, rhs)
+    assert [[sum(x[i] * a[i][j] for i in range(3)) for j in range(3)] for x in xs] == rhs
+    assert solve_rows([[1, 2], [2, 4]], [[1, 0], [0, 1]]) is None
 
 
 def test_inv_fraction():

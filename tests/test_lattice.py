@@ -191,6 +191,12 @@ def test_frame_membership_rejects_perturbed():
         Frame(bad, 3, 3)  # Gram check fires
 
 
+def test_frame_rejects_rows_whose_gram_wraps():
+    # each row has norm 2^64 + 1, yet the int64 Gram of these rows reads I
+    with pytest.raises(PreconditionViolation):
+        Frame(((2**32, 1), (-1, 2**32)), 1, 1)
+
+
 def _solve_member(basis, v) -> bool:
     """Reference membership: an exact rational solve of x B = v."""
     sol = solve_fraction(np.asarray(basis).tolist(), [int(a) for a in v])
