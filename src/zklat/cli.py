@@ -26,7 +26,7 @@ from .lattice import (
     two_neighbor_at_vector,
 )
 from .shortvec import DEFAULT_NODE_BUDGET
-from .skew import FrameQuadruple, SkewSeed, build_frame
+from .skew import FrameQuadruple, SkewSeed, build_code_from_skew, build_frame
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -72,8 +72,6 @@ def _as_lattice(obj) -> Lattice:
     if isinstance(obj, ZkCode):
         return construction_a(obj)
     if isinstance(obj, SkewSeed):
-        from .skew import build_code_from_skew
-
         return construction_a(build_code_from_skew(obj))
     raise UnknownId("expected a lattice, code, or seed")
 

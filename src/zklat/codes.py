@@ -4,19 +4,21 @@ A code is held as a generator matrix with entries reduced to
 {0, ..., k-1}.  The generator rows are required to enumerate the code
 without repetition: the product of the additive row orders must equal
 the number of distinct codewords (checked on construction via the
-determinant of the lift).
+determinant of the lift, whose HNF basis the code keeps).  The minimum
+Euclidean weight d_E is the shortest vector of the lift C + k Z^n that
+lies outside k Z^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd, prod
 
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolation
 from .intmat import hnf, vec_gcd
-from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, enumerate_ball, shortest_norm
+from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, shortest_norm
 
 
 def euclidean_weight(x, k: int) -> int:
@@ -40,6 +42,7 @@ class ZkCode:
     generators: tuple[tuple[int, ...], ...]
     row_orders: tuple[int, ...] = field(init=False)
     cardinality: int = field(init=False)
+    _lift: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -50,14 +53,16 @@ class ZkCode:
         object.__setattr__(self, "generators", gens)
         orders = tuple(self.k // gcd(self.k, vec_gcd(row)) for row in gens)
         object.__setattr__(self, "row_orders", orders)
-        object.__setattr__(self, "cardinality", self._count_codewords())
-        prod = 1
-        for o in orders:
-            prod *= o
-        if prod != self.cardinality:
+        n, k = len(gens[0]), self.k
+        lift = hnf([list(r) for r in gens] + [[k * (i == j) for j in range(n)] for i in range(n)])
+        object.__setattr__(self, "_lift", tuple(map(tuple, lift)))
+        # the lift's index k^n / |C| in Z^n is the product of its HNF pivots
+        index = prod(row[i] for i, row in enumerate(lift))
+        object.__setattr__(self, "cardinality", k**n // index)
+        if prod(orders) != self.cardinality:
             raise PreconditionViolation(
                 "generator rows are not independent: "
-                f"product of row orders {prod} != cardinality {self.cardinality}"
+                f"product of row orders {prod(orders)} != cardinality {self.cardinality}"
             )
 
     @property
@@ -66,16 +71,7 @@ class ZkCode:
 
     def lift_basis(self) -> list[list[int]]:
         """HNF basis of the lift C + k Z^n (the rows of A_k(C) times sqrt(k))."""
-        n, k = self.n, self.k
-        rows = [list(r) for r in self.generators]
-        rows += [[k if i == j else 0 for j in range(n)] for i in range(n)]
-        return hnf(rows)
-
-    def _count_codewords(self) -> int:
-        d = 1
-        for i, row in enumerate(self.lift_basis()):
-            d *= row[i]
-        return self.k**self.n // d
+        return [list(r) for r in self._lift]
 
     def matrix(self) -> np.ndarray:
         return np.array(self.generators, dtype=np.int64)
@@ -162,46 +158,20 @@ def is_self_dual(code: ZkCode) -> bool:
     return code.cardinality == code.k ** (n // 2)
 
 
-def _cubic_theta(n: int, k: int, bound: int) -> np.ndarray:
-    """Vector counts of k Z^n by squared length 0..bound.
-
-    The n-fold convolution of the theta series of k Z,
-    1 + 2q^(k^2) + 2q^(4k^2) + ..., truncated at q^bound.
-    """
-    line = np.zeros(bound + 1, dtype=np.int64)
-    line[(k * np.arange(isqrt(bound) // k + 1)) ** 2] = 2
-    line[0] = 1
-    out = np.zeros(bound + 1, dtype=np.int64)
-    out[0] = 1
-    for _ in range(n):
-        out = np.convolve(out, line)[: bound + 1]
-    return out
-
-
 def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact minimum Euclidean weight, by enumeration of the lift C + k Z^n.
+    """Exact minimum Euclidean weight: the shortest lift vector outside k Z^n.
 
-    The shortest vector of the coset c + k Z^n has squared length
-    euclidean_weight(c), and every nonzero vector of k Z^n has squared
-    length >= k^2; so the lift's minimum m0 is min(k^2, d_E), and m0 < k^2
-    is d_E.  Otherwise the lift's vector counts by norm, minus those of
-    k Z^n, are the counts of the nonzero cosets, and d_E is the first
-    norm where they differ.  The counts are taken to k^2 first, then to
-    the smallest weight of a generator row, which d_E cannot exceed.
-    `budget` is the node budget of each enumeration.
+    The coset c + k Z^n of a codeword c has shortest squared length
+    euclidean_weight(c), so d_E is the shortest vector of the lift
+    C + k Z^n whose entries are not all divisible by k.  One shrinking
+    walk (`shortest_norm`) on the block-reduced lift finds it; `budget`
+    is its node budget.
     """
+    if code.cardinality == 1:
+        raise PreconditionViolation("the zero code has no nonzero codeword, so no d_E")
     k = code.k
     basis = block_reduce(np.array(code.lift_basis(), dtype=np.int64))
-    m0 = shortest_norm(basis, budget)
-    if m0 < k * k:
-        return m0
-    ub = min(euclidean_weight(row, k) for row in code.generators if any(row))
-    for bound in sorted({k * k, ub}):
-        hist, _ = enumerate_ball(basis, bound, budget=budget)
-        extra = np.flatnonzero(hist[1:] > _cubic_theta(code.n, k, bound)[1:])
-        if extra.size:
-            return int(extra[0]) + 1
-    raise AssertionError("a generator row of weight ub lies in the ball")
+    return shortest_norm(basis, budget, keep=lambda v: (v % k).any(axis=1))
 
 
 def min_euclidean_weight_naive(code: ZkCode, cap: int = 10**6) -> int:

@@ -97,12 +97,6 @@ def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:
     return None if x is None else x[0]
 
 
-def inv_fraction(a: list[list]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix; None if singular."""
-    n = len(a)
-    return solve_rows(a, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
 def vec_gcd(v) -> int:
     g = 0
     for x in v:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -155,24 +156,24 @@ class ThetaPrefix:
 
 
 def _rescale_vector(coords, from_scale: int, to_scale: int):
-    """Convert scaled coordinates between scales; None if impossible."""
-    if from_scale == to_scale:
+    """The coordinates at to_scale of a vector given at from_scale.
+
+    They are coords * sqrt(to_scale / from_scale); None unless every one
+    is an integer.  With the ratio a^2 / b^2 in lowest terms they are
+    coords * a / b, so the divisions by b must be exact.  A ratio that is
+    not such a square has an irrational root, which leaves only the zero
+    vector.
+    """
+    if from_scale == to_scale:  # the common case, kept to one pass
         return [int(x) for x in coords]
-    if to_scale % from_scale == 0:
-        r2 = to_scale // from_scale
-        r = int(round(r2**0.5))
-        if r * r != r2:
-            return None
-        return [int(x) * r for x in coords]
-    if from_scale % to_scale == 0:
-        r2 = from_scale // to_scale
-        r = int(round(r2**0.5))
-        if r * r != r2:
-            return None
-        if any(int(x) % r for x in coords):
-            return None
-        return [int(x) // r for x in coords]
-    return None
+    g = gcd(to_scale, from_scale)
+    a, b = isqrt(to_scale // g), isqrt(from_scale // g)
+    if a * a * g != to_scale or b * b * g != from_scale:
+        return None if any(coords) else [0] * len(coords)
+    v = [int(x) * a for x in coords]
+    if any(x % b for x in v):
+        return None
+    return [x // b for x in v]
 
 
 def construction_a(code: ZkCode) -> Lattice:

@@ -7,7 +7,10 @@ parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo et al.,
 CHES 2011), so memory stays bounded at every dimension while the tree
 order stays that of Fincke-Pohst.  Every emitted vector's norm is then
 recomputed in integer arithmetic, so the reported counts and norms are
-exact.
+exact.  `enumerate_ball` counts a ball; `shortest_norm` is the one exact
+shortest-vector search, a single walk whose bound shrinks each time a
+shorter vector turns up (Schnorr and Euchner, Math. Programming 66,
+1994).
 
 Pruning uses a float Cholesky factor R of the Gram matrix G and the
 bound padded by a slack of 1e-4 (bound + 1).  `_factor` checks once per
@@ -18,7 +21,10 @@ Every partial norm of such a vector, taken with G + E, is at most its
 full norm, bound + err c^2.  The check demands err c^2 <= slack / 1000
 (the rounding of the partial sums themselves is far smaller still) and
 raises PreconditionViolation otherwise, so no vector of the ball is
-ever pruned.
+ever pruned.  The walk reads its limit from a one-element array that
+`shortest_norm` lowers between blocks, keeping the slack of the starting
+bound.  A smaller ball has a smaller coefficient bound c, so the check
+made at the start still covers every lowered bound.
 """
 
 from __future__ import annotations
@@ -38,7 +44,11 @@ BKZ_TOURS = 4
 
 
 def _factor(basis: np.ndarray, bound: int):
-    """Upper-triangular float R with R^T R = Gram, and the pruning limit."""
+    """Upper-triangular float R with R^T R = Gram, and the pruning limit.
+
+    The limit, bound + slack, comes as a one-element array: the walk reads
+    it afresh at every step, so its consumer may lower it.
+    """
     gram = (basis @ basis.T).astype(np.float64)
     try:
         R = np.ascontiguousarray(np.linalg.cholesky(gram).T)
@@ -53,11 +63,11 @@ def _factor(basis: np.ndarray, bound: int):
             f"float pruning error bound {err * coef**2:.3g} (Cholesky residual "
             f"{err:.3g}) is not far below the slack {slack:.3g}"
         )
-    return R, bound + slack
+    return R, np.array([bound + slack])
 
 
 def _fincke_pohst(R, t, limit, budget):
-    """Blocks of integer rows x with float |(x + t) R^T|^2 <= limit.
+    """Blocks of integer rows x with float |(x + t) R^T|^2 <= limit[0].
 
     Each step takes the deepest pending block, expands its leading rows
     whose children number at most CHUNK (at least one row) to the next
@@ -65,8 +75,9 @@ def _fincke_pohst(R, t, limit, budget):
     and holds at most one block of about CHUNK rows per level.  When t
     is zero the tree is symmetric under x -> -x and only the zero row
     and, of each +-pair, the row whose last nonzero entry is positive
-    are walked.  Raises BudgetExceeded once more than `budget` tree
-    nodes were expanded.
+    are walked.  The consumer may lower limit[0] between blocks; pending
+    nodes are then pruned against the lowered limit.  Raises
+    BudgetExceeded once more than `budget` tree nodes were expanded.
     """
     n = R.shape[0]
     diag = R.diagonal()
@@ -78,10 +89,11 @@ def _fincke_pohst(R, t, limit, budget):
     stack = [(n, np.zeros((1, 0), dtype=np.int64), np.zeros(1))]
     while stack:
         level, rows, parts = stack.pop()
+        lim = limit[0]
         xs, part = rows[:CHUNK], parts[:CHUNK]
         i = level - 1
         c = xs @ R[i, level:] + toff[i]
-        rad = np.sqrt(np.maximum(limit - part, 0.0))
+        rad = np.sqrt(np.maximum(lim - part, 0.0))
         lo = np.ceil((-rad - c) / diag[i] - t[i])
         hi = np.floor((rad - c) / diag[i] - t[i])
         if pairs:  # only the zero row has partial norm exactly 0
@@ -100,11 +112,13 @@ def _fincke_pohst(R, t, limit, budget):
         x = np.arange(total) + np.repeat(lo[:m].astype(np.int64) - (ends[:m] - width), width)
         y = diag[i] * (x + t[i]) + c[parent]
         newpart = part[parent] + y * y
-        keep = newpart <= limit
+        keep = newpart <= lim
         x, parent, newpart = x[keep], parent[keep], newpart[keep]
         nodes += x.size
         if nodes > budget:
             raise BudgetExceeded("enumeration nodes", nodes, budget)
+        if not x.size:  # a lowered limit pruned the whole block
+            continue
         child = np.empty((x.size, n - i), dtype=np.int64)
         child[:, 0] = x
         child[:, 1:] = xs[parent]
@@ -180,7 +194,7 @@ def _shortest(R, bound):
     Heuristic only (basis preprocessing), so float norms are fine here.
     """
     best, bestx = bound, None
-    for xs in _fincke_pohst(R, np.zeros(R.shape[0]), bound, np.inf):
+    for xs in _fincke_pohst(R, np.zeros(R.shape[0]), np.array([bound]), np.inf):
         q = _norms(xs @ R.T)
         q[~xs.any(axis=1)] = np.inf
         j = int(np.argmin(q))
@@ -260,35 +274,28 @@ def enumerate_ball(
     return hist, np.concatenate(found)
 
 
-def first_nonzero_leq(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BUDGET):
-    """Squared length of some nonzero lattice vector <= bound, else None.
+def shortest_norm(
+    basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET, keep=None
+) -> int:
+    """Exact minimum squared length of a lattice vector that `keep` accepts.
 
-    Early-exit probe: returns at the first block of the walk that holds
-    a nonzero vector inside the ball (the shortest of that block), so a
-    hit is much cheaper than a full enumeration while a miss is an
-    exhaustive emptiness proof.
+    `keep` maps an array of vectors (rows) to a boolean mask; it must be
+    symmetric under v -> -v and accept some basis row.  By default it
+    accepts the nonzero vectors.  One walk starts at the bound best - 1,
+    best the shortest kept basis row, and lowers its limit to best - 1
+    (plus the starting slack) whenever a shorter kept vector turns up;
+    the walk's end is an exhaustive proof that none is shorter than best.
     """
     basis = np.asarray(basis, dtype=np.int64)
-    R, limit = _factor(basis, bound)
+    if keep is None:
+        keep = lambda v: v.any(axis=1)
+    best = int(_norms(basis)[keep(basis)].min())
+    R, limit = _factor(basis, best - 1)
     for xs in _fincke_pohst(R, np.zeros(basis.shape[0]), limit, budget):
-        q = _norms(xs @ basis)
-        q = q[(q >= 1) & (q <= bound)]
-        if q.size:
-            return int(q.min())
-    return None
-
-
-def shortest_norm(basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact minimum squared length of a nonzero lattice vector.
-
-    The upper bound from the shortest basis row is tightened by
-    early-exit probes; the final probe at best-1 finds nothing, which is
-    an exhaustive proof of minimality.  Each probe has its own `budget`.
-    """
-    best = int(_norms(np.asarray(basis, dtype=np.int64)).min())
-    while best > 1:
-        q = first_nonzero_leq(basis, best - 1, budget=budget)
-        if q is None:
-            break
-        best = q
+        v = xs @ basis
+        q = _norms(v)
+        short = q < best  # keep runs only on the few rows that could improve
+        low = int(q[short][keep(v[short])].min(initial=best))
+        limit[0] -= best - low  # the slack stays
+        best = low
     return best

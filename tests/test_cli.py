@@ -45,6 +45,14 @@ def test_budget_line_prints_used_and_budget(capsys):
     assert "used, budget 50" in line
 
 
+def test_dmin_of_the_zero_code_is_an_error(tmp_path, capsys):
+    p = tmp_path / "code.txt"
+    p.write_text("zkcode 3 4\n0 3 0 6\n")  # every entry is 0 mod 3
+    assert main(["dmin", str(p)]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert "d_E" not in captured.out and "error: " in captured.err
+
+
 def test_lattice_and_minnorm_from_file(tmp_path, capsys):
     out = tmp_path / "lat.txt"
     assert main(["lattice", "C_13_12", "--out", str(out)]) == EXIT_OK

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zklat.codes
 from zklat.codes import (
     ZkCode,
     build_bordered_circulant,
@@ -15,6 +16,7 @@ from zklat.codes import (
     negacirculant,
 )
 from zklat.errors import BudgetExceeded, PreconditionViolation
+from zklat.lattice import construction_a
 
 
 def test_euclidean_weight_basics():
@@ -96,6 +98,17 @@ def test_bordered_circulant_selfdual_probe():
 def test_is_self_dual_tiny():
     assert is_self_dual(ZkCode(2, ((1, 1),)))
     assert not is_self_dual(ZkCode(2, ((1, 0),)))
+
+
+def test_lift_is_computed_once_at_construction(monkeypatch):
+    code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
+
+    def no_hnf(rows):
+        raise AssertionError("the lift's HNF was recomputed")
+
+    monkeypatch.setattr(zklat.codes, "hnf", no_hnf)
+    assert construction_a(code).basis.tolist() == code.lift_basis()
+    assert min_euclidean_weight(code) == 26
 
 
 def test_min_euclidean_weight_budget():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zklat.intmat import det, hnf, inv_fraction, solve_fraction, solve_rows, vec_gcd
+from zklat.intmat import det, hnf, solve_fraction, solve_rows, vec_gcd
 
 
 def random_unimodular(n, rng, steps=20):
@@ -58,14 +58,6 @@ def test_solve_rows_solves_every_right_hand_side():
     xs = solve_rows(a, rhs)
     assert [[sum(x[i] * a[i][j] for i in range(3)) for j in range(3)] for x in xs] == rhs
     assert solve_rows([[1, 2], [2, 4]], [[1, 0], [0, 1]]) is None
-
-
-def test_inv_fraction():
-    a = [[2, 1], [1, 1]]
-    inv = inv_fraction(a)
-    prod = [[sum(a[i][t] * inv[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
-    assert prod == [[1, 0], [0, 1]]
-    assert inv_fraction([[1, 2], [2, 4]]) is None
 
 
 def test_vec_gcd():

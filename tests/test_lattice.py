@@ -233,6 +233,16 @@ def test_contains_agrees_with_solve_fraction():
         assert outside > 0
 
 
+def test_contains_across_scales_that_do_not_divide():
+    # 3 I at scale 9 is Z^2; at scale 4, (2, 0) is (1, 0) and (1, 0) is (1/2, 0)
+    lat = Lattice(3 * np.eye(2, dtype=np.int64), 9)
+    assert lat.contains([2, 0], 4) and lat.contains([-2, 4], 4)
+    assert not lat.contains([1, 0], 4) and not lat.contains([2, 1], 4)
+    assert lat.contains([0, 0], 2) and not lat.contains([1, 0], 2)  # ratio not a square
+    assert contains_frame(lat, Frame(2 * np.eye(2, dtype=np.int64), 4, 1))
+    assert not contains_frame(lat, Frame(((1, 1), (1, -1)), 2, 1))  # (1, 1) / sqrt(2)
+
+
 def test_contains_rank_deficient_basis():
     full = catalog.build("D12_plus").reduced_basis()
     b = full.copy()

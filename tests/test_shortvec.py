@@ -12,10 +12,11 @@ from zklat.intmat import det, hnf
 from zklat.shortvec import (
     CHUNK,
     _factor,
+    _fincke_pohst,
     _lll_core,
     block_reduce,
     enumerate_ball,
-    first_nonzero_leq,
+    shortest_norm,
 )
 
 
@@ -114,15 +115,35 @@ def brute_ball(basis, bound, shift=None, center=None):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_first_nonzero_leq_hits_and_misses_like_bruteforce(seed):
+def test_shortest_norm_matches_bruteforce(seed):
     rng = np.random.default_rng(100 + seed)
     basis = random_basis(rng, int(rng.integers(2, 5)))
-    _, q = brute_ball(basis, int(basis[0] @ basis[0]) + 6)
-    shortest = int(q[q > 0].min())
-    assert first_nonzero_leq(basis, shortest) == shortest
-    assert first_nonzero_leq(basis, shortest - 1) is None  # exhaustive miss
-    hit = first_nonzero_leq(basis, shortest + 6)
-    assert hit is not None and hit in set(q.tolist()) and hit <= shortest + 6
+    v, q = brute_ball(basis, int((basis * basis).sum(axis=1).max()))
+    assert shortest_norm(basis) == q[q > 0].min()
+    # keep = outside 2Z^n; the ball holds every basis row, one of them kept
+    outside = (v % 2).any(axis=1)
+    assert shortest_norm(basis, keep=lambda w: (w % 2).any(axis=1)) == q[outside].min()
+
+
+def test_walk_ends_cleanly_when_the_limit_drops_mid_walk():
+    # in Z^4 every nonzero suffix of the tree has partial norm >= 1, so a
+    # limit of 0.5 lies below every node still pending after the first
+    # block, which holds the zero row; each such node's child interval
+    # shrinks to its integer centre, and pruning then empties it
+    basis = np.eye(4, dtype=np.int64)
+    for final in (0.5, 20.5):
+        R, limit = _factor(basis, 200)
+        blocks = []
+        for xs in _fincke_pohst(R, np.zeros(4), limit, np.inf):
+            blocks.append(xs @ basis)
+            limit[0] = final
+        assert all(len(b) for b in blocks) and (len(blocks) >= 2 or final < 1)
+        late = np.concatenate(blocks[1:] or [np.zeros((0, 4), dtype=np.int64)])
+        assert (np.einsum("ij,ij->i", late, late) <= final).all()
+        got = {tuple(r) for b in blocks for r in b.tolist() if sum(x * x for x in r) <= final}
+        got |= {tuple(-x for x in r) for r in got}
+        want, _ = brute_ball(basis, int(final))
+        assert got == {tuple(r) for r in want.tolist()}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -192,7 +213,7 @@ def test_near_singular_basis_trips_the_float_check():
         with pytest.raises(PreconditionViolation, match="not far below the slack"):
             enumerate_ball(basis, 4)
         with pytest.raises(PreconditionViolation):
-            first_nonzero_leq(basis, 4)
+            shortest_norm(basis)
         hist, _ = enumerate_ball(block_reduce(basis), 4)
         assert hist.tolist() == [1, 4, 4, 0, 4]
 
