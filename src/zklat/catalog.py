@@ -4,19 +4,22 @@ frame-existence report.
 
 Each entry carries a `provenance` string naming the reference table or
 figure the raw numbers were transcribed from, so a failing check points
-back at the data source.  Construction parameters are stored verbatim
-(signed integers for seeds; digit strings for the Z4 block matrices);
-all validity checks happen in the builders, never here.
+back at the data source, and a zero-argument `make` that builds the
+object from its table row.  The rows are transcribed verbatim (signed
+integers for seeds; digit strings for the Z4 block matrices); all
+validity checks happen in the builders, never here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .arith import REPRESENTATION_CASES, FrameVerdict, RepresentationCase, scale_frame
 from .cliques import components
 from .codes import (
+    ZkCode,
     build_bordered_circulant,
     build_four_negacirculant,
     build_z4_two_block,
@@ -46,7 +49,7 @@ class CatalogEntry:
     id: str
     kind: str  # "code" | "skew_seed" | "lattice"
     provenance: str
-    params: dict = field(default_factory=dict)
+    make: Callable[[], object]  # builds the object; `build` caches it
     expected: dict = field(default_factory=dict)
 
 
@@ -77,45 +80,41 @@ def catalog_list(kind: str | None = None) -> list[str]:
 # arith.REPRESENTATION_CASES supplies (k, m, ell), and the seed's
 # constructor checks MM^T = mI against the transcribed rows.
 
-_SEED_ROWS = {
-    # id: (case, r_A1, r_A2) -- negacirculant form
-    "D6_seed": ("a", (0, 2, 2), (0, 1, -4)),
-    "D10_seed": ("a", (0, 0, 2, 2, 0), (1, 2, 2, -2, 2)),
-    "Dp10_seed": ("a", (0, 0, 0, 0, 0), (-3, -2, 2, -2, 2)),
-    "Dpp10_seed": ("c", (0, 0, 3, 3, 0), (-2, -3, 4, -1, 1)),
-    "D14_seed": ("a", (0, 2, 1, 0, 0, 1, 2), (-1, -2, 1, -2, 2, 1, 0)),
-    "Dp14_seed": ("d", (0, 0, 2, -1, -1, 2, 0), (-2, -1, -2, 0, -1, -1, -2)),
-    "D16_seed": ("e", (0, 1, 1, 0, 1, 0, 1, 1), (1, 1, 1, -1, -1, 2, -1, 0)),
-    "D18_seed": ("f", (0, 1, -3, 0, 2, 2, 0, -3, 1), (-2, 2, -1, 2, 1, 2, 1, 1, 1)),
-    "D22_seed": (
-        "d",
+_SEEDS = {
+    # id: (case, (r_A1, r_A2)) for the negacirculant form, or (case, None)
+    # for the bordered quadratic-residue matrix of order m + 1
+    "D6_seed": ("a", ((0, 2, 2), (0, 1, -4))),
+    "D10_seed": ("a", ((0, 0, 2, 2, 0), (1, 2, 2, -2, 2))),
+    "Dp10_seed": ("a", ((0, 0, 0, 0, 0), (-3, -2, 2, -2, 2))),
+    "Dpp10_seed": ("c", ((0, 0, 3, 3, 0), (-2, -3, 4, -1, 1))),
+    "D14_seed": ("a", ((0, 2, 1, 0, 0, 1, 2), (-1, -2, 1, -2, 2, 1, 0))),
+    "Dp14_seed": ("d", ((0, 0, 2, -1, -1, 2, 0), (-2, -1, -2, 0, -1, -1, -2))),
+    "D16_seed": ("e", ((0, 1, 1, 0, 1, 0, 1, 1), (1, 1, 1, -1, -1, 2, -1, 0))),
+    "D18_seed": ("f", ((0, 1, -3, 0, 2, 2, 0, -3, 1), (-2, 2, -1, 2, 1, 2, 1, 1, 1))),
+    "D22_seed": ("d", (
         (0, 0, -1, 1, 0, 0, 0, 0, 1, -1, 0),
         (1, 0, -2, 1, 1, 1, 2, 1, 0, 2, -2),
-    ),
-    "D24_seed": (
-        "h",
+    )),
+    "D24_seed": ("h", (
         (0, 1, 1, 1, 2, -1, 1, -1, 2, 1, 1, 1),
         (-2, -1, 2, -1, -1, -2, 0, 1, 0, 2, -1, -1),
-    ),
+    )),
+    "P8_seed": ("b", None),
+    "P20_seed": ("g", None),
 }
 
-_PALEY_SEEDS = {
-    # id: case -- the bordered quadratic-residue matrix of order m + 1
-    "P8_seed": "b",
-    "P20_seed": "g",
-}
 
-for _sid, (_case, _r1, _r2) in _SEED_ROWS.items():
+def _seed(case: str, rows: tuple[tuple[int, ...], tuple[int, ...]] | None) -> SkewSeed:
+    c = REPRESENTATION_CASES[case]
+    mat = build_paley_skew(c.m) if rows is None else build_skew_negacirculant(*rows)
+    return SkewSeed(mat, k=c.k, m=c.m, ell=c.ell)
+
+
+for _sid, (_case, _rows) in _SEEDS.items():
     _add(CatalogEntry(
         _sid, "skew_seed",
         "reference table: skew seeds for the frame construction",
-        {"form": "negacirculant", "case": _case, "r_a1": _r1, "r_a2": _r2},
-    ))
-for _sid, _case in _PALEY_SEEDS.items():
-    _add(CatalogEntry(
-        _sid, "skew_seed",
-        "reference table: skew seeds for the frame construction",
-        {"form": "paley", "case": _case},
+        partial(_seed, _case, _rows),
     ))
 
 
@@ -124,7 +123,7 @@ for _sid, _case in _PALEY_SEEDS.items():
 # ---------------------------------------------------------------------------
 
 _NEGA_CODES = {
-    # id: (k, r_A, r_B, provenance tag, expected d_E or None)
+    # id: (k, r_A, r_B, provenance tag, expected d_E)
     "C_13_12": (13, (0, 1, 6), (2, 3, 1), "length-12 codes", 26),
     "C_23_12": (23, (0, 1, 18), (7, 4, 0), "length-12 codes", 46),
     "C_7_16": (7, (0, 0, 1, 1), (1, 3, 1, 0), "length-16 code", 14),
@@ -163,8 +162,8 @@ _NEGA_CODES = {
 for _cid, (_k, _ra, _rb, _tag, _de) in _NEGA_CODES.items():
     _add(CatalogEntry(
         _cid, "code", f"reference table: {_tag}, row {_cid}",
-        {"form": "four_negacirculant", "k": _k, "r_a": _ra, "r_b": _rb},
-        {"d_E": _de} if _de is not None else {},
+        partial(build_four_negacirculant, _k, _ra, _rb),
+        {"d_E": _de},
     ))
 
 
@@ -227,24 +226,38 @@ _Z4_CODES = {
     },
 }
 
+
+def _z4_code(top: list[str], two_d: list[str]) -> ZkCode:
+    """The two-block Z4 code of a figure, from its digit rows (T and D)."""
+    top, two_d = (
+        [[int(ch) for ch in row.replace(" ", "")] for row in rows] for rows in (top, two_d)
+    )
+    a, b = len(top), len(two_d)
+    bottom = [[2 * (i == j) for j in range(b)] + row for i, row in enumerate(two_d)]
+    return build_z4_two_block(a, b, top, bottom)
+
+
 for _cid, _d in _Z4_CODES.items():
     _add(CatalogEntry(
         _cid, "code", f"reference {_d['tag']}, code {_cid}",
-        {"form": "z4_two_block", "top": tuple(_d["top"]), "two_d": tuple(_d["two_d"])},
+        partial(_z4_code, _d["top"], _d["two_d"]),
         {"d_E": _d["d_E"]},
     ))
 
 _add(CatalogEntry(
     "C_4_48", "code",
     "reference data: length-48 bordered-circulant code",
-    {
-        "form": "bordered_circulant", "k": 4,
-        "first_row": (1, 1, 3, 0, 3, 3, 1, 2, 0, 1, 3, 2, 3, 0, 0, 3, 3, 2, 1, 2, 1, 1, 0),
-    },
+    partial(
+        build_bordered_circulant, 4,
+        (1, 1, 3, 0, 3, 3, 1, 2, 0, 1, 3, 2, 3, 0, 0, 3, 3, 2, 1, 2, 1, 1, 0),
+    ),
     {"d_E": 20},
 ))
 
-# codes generated by the skew seeds (generator (I | M + ell I) mod k)
+# codes generated by the skew seeds (generator (I | M + ell I) mod k).
+# Their builders, like the lattices', look `build` up by its module-level
+# name when they run, so nested builds go through the cache or whatever
+# has replaced `build`.
 _SEED_CODES = {
     "C_12_3_D6": "D6_seed",
     "C_16_4_P8": "P8_seed",
@@ -263,7 +276,7 @@ _SEED_CODES = {
 for _cid, _sid in _SEED_CODES.items():
     _add(CatalogEntry(
         _cid, "code", f"code generated by the skew seed {_sid}",
-        {"form": "from_seed", "seed": _sid},
+        lambda sid=_sid: build_code_from_skew(build(sid)),
     ))
 
 
@@ -318,7 +331,7 @@ for _lid, _info in _LATTICES.items():
     _add(CatalogEntry(
         _lid, "lattice",
         f"reference table: named unimodular lattices, row {_lid}",
-        {"model_code": _info.model_code},
+        lambda cid=_info.model_code: construction_a(build(cid)),
         {
             "min_norm": _info.min_norm,
             **({"theta": _THETA_PREFIXES[_lid]} if _lid in _THETA_PREFIXES else {}),
@@ -326,44 +339,10 @@ for _lid, _info in _LATTICES.items():
     ))
 
 
-# ---------------------------------------------------------------------------
-# builders
-# ---------------------------------------------------------------------------
-
-def _parse_digit_rows(rows: tuple[str, ...]) -> list[list[int]]:
-    return [[int(ch) for ch in row.replace(" ", "")] for row in rows]
-
-
 @lru_cache(maxsize=None)
 def build(entry_id: str):
     """Construct the catalog object (ZkCode, SkewSeed, or Lattice)."""
-    entry = catalog_get(entry_id)
-    p = entry.params
-    if entry.kind == "skew_seed":
-        case = REPRESENTATION_CASES[p["case"]]
-        if p["form"] == "paley":
-            mat = build_paley_skew(case.m)
-        else:
-            mat = build_skew_negacirculant(p["r_a1"], p["r_a2"])
-        return SkewSeed(mat, k=case.k, m=case.m, ell=case.ell)
-    if entry.kind == "code":
-        form = p["form"]
-        if form == "four_negacirculant":
-            return build_four_negacirculant(p["k"], p["r_a"], p["r_b"])
-        if form == "z4_two_block":
-            top = _parse_digit_rows(p["top"])
-            two_d = _parse_digit_rows(p["two_d"])
-            a, b = len(top), len(two_d)
-            bottom = [[2 * (i == j) for j in range(b)] + row for i, row in enumerate(two_d)]
-            return build_z4_two_block(a, b, top, bottom)
-        if form == "bordered_circulant":
-            return build_bordered_circulant(p["k"], p["first_row"])
-        if form == "from_seed":
-            return build_code_from_skew(build(p["seed"]))
-        raise UnknownId(f"unknown code form {form!r}")
-    if entry.kind == "lattice":
-        return construction_a(build(p["model_code"]))
-    raise UnknownId(f"unknown catalog kind {entry.kind!r}")
+    return catalog_get(entry_id).make()
 
 
 def lattice_info(lattice_id: str) -> LatticeInfo:
@@ -373,12 +352,12 @@ def lattice_info(lattice_id: str) -> LatticeInfo:
 
 
 def _model_seed_id(lattice_id: str) -> str:
-    return _ENTRIES[lattice_info(lattice_id).model_code].params["seed"]
+    return _SEED_CODES[lattice_info(lattice_id).model_code]
 
 
 def lattice_case(lattice_id: str) -> RepresentationCase:
     """The representation case of a lattice: that of its model seed."""
-    return REPRESENTATION_CASES[_ENTRIES[_model_seed_id(lattice_id)].params["case"]]
+    return REPRESENTATION_CASES[_SEEDS[_model_seed_id(lattice_id)][0]]
 
 
 # ---------------------------------------------------------------------------

@@ -47,21 +47,8 @@ def _resolve(token: str):
     path = Path(token)
     if not path.exists():
         raise UnknownId(f"{token!r} is neither a catalog id nor a file")
-    text = path.read_text()
-    lines = fileio._data_lines(text)
-    if not lines:
-        raise PreconditionViolation(f"{token!r} holds no data lines")
-    tag = lines[0].split()[0]
-    loader = {
-        "zkcode": fileio.load_code,
-        "skewseed": fileio.load_seed,
-        "lattice": fileio.load_lattice,
-        "frame": fileio.load_frame,
-    }.get(tag)
-    if loader is None:
-        raise UnknownId(f"unrecognized file header {tag!r}")
     try:
-        return loader(text)
+        return fileio.load(path.read_text())
     except ValueError as e:  # a token that is not an integer
         raise PreconditionViolation(f"{token!r}: {e}") from None
 

@@ -50,6 +50,8 @@ class ZkCode:
         gens = tuple(tuple(int(v) % self.k for v in row) for row in self.generators)
         if not gens:
             raise PreconditionViolation("a code needs at least one generator row")
+        if len({len(row) for row in gens}) != 1 or not gens[0]:
+            raise PreconditionViolation("generator rows must share one nonzero length")
         object.__setattr__(self, "generators", gens)
         orders = tuple(self.k // gcd(self.k, vec_gcd(row)) for row in gens)
         object.__setattr__(self, "row_orders", orders)

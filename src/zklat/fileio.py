@@ -3,7 +3,8 @@ certificates and theta prefixes.
 
 All formats are line oriented; lines starting with '#' are comments.
 Header line first, then one row/record per line of space-separated
-integers (theta norms may be fractions like 1/2).
+integers (theta norms may be fractions like 1/2).  A file must hold
+exactly the rows its header announces, each of the announced width.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .codes import ZkCode
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, UnknownId
 from .lattice import Frame, Lattice, ThetaPrefix
 from .skew import SkewSeed
 
@@ -26,11 +27,21 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
-def _header(line: str, tag: str, nfields: int) -> list[int]:
-    parts = line.split()
-    if parts[0] != tag or len(parts) != nfields + 1:
+def _header(lines: list[str], tag: str, nfields: int) -> list[int]:
+    parts = lines[0].split() if lines else []
+    if parts[:1] != [tag] or len(parts) != nfields + 1:
         raise PreconditionViolation(f"expected header '{tag}' with {nfields} fields")
     return [int(x) for x in parts[1:]]
+
+
+def _rows(lines: list[str], count: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows under the header: exactly `count`, each `width` long."""
+    rows = tuple(tuple(int(x) for x in line.split()) for line in lines[1:])
+    if len(rows) != count:
+        raise PreconditionViolation(f"header announces {count} rows, the file holds {len(rows)}")
+    if any(len(r) != width for r in rows):
+        raise PreconditionViolation(f"every row must hold the header's {width} entries")
+    return rows
 
 
 def dump_code(code: ZkCode) -> str:
@@ -41,11 +52,8 @@ def dump_code(code: ZkCode) -> str:
 
 def load_code(text: str) -> ZkCode:
     lines = _data_lines(text)
-    k, n = _header(lines[0], "zkcode", 2)
-    rows = [tuple(int(x) for x in line.split()) for line in lines[1:]]
-    if any(len(r) != n for r in rows):
-        raise PreconditionViolation("generator row length does not match header")
-    return ZkCode(k, tuple(rows))
+    k, n = _header(lines, "zkcode", 2)
+    return ZkCode(k, _rows(lines, len(lines) - 1, n))  # the header gives no row count
 
 
 def dump_seed(seed: SkewSeed) -> str:
@@ -56,9 +64,8 @@ def dump_seed(seed: SkewSeed) -> str:
 
 def load_seed(text: str) -> SkewSeed:
     lines = _data_lines(text)
-    k, m, ell, order = _header(lines[0], "skewseed", 4)
-    rows = tuple(tuple(int(x) for x in line.split()) for line in lines[1 : order + 1])
-    return SkewSeed(rows, k=k, m=m, ell=ell)
+    k, m, ell, order = _header(lines, "skewseed", 4)
+    return SkewSeed(_rows(lines, order, order), k=k, m=m, ell=ell)
 
 
 def dump_lattice(lat: Lattice) -> str:
@@ -69,9 +76,8 @@ def dump_lattice(lat: Lattice) -> str:
 
 def load_lattice(text: str) -> Lattice:
     lines = _data_lines(text)
-    n, s = _header(lines[0], "lattice", 2)
-    rows = [[int(x) for x in line.split()] for line in lines[1 : n + 1]]
-    return Lattice(rows, s)  # entries checked in exact ints by the constructor
+    n, s = _header(lines, "lattice", 2)
+    return Lattice(_rows(lines, n, n), s)  # entries checked in exact ints by the constructor
 
 
 def dump_frame(frame: Frame) -> str:
@@ -85,9 +91,27 @@ def dump_frame(frame: Frame) -> str:
 
 def load_frame(text: str) -> Frame:
     lines = _data_lines(text)
-    k, n, s = _header(lines[0], "frame", 3)
-    rows = tuple(tuple(int(x) for x in line.split()) for line in lines[1 : n + 1])
-    return Frame(rows, s, k)  # Gram re-verified by the constructor
+    k, n, s = _header(lines, "frame", 3)
+    return Frame(_rows(lines, n, n), s, k)  # Gram re-verified by the constructor
+
+
+_LOADERS = {
+    "zkcode": load_code,
+    "skewseed": load_seed,
+    "lattice": load_lattice,
+    "frame": load_frame,
+}
+
+
+def load(text: str) -> ZkCode | SkewSeed | Lattice | Frame:
+    """The code, seed, lattice or frame certificate a file holds, by its header tag."""
+    lines = _data_lines(text)
+    if not lines:
+        raise PreconditionViolation("the file holds no data lines")
+    tag = lines[0].split()[0]
+    if tag not in _LOADERS:
+        raise UnknownId(f"unrecognized file header {tag!r}")
+    return _LOADERS[tag](text)
 
 
 def dump_theta(theta: ThetaPrefix) -> str:

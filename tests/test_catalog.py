@@ -3,7 +3,7 @@ import pytest
 
 import zklat.lattice
 from zklat import catalog
-from zklat.codes import is_self_dual, min_euclidean_weight
+from zklat.codes import ZkCode, is_self_dual, min_euclidean_weight
 from zklat.errors import SkewViolation, UnknownId
 from zklat.intmat import hnf
 from zklat.lattice import Lattice, contains_frame
@@ -152,20 +152,24 @@ def test_frame_report_unknown_out_of_reach():
 def test_every_model_seed_has_its_case_row():
     labels = set()
     for lid in catalog.catalog_list("lattice"):
-        sid = catalog.catalog_get(catalog.lattice_info(lid).model_code).params["seed"]
-        seed = catalog.build(sid)
+        seed = catalog.build(catalog._model_seed_id(lid))
         case = catalog.lattice_case(lid)
         assert (seed.k, seed.m, seed.ell) == (case.k, case.m, case.ell), lid
         labels.add(case.label)
     assert labels == set("abcdefgh")
 
 
-def test_seed_rows_must_give_their_case_m(monkeypatch):
+def test_seed_rows_must_give_their_case_m():
     # the D6_seed rows give MM^T = 25 I, but case c has m = 49
-    entry = catalog.CatalogEntry(
-        "D6_as_case_c", "skew_seed", "test entry",
-        {"form": "negacirculant", "case": "c", "r_a1": (0, 2, 2), "r_a2": (0, 1, -4)},
-    )
-    monkeypatch.setitem(catalog._ENTRIES, entry.id, entry)
     with pytest.raises(SkewViolation, match=r"MM\^T != mI"):
-        catalog.build(entry.id)
+        catalog._seed("c", ((0, 2, 2), (0, 1, -4)))
+
+
+@pytest.mark.parametrize(
+    "kind, cls", [("skew_seed", SkewSeed), ("code", ZkCode), ("lattice", Lattice)]
+)
+def test_every_entry_builds_an_object_of_its_kind(kind, cls):
+    ids = catalog.catalog_list(kind)
+    assert ids
+    for eid in ids:
+        assert isinstance(catalog.build(eid), cls), eid

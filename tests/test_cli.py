@@ -181,3 +181,11 @@ def test_shadow_of_non_unimodular_lattice_is_an_error(tmp_path, capsys):
     fileio.write_text(p, fileio.dump_lattice(Lattice(np.array([[1, 0], [0, 2]]), 1)))
     assert main(["shadow", str(p)]) == EXIT_REFUTED
     assert "error:" in capsys.readouterr().err
+
+
+def test_lattice_file_with_a_missing_row_is_an_error(tmp_path, capsys):
+    p = tmp_path / "lat.txt"
+    p.write_text("lattice 3 1\n1 0\n0 1\n")
+    assert main(["lattice", str(p)]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "unimodular" not in captured.out

@@ -193,6 +193,12 @@ def test_row_independence_validated():
         ZkCode(4, ((1, 1), (1, 1)))
 
 
+@pytest.mark.parametrize("gens", [((1, 2), (1,)), ((),), ((), ())])
+def test_generator_rows_need_one_nonzero_length(gens):
+    with pytest.raises(PreconditionViolation, match="one nonzero length"):
+        ZkCode(3, gens)
+
+
 def test_weights_divisible_by_k_for_selfdual():
     code = build_four_negacirculant(5, (0, 0, 0, 1, 1), (1, 4, 2, 1, 0))
     rng = np.random.default_rng(11)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from zklat import catalog
-from zklat.errors import PreconditionViolation
+from zklat.errors import PreconditionViolation, UnknownId
 from zklat.fileio import (
     dump_code,
     dump_frame,
     dump_lattice,
     dump_seed,
     dump_theta,
+    load,
     load_code,
     load_frame,
     load_lattice,
@@ -76,3 +77,40 @@ def test_write_read_text(tmp_path):
     p = tmp_path / "code.txt"
     write_text(p, dump_code(catalog.build("C_13_12")))
     assert load_code(read_text(p)).k == 13
+
+
+@pytest.mark.parametrize("loader, text", [
+    (load_lattice, "lattice 3 1\n1 0\n0 1\n"),  # two of three rows
+    (load_lattice, "lattice 2 1\n1 0\n0 1\n0 0\n"),  # a row too many
+    (load_frame, "frame 1 4 1\n1 0 0 0\n0 1 0 0\n"),  # two of four rows
+    (load_frame, "frame 1 2 1\n1 0 0\n0 1 0\n"),  # rows of length 3
+    (load_code, "zkcode 3 2\n1 2\n1\n"),  # rows of unequal length
+])
+def test_rows_must_match_the_header(loader, text):
+    with pytest.raises(PreconditionViolation):
+        loader(text)
+
+
+def test_seed_file_with_a_row_too_many_is_rejected():
+    text = dump_seed(catalog.build("D6_seed"))
+    with pytest.raises(PreconditionViolation):
+        load_seed(text + " ".join(["0"] * 6) + "\n")
+
+
+@pytest.mark.parametrize("loader", [load_code, load_seed, load_lattice, load_frame, load])
+def test_empty_file_is_a_precondition_violation(loader):
+    with pytest.raises(PreconditionViolation):
+        loader("# a comment only\n")
+
+
+def test_load_dispatches_on_the_header_tag():
+    for obj, dump in [
+        (catalog.build("C_13_12"), dump_code),
+        (catalog.build("D6_seed"), dump_seed),
+        (find_frame(Lattice(np.eye(4, dtype=np.int64), 1), 1), dump_frame),
+    ]:
+        assert load(dump(obj)) == obj
+    lat = load(dump_lattice(catalog.build("D12_plus")))
+    assert np.array_equal(lat.basis, catalog.build("D12_plus").basis)
+    with pytest.raises(UnknownId):
+        load("matrix 2\n1 0\n0 1\n")
