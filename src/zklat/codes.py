@@ -6,7 +6,8 @@ without repetition: the product of the additive row orders must equal
 the number of distinct codewords (checked on construction via the
 determinant of the lift, whose HNF basis the code keeps).  The minimum
 Euclidean weight d_E is the shortest vector of the lift C + k Z^n that
-lies outside k Z^n.
+lies outside k Z^n.  The code block-reduces its lift at most once, when
+first asked, and `lattice.construction_a` reads the same reduced basis.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class ZkCode:
     row_orders: tuple[int, ...] = field(init=False)
     cardinality: int = field(init=False)
     _lift: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _reduced: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -74,6 +76,14 @@ class ZkCode:
     def lift_basis(self) -> list[list[int]]:
         """HNF basis of the lift C + k Z^n (the rows of A_k(C) times sqrt(k))."""
         return [list(r) for r in self._lift]
+
+    def reduced_lift(self) -> np.ndarray:
+        """The lift's basis after `block_reduce`, computed on the first call (read-only)."""
+        if self._reduced is None:
+            b = block_reduce(np.array(self._lift, dtype=np.int64))
+            b.flags.writeable = False
+            object.__setattr__(self, "_reduced", b)
+        return self._reduced
 
     def matrix(self) -> np.ndarray:
         return np.array(self.generators, dtype=np.int64)
@@ -166,14 +176,13 @@ def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int
     The coset c + k Z^n of a codeword c has shortest squared length
     euclidean_weight(c), so d_E is the shortest vector of the lift
     C + k Z^n whose entries are not all divisible by k.  One shrinking
-    walk (`shortest_norm`) on the block-reduced lift finds it; `budget`
-    is its node budget.
+    walk (`shortest_norm`) on the block-reduced lift (`reduced_lift`)
+    finds it; `budget` is its node budget.
     """
     if code.cardinality == 1:
         raise PreconditionViolation("the zero code has no nonzero codeword, so no d_E")
     k = code.k
-    basis = block_reduce(np.array(code.lift_basis(), dtype=np.int64))
-    return shortest_norm(basis, budget, keep=lambda v: (v % k).any(axis=1))
+    return shortest_norm(code.reduced_lift(), budget, keep=lambda v: (v % k).any(axis=1))
 
 
 def min_euclidean_weight_naive(code: ZkCode, cap: int = 10**6) -> int:

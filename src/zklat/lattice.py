@@ -65,6 +65,7 @@ class Lattice:
         # catalog.build hands one cached Lattice to every caller
         self.basis.flags.writeable = False
         self._reduced = None
+        self._code = None  # set by construction_a: the code that holds the reduction
         self._hnf = None
 
     @property
@@ -92,8 +93,9 @@ class Lattice:
         return self.is_integral() and not np.any(self.gram_true().diagonal() % 2)
 
     def reduced_basis(self) -> np.ndarray:
+        """The block-reduced basis, computed on the first call (read-only)."""
         if self._reduced is None:
-            b = block_reduce(self.basis)
+            b = block_reduce(self.basis) if self._code is None else self._code.reduced_lift()
             b.flags.writeable = False
             self._reduced = b
         return self._reduced
@@ -177,10 +179,15 @@ def _rescale_vector(coords, from_scale: int, to_scale: int):
 
 
 def construction_a(code: ZkCode) -> Lattice:
-    """A_k(C): lift of the code plus k Z^n, scale k."""
+    """A_k(C): lift of the code plus k Z^n, scale k.
+
+    Its reduced basis is the code's own `reduced_lift`, so a code and its
+    lattice share one reduction, made only if either asks for it.
+    """
     if not is_self_dual(code):
         raise NotSelfDual("Construction A requires a self-dual code")
     lat = Lattice(np.array(code.lift_basis(), dtype=np.int64), code.k)
+    lat._code = code
     if not lat.is_unimodular():
         raise NotSelfDual("Construction A output failed the unimodularity check")
     return lat

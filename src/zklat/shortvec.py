@@ -24,7 +24,13 @@ raises PreconditionViolation otherwise, so no vector of the ball is
 ever pruned.  The walk reads its limit from a one-element array that
 `shortest_norm` lowers between blocks, keeping the slack of the starting
 bound.  A smaller ball has a smaller coefficient bound c, so the check
-made at the start still covers every lowered bound.
+made at the start still covers every lowered bound.  Bounds lie in
+[0, 2^62), so every norm the walk's consumers form fits in int64.
+
+`block_reduce` prepares the bases the walks run on: float LLL that
+keeps one Gram-Schmidt factor current in place (`_lll_core`), then BKZ
+tours whose blocks are searched with the same walk.  It only changes
+the basis by unimodular steps, so it never changes a verdict.
 """
 
 from __future__ import annotations
@@ -32,13 +38,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolation
-from .intmat import solve_fraction
+from .intmat import hnf, solve_fraction
 
 CHUNK = 1024  # frontier rows created per numpy step
 DEFAULT_NODE_BUDGET = 2_000_000_000
 SLACK_MARGIN = 1e-3  # float error allowed, as a share of the pruning slack
+BOUND_CAP = 2**62  # every norm bound lies in [0, BOUND_CAP)
+RANK_PRIME = 2**31 - 1
 
 LLL_DELTA = 0.999
+RECOMPUTE_ABOVE = 2**20  # a larger size-reduction coefficient refactors R
 BKZ_BLOCK = 20
 BKZ_TOURS = 4
 
@@ -47,8 +56,12 @@ def _factor(basis: np.ndarray, bound: int):
     """Upper-triangular float R with R^T R = Gram, and the pruning limit.
 
     The limit, bound + slack, comes as a one-element array: the walk reads
-    it afresh at every step, so its consumer may lower it.
+    it afresh at every step, so its consumer may lower it.  A bound in
+    [0, 2^62) keeps every emitted vector's norm, and so every square and
+    partial sum `_norms` forms, inside int64.
     """
+    if not 0 <= bound < BOUND_CAP:
+        raise PreconditionViolation(f"norm bound {bound} is outside [0, 2^62)")
     gram = (basis @ basis.T).astype(np.float64)
     try:
         R = np.ascontiguousarray(np.linalg.cholesky(gram).T)
@@ -143,25 +156,48 @@ def _gso(rows):
     return R * np.where(R.diagonal() < 0, -1.0, 1.0)[:, None]
 
 
-def _lll_core(b):
-    """In-place LLL on an int64 row basis, reading mu and |b*|^2 from _gso."""
+def _lll_core(b, start=1):
+    """In-place LLL on a full-rank int64 row basis whose rows b[:start] are reduced.
+
+    One R from _gso(b) is kept current through the run (Schnorr and
+    Euchner, Math. Programming 66, 1994), not refactored at each step.
+    Size-reducing b_k by q b_j subtracts q times column j of R from
+    column k, and leaves b*_k alone.  Swapping b_{k-1} and b_k swaps
+    columns k-1 and k of R; one 2x2 reflection of rows k-1 and k then
+    restores the triangle and its positive diagonal.  A coefficient q
+    above RECOMPUTE_ABOVE cancels many leading bits of column k, so R is
+    then refactored from b and row k size-reduced again.
+    """
     n = b.shape[0]
-    k = 1
+    R = _gso(b)
+    k = max(start, 1)
     while k < n:
-        R = _gso(b[: k + 1])
-        diag = R.diagonal()
-        mu = R[:, k] / diag  # mu[j] = mu_kj for j < k
-        for j in range(k - 1, -1, -1):
-            if abs(mu[j]) > 0.5:
-                q = int(round(mu[j]))
-                b[k] -= q * b[j]
-                mu[: j + 1] -= q * R[: j + 1, j] / diag[: j + 1]
-        # size reduction leaves b*_k, so R_kk, unchanged
-        if diag[k] ** 2 >= (LLL_DELTA - mu[k - 1] ** 2) * diag[k - 1] ** 2:
+        while True:
+            big = False
+            for j in range(k - 1, -1, -1):
+                mu = R[j, k] / R[j, j]
+                if abs(mu) > 0.5:
+                    q = round(mu)
+                    b[k] -= q * b[j]
+                    R[: j + 1, k] -= q * R[: j + 1, j]
+                    big = big or abs(q) > RECOMPUTE_ABOVE
+            if not big:
+                break
+            R = _gso(b)
+        a, c = R[k - 1, k - 1], R[k, k]
+        mu = R[k - 1, k] / a
+        if c * c >= (LLL_DELTA - mu * mu) * a * a:
             k += 1
-        else:
-            b[[k - 1, k]] = b[[k, k - 1]]
-            k = max(k - 1, 1)
+            continue
+        b[[k - 1, k]] = b[[k, k - 1]]
+        R[: k + 1, [k - 1, k]] = R[: k + 1, [k, k - 1]]
+        # column k-1 is now b_k's, with the entry c below the diagonal
+        a = R[k - 1, k - 1]
+        r = np.hypot(a, c)
+        rows = R[k - 1 : k + 1, k - 1 :]
+        rows[:] = np.array([[a, c], [c, -a]]) / r @ rows
+        rows[1, 0] = 0.0
+        k = max(k - 1, 1)
     return b
 
 
@@ -203,28 +239,65 @@ def _shortest(R, bound):
     return bestx
 
 
+def _full_rank(b) -> bool:
+    """Exactly: are the rows of the integer matrix b linearly independent?
+
+    Gaussian elimination mod the prime RANK_PRIME finds a pivot in every
+    row when they are independent mod p, which proves it over Q.  Else
+    p may divide every maximal minor by chance, and the row count of the
+    exact HNF decides.
+    """
+    a = np.mod(b, RANK_PRIME)
+    r = 0
+    for c in range(a.shape[1]):
+        if r == a.shape[0]:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        # residues stay below 2^31, so every product fits in int64
+        a[r] = a[r] * pow(int(a[r, c]), -1, RANK_PRIME) % RANK_PRIME
+        a[r + 1 :] = (a[r + 1 :] - np.outer(a[r + 1 :, c], a[r]) % RANK_PRIME) % RANK_PRIME
+        r += 1
+    return r == a.shape[0] or len(hnf(b.tolist())) == b.shape[0]
+
+
 def block_reduce(basis: np.ndarray) -> np.ndarray:
     """Float LLL followed by BKZ tours (heuristic preprocessing).
 
-    Accepts any integer basis, reduced or not.  Every transformation
+    Accepts any integer basis of independent rows, reduced or not, and
+    raises PreconditionViolation on dependent ones.  Every transformation
     applied is unimodular, so the output spans the same lattice; quality
-    only affects downstream enumeration speed, never correctness.
+    only affects downstream enumeration speed, never correctness.  A
+    tour skips each block already shown to hold no shorter vector while
+    the rows it reads are unchanged, since its search would find nothing
+    again.
     """
     b = np.array(basis, dtype=np.int64)
+    if not _full_rank(b):
+        raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
     n = b.shape[0]
     _lll_core(b)
+    ends = np.minimum(np.arange(n - 1) + BKZ_BLOCK, n)
+    # proved[i]: block i held no shorter vector, and b[:ends[i]] is unchanged since
+    proved = np.zeros(n - 1, dtype=bool)
     for _ in range(BKZ_TOURS):
-        changed = False
         for i in range(n - 1):
-            j = min(i + BKZ_BLOCK, n)
+            if proved[i]:
+                continue
+            j = ends[i]
             rsub = np.ascontiguousarray(_gso(b[:j])[i:j, i:j])
             x = _shortest(rsub, 0.9999 * rsub[0, 0] ** 2)
-            if x is not None:
-                u = _complete_unimodular(x)
-                b[i:j] = u @ b[i:j]
-                _lll_core(b)
-                changed = True
-        if not changed:
+            if x is None:
+                proved[i] = True
+                continue
+            before = b.copy()
+            b[i:j] = _complete_unimodular(x) @ b[i:j]
+            _lll_core(b, max(i, 1))  # rows b[:i] are untouched and reduced
+            moved = np.flatnonzero((b != before).any(axis=1))
+            proved[ends > moved.min(initial=n)] = False
+        if proved.all():
             break
     return b
 
@@ -259,10 +332,12 @@ def enumerate_ball(
     hist = np.zeros(bound + 1, dtype=np.int64)
     found = []
     for xs in _fincke_pohst(R, t, limit, budget):
+        # int64 wraparound is exact mod 2^64, so v is exact: each of its
+        # entries is below 2^32, since its norm is about bound or less
         v = xs @ basis + sv
         q = _norms(v)
         inside = q <= bound
-        hist += np.bincount(q[inside], minlength=bound + 1)
+        np.add.at(hist, q[inside], 1)
         if collect:
             found.append(np.column_stack([v[inside], q[inside]]))
     if not np.any(t):  # the walk held one vector of each +-pair
@@ -292,7 +367,7 @@ def shortest_norm(
     best = int(_norms(basis)[keep(basis)].min())
     R, limit = _factor(basis, best - 1)
     for xs in _fincke_pohst(R, np.zeros(basis.shape[0]), limit, budget):
-        v = xs @ basis
+        v = xs @ basis  # exact, as in enumerate_ball
         q = _norms(v)
         short = q < best  # keep runs only on the few rows that could improve
         low = int(q[short][keep(v[short])].min(initial=best))

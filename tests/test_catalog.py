@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import zklat.codes
 import zklat.lattice
+import zklat.shortvec
 from zklat import catalog
 from zklat.codes import ZkCode, is_self_dual, min_euclidean_weight
 from zklat.errors import SkewViolation, UnknownId
@@ -110,7 +112,8 @@ def test_quadruple_certificate_needs_no_reduction(monkeypatch):
     # uncached builds, so no reduced basis is left over from other tests
     monkeypatch.setattr(catalog, "build", catalog.build.__wrapped__)
     monkeypatch.setattr(catalog, "min_norm", forbidden)
-    monkeypatch.setattr(zklat.lattice, "block_reduce", forbidden)
+    for module in (zklat.shortvec, zklat.lattice, zklat.codes):
+        monkeypatch.setattr(module, "block_reduce", forbidden)
     v = catalog.frame_report("D12_plus", 21)
     assert v.status == "yes" and v.chain[0].startswith("quadruple")
     assert v.frame.norm_k == 21

@@ -189,3 +189,17 @@ def test_lattice_file_with_a_missing_row_is_an_error(tmp_path, capsys):
     assert main(["lattice", str(p)]) == EXIT_REFUTED
     captured = capsys.readouterr()
     assert "error:" in captured.err and "unimodular" not in captured.out
+
+
+def test_negative_theta_bound_is_an_error_line(capsys):
+    assert main(["theta", "D12_plus", "--max-norm", "-1"]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "[0, 2^62)" in captured.err
+
+
+def test_singular_lattice_file_is_an_error_line(tmp_path, capsys):
+    p = tmp_path / "lat.txt"
+    p.write_text("lattice 2 1\n1 2\n2 4\n")
+    for argv in (["minnorm", str(p)], ["theta", str(p), "--max-norm", "2"]):
+        assert main(argv) == EXIT_REFUTED
+        assert "linearly dependent" in capsys.readouterr().err

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zklat.codes
+import zklat.lattice
+import zklat.shortvec
+from zklat import catalog
 from zklat.codes import (
     ZkCode,
     build_bordered_circulant,
@@ -16,7 +19,7 @@ from zklat.codes import (
     negacirculant,
 )
 from zklat.errors import BudgetExceeded, PreconditionViolation
-from zklat.lattice import construction_a
+from zklat.lattice import construction_a, min_norm
 
 
 def test_euclidean_weight_basics():
@@ -207,3 +210,22 @@ def test_weights_divisible_by_k_for_selfdual():
         coeffs = rng.integers(0, 5, size=gens.shape[0])
         word = (coeffs @ gens) % 5
         assert euclidean_weight(word, 5) % 5 == 0
+
+
+def test_a_code_and_its_lattice_share_one_reduction(monkeypatch):
+    calls = []
+    reduce = zklat.shortvec.block_reduce
+
+    def counted(basis):
+        calls.append(1)
+        return reduce(basis)
+
+    for module in (zklat.shortvec, zklat.lattice, zklat.codes):
+        monkeypatch.setattr(module, "block_reduce", counted)
+    # built afresh, so no reduced lift is left over from other tests
+    code = catalog.build.__wrapped__("C_13_12")
+    assert min_norm(construction_a(code)) == 2
+    assert min_euclidean_weight(code) == 26
+    assert len(calls) == 1
+    assert construction_a(code).reduced_basis() is code.reduced_lift()
+    assert len(calls) == 1

@@ -263,3 +263,12 @@ def test_contains_rank_deficient_basis():
         u = v + full[-1]  # in the full lattice, outside lat
         assert _solve_member(full, u) and not reference(u)
         assert not lat.contains(u)
+
+
+def test_a_rank_deficient_basis_has_no_reduced_basis():
+    b = np.array([[2, 1, 0], [0, 1, 1], [2, 2, 1]])  # row 2 = row 0 + row 1
+    lat = Lattice(b, 1)  # accepted: contains works on it
+    assert lat.contains([2, 2, 1]) and not lat.contains([1, 0, 0])
+    for verdict in (lambda: min_norm(lat), lambda: theta_prefix(lat, 2)):
+        with pytest.raises(PreconditionViolation, match="linearly dependent"):
+            verdict()

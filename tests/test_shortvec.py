@@ -6,13 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import zklat.shortvec
 from zklat import catalog
 from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
 from zklat.shortvec import (
     CHUNK,
+    RANK_PRIME,
+    RECOMPUTE_ABOVE,
     _factor,
     _fincke_pohst,
+    _full_rank,
     _lll_core,
     block_reduce,
     enumerate_ball,
@@ -242,9 +246,97 @@ def test_lll_core_output_is_lll_reduced_random(seed):
     assert_lll_reduced(red)
 
 
-@pytest.mark.parametrize("lid", ["D12_plus", "D8_2", "D4_5", "A5_4", "D20", "R28_32", "R28_15"])
+@pytest.mark.parametrize("lid", catalog.catalog_list("lattice"))
 def test_lll_core_output_is_lll_reduced_catalog(lid):
     assert_lll_reduced(_lll_core(np.array(catalog.build(lid).basis)))
+
+
+@pytest.mark.parametrize("lid", [
+    # the dimension 44 and 48 rows take over 1 s each
+    pytest.param(lid, marks=pytest.mark.slow) if lid in ("L44", "L48") else lid
+    for lid in catalog.catalog_list("lattice")
+])
+def test_block_reduce_output_is_lll_reduced_catalog(lid):
+    assert_lll_reduced(block_reduce(catalog.build(lid).basis))
+
+
+def scrambled_basis(rng, n, top=2**20):
+    """A random small basis pushed through row operations until an entry nears top."""
+    b = random_basis(rng, n)
+    while True:
+        i, j = rng.choice(n, 2, replace=False)
+        row = b[i] + int(rng.integers(1, 4)) * b[j]
+        if np.abs(row).max() > top:
+            return b
+        b[i] = row
+
+
+@pytest.mark.parametrize("n", [12, 20, 30])
+def test_reduction_of_large_entry_bases_is_lll_reduced(n):
+    # thousands of swaps and size reductions update one R, so drift shows here
+    basis = scrambled_basis(np.random.default_rng(500 + n), n)
+    assert 2**19 < np.abs(basis).max() <= 2**20
+    want = hnf(basis.tolist())
+    for red in (_lll_core(basis.copy()), block_reduce(basis)):
+        assert hnf(red.tolist()) == want
+        assert_lll_reduced(red)
+
+
+def test_a_huge_size_reduction_refactors_r(monkeypatch):
+    # the last row reduces against e_0 .. e_3 with coefficients beyond 2^20
+    basis = np.eye(5, dtype=np.int64)
+    basis[4, :4] = [3 * 2**30 + 1, -(2**29) - 7, 2**21 + 5, 12]
+    assert np.abs(basis).max() > RECOMPUTE_ABOVE
+    calls = []
+    gso = zklat.shortvec._gso
+
+    def counted(rows):
+        calls.append(1)
+        return gso(rows)
+
+    monkeypatch.setattr(zklat.shortvec, "_gso", counted)
+    red = _lll_core(basis.copy())
+    assert len(calls) == 2  # the one R per call, and its refactoring
+    assert np.abs(red).sum() == 5  # five independent rows: +-unit vectors
+    assert_lll_reduced(red)
+
+
+def test_dependent_rows_are_rejected_before_reduction():
+    with pytest.raises(PreconditionViolation, match="linearly dependent"):
+        block_reduce(np.array([[1, 2], [2, 4]]))
+    with pytest.raises(PreconditionViolation, match="linearly dependent"):
+        block_reduce(np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
+
+def test_rank_check_is_exact():
+    # singular mod RANK_PRIME, so the exact HNF decides
+    assert _full_rank(np.array([[RANK_PRIME, 0], [0, 1]]))
+    assert _full_rank(np.array([[1, 1], [1, 1 + RANK_PRIME]]))
+    assert not _full_rank(np.array([[2, 4], [3, 6]]))
+    # nonsingular however close to parallel: the float-check test's basis
+    assert _full_rank(np.array([[3, 1], [3 * 10**8 + 1, 10**8]]))
+
+
+@pytest.mark.parametrize("bound", [-1, 2**62, 2**70])
+def test_bounds_outside_the_int64_range_are_rejected(bound):
+    with pytest.raises(PreconditionViolation, match=r"outside \[0, 2\^62\)"):
+        enumerate_ball(np.eye(2, dtype=np.int64), bound)
+    with pytest.raises(PreconditionViolation, match=r"outside \[0, 2\^62\)"):
+        _factor(np.eye(2, dtype=np.int64), bound)
+
+
+def test_histogram_is_the_only_dense_array():
+    # 761 vectors of Z^4 * 251 up to norm 12 * 251^2: a 5.8 MB histogram
+    basis = 251 * np.eye(4, dtype=np.int64)
+    bound = 12 * 251**2
+    tracemalloc.start()
+    try:
+        hist, _ = enumerate_ball(basis, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.sum() == 761
+    assert peak <= 1.2 * hist.nbytes
 
 
 def test_float_check_passes_on_every_catalog_lattice():
