@@ -26,7 +26,13 @@ from .errors import (
     PreconditionViolation,
 )
 from .intmat import det, hnf, solve_rows
-from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, enumerate_ball, shortest_norm
+from .shortvec import (
+    DEFAULT_NODE_BUDGET,
+    block_reduce,
+    check_bound,
+    enumerate_ball,
+    shortest_norm,
+)
 
 
 ROW_NORM_CAP = 2**62  # every basis or frame row's scaled norm stays below this
@@ -220,7 +226,8 @@ def _theta(lattice: Lattice, shift, max_norm, budget: int) -> ThetaPrefix:
     bound = Fraction(max_norm) * lattice.scale
     if bound.denominator != 1:
         raise PreconditionViolation("max_norm * scale must be an integer")
-    hist, _ = enumerate_ball(lattice.reduced_basis(), int(bound), shift=shift, budget=budget)
+    bound = check_bound(int(bound))  # before paying for the reduction
+    hist, _ = enumerate_ball(lattice.reduced_basis(), bound, shift=shift, budget=budget)
     counts = {Fraction(q, lattice.scale): int(c) for q, c in enumerate(hist) if c}
     return ThetaPrefix(counts, Fraction(max_norm))
 
@@ -377,7 +384,7 @@ def norm_shell(
     whose first nonzero coordinate is positive.  Every norm-k vector of
     the lattice is one of these rows or its negative.
     """
-    bound = k * lattice.scale
+    bound = check_bound(k * lattice.scale)  # before paying for the reduction
     _, vecs = enumerate_ball(lattice.reduced_basis(), bound, collect=True, budget=budget)
     # one row per +-pair comes back; flip it to the representative
     shell = vecs[vecs[:, -1] == bound][:, :-1]

@@ -5,7 +5,9 @@ Fincke-Pohst tree one level at a time as numpy arrays and walks it depth
 first over frontier chunks of at most `CHUNK` rows, the scheme of
 parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo et al.,
 CHES 2011), so memory stays bounded at every dimension while the tree
-order stays that of Fincke-Pohst.  Every emitted vector's norm is then
+order stays that of Fincke-Pohst.  It yields every block of nodes it
+creates with its level and prunes each level at its own limit; the
+vectors are the nodes at level 0.  Every emitted vector's norm is then
 recomputed in integer arithmetic, so the reported counts and norms are
 exact.  `enumerate_ball` counts a ball; `shortest_norm` is the one exact
 shortest-vector search, a single walk whose bound shrinks each time a
@@ -21,16 +23,21 @@ Every partial norm of such a vector, taken with G + E, is at most its
 full norm, bound + err c^2.  The check demands err c^2 <= slack / 1000
 (the rounding of the partial sums themselves is far smaller still) and
 raises PreconditionViolation otherwise, so no vector of the ball is
-ever pruned.  The walk reads its limit from a one-element array that
-`shortest_norm` lowers between blocks, keeping the slack of the starting
-bound.  A smaller ball has a smaller coefficient bound c, so the check
-made at the start still covers every lowered bound.  Bounds lie in
+ever pruned.  The walk reads its limits from an array that
+`shortest_norm` lowers as a whole between blocks, keeping the slack of
+the starting bound.  A smaller ball has a smaller coefficient bound c,
+so the check made at the start still covers every lowered bound.  Bounds lie in
 [0, 2^62), so every norm the walk's consumers form fits in int64.
 
 `block_reduce` prepares the bases the walks run on: float LLL that
 keeps one Gram-Schmidt factor current in place (`_lll_core`), then BKZ
-tours whose blocks are searched with the same walk.  It only changes
-the basis by unimodular steps, so it never changes a verdict.
+tours whose blocks are searched with the same walk.  The blocks that
+end at the last row (all of them up to dimension BKZ_BLOCK) nest, each
+block's tree the top of the one before, so one walk with a limit per
+level finds the first of them that holds a shorter vector
+(`_first_shorter_block`), and only that block is walked again for its
+vector.  It only changes the basis by unimodular steps, so it never
+changes a verdict.
 """
 
 from __future__ import annotations
@@ -52,16 +59,25 @@ BKZ_BLOCK = 20
 BKZ_TOURS = 4
 
 
-def _factor(basis: np.ndarray, bound: int):
-    """Upper-triangular float R with R^T R = Gram, and the pruning limit.
+def check_bound(bound: int) -> int:
+    """The norm bound itself, once it is known to lie in [0, 2^62).
 
-    The limit, bound + slack, comes as a one-element array: the walk reads
-    it afresh at every step, so its consumer may lower it.  A bound in
-    [0, 2^62) keeps every emitted vector's norm, and so every square and
-    partial sum `_norms` forms, inside int64.
+    Callers check it before any costly step, such as reducing the basis.
     """
     if not 0 <= bound < BOUND_CAP:
         raise PreconditionViolation(f"norm bound {bound} is outside [0, 2^62)")
+    return bound
+
+
+def _factor(basis: np.ndarray, bound: int):
+    """Upper-triangular float R with R^T R = Gram, and the pruning limits.
+
+    The limits, bound + slack at every level, come as an array: the walk
+    reads them afresh at every step, so its consumer may lower them.  A
+    bound in [0, 2^62) keeps every emitted vector's norm, and so every
+    square and partial sum `_norms` forms, inside int64.
+    """
+    check_bound(bound)
     gram = (basis @ basis.T).astype(np.float64)
     try:
         R = np.ascontiguousarray(np.linalg.cholesky(gram).T)
@@ -76,21 +92,24 @@ def _factor(basis: np.ndarray, bound: int):
             f"float pruning error bound {err * coef**2:.3g} (Cholesky residual "
             f"{err:.3g}) is not far below the slack {slack:.3g}"
         )
-    return R, np.array([bound + slack])
+    return R, np.full(basis.shape[0], bound + slack)
 
 
 def _fincke_pohst(R, t, limit, budget):
-    """Blocks of integer rows x with float |(x + t) R^T|^2 <= limit[0].
+    """Every block of tree nodes, as (level, rows x[level:], partial norms).
 
-    Each step takes the deepest pending block, expands its leading rows
-    whose children number at most CHUNK (at least one row) to the next
-    level and leaves the rest on the stack, so the walk is depth first
-    and holds at most one block of about CHUNK rows per level.  When t
-    is zero the tree is symmetric under x -> -x and only the zero row
-    and, of each +-pair, the row whose last nonzero entry is positive
-    are walked.  The consumer may lower limit[0] between blocks; pending
-    nodes are then pruned against the lowered limit.  Raises
-    BudgetExceeded once more than `budget` tree nodes were expanded.
+    A node at level i is a suffix x[i:] of integer rows with float partial
+    norm |((x + t) R^T)[i:]|^2 <= limit[i]; the nodes at level 0 are the
+    rows x with |(x + t) R^T|^2 <= limit[0].  Each step takes the deepest
+    pending block, expands its leading rows whose children number at
+    most CHUNK (at least one row) to the next level and leaves the rest
+    on the stack, so the walk is depth first and holds at most one block
+    of about CHUNK rows per level.  When t is zero the tree is symmetric
+    under x -> -x and only the zero row and, of each +-pair, the row
+    whose last nonzero entry is positive are walked.  The consumer may
+    lower any limit between blocks; pending nodes are then pruned against
+    the lowered limits.  Raises BudgetExceeded once more than `budget`
+    tree nodes were expanded.
     """
     n = R.shape[0]
     diag = R.diagonal()
@@ -102,9 +121,9 @@ def _fincke_pohst(R, t, limit, budget):
     stack = [(n, np.zeros((1, 0), dtype=np.int64), np.zeros(1))]
     while stack:
         level, rows, parts = stack.pop()
-        lim = limit[0]
-        xs, part = rows[:CHUNK], parts[:CHUNK]
         i = level - 1
+        lim = limit[i]
+        xs, part = rows[:CHUNK], parts[:CHUNK]
         c = xs @ R[i, level:] + toff[i]
         rad = np.sqrt(np.maximum(lim - part, 0.0))
         lo = np.ceil((-rad - c) / diag[i] - t[i])
@@ -135,9 +154,8 @@ def _fincke_pohst(R, t, limit, budget):
         child = np.empty((x.size, n - i), dtype=np.int64)
         child[:, 0] = x
         child[:, 1:] = xs[parent]
-        if i == 0:
-            yield child
-        else:
+        yield i, child, newpart
+        if i:
             stack.append((i, child, newpart))
 
 
@@ -229,14 +247,50 @@ def _shortest(R, bound):
 
     Heuristic only (basis preprocessing), so float norms are fine here.
     """
+    n = R.shape[0]
     best, bestx = bound, None
-    for xs in _fincke_pohst(R, np.zeros(R.shape[0]), np.array([bound]), np.inf):
+    for level, xs, _ in _fincke_pohst(R, np.zeros(n), np.full(n, bound), np.inf):
+        if level:
+            continue
         q = _norms(xs @ R.T)
         q[~xs.any(axis=1)] = np.inf
         j = int(np.argmin(q))
         if q[j] < best:
             best, bestx = q[j], xs[j]
     return bestx
+
+
+def _first_shorter_block(R, live):
+    """The first live block l where `_shortest(R[l:, l:], B_l)` finds a row, else None.
+
+    B_l = 0.9999 R_ll^2 is block l's bound in `block_reduce`; `live` has
+    one entry per block, R.shape[0] - 1 of them (the last row is none).
+    Block l's tree is the top of block 0's: its nodes are block 0's nodes
+    at levels >= l, and its leaves are those at level l whose partial
+    norm is within B_l.  So one walk that prunes level l at
+    max(B_j : j <= l, live[j]) holds every live block's tree, and at
+    level l it applies `_shortest`'s norm test to the nonzero rows within
+    B_l.  Once block h is known to hold a shorter row, only blocks before
+    h count, so levels >= h drop to the limit of level h - 1.
+    """
+    m = R.shape[0]
+    bounds = np.full(m, -np.inf)
+    bounds[:-1][live] = 0.9999 * R.diagonal()[:-1][live] ** 2
+    limit = np.maximum.accumulate(bounds)
+    first = None
+    for level, xs, parts in _fincke_pohst(R, np.zeros(m), limit, np.inf):
+        if first is not None and level >= first:
+            continue
+        inside = (parts <= bounds[level]) & xs.any(axis=1)
+        if not inside.any():
+            continue
+        rsub = np.ascontiguousarray(R[level:, level:])
+        if (_norms(xs[inside] @ rsub.T) < bounds[level]).any():
+            first = level
+            if not live[:level].any():
+                return first
+            limit[level:] = limit[level - 1]
+    return first
 
 
 def _full_rank(b) -> bool:
@@ -272,7 +326,9 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     only affects downstream enumeration speed, never correctness.  A
     tour skips each block already shown to hold no shorter vector while
     the rows it reads are unchanged, since its search would find nothing
-    again.
+    again.  The blocks that end at the last row share one walk
+    (`_first_shorter_block`); only the first of them that holds a
+    shorter vector is walked again, by `_shortest`, for that vector.
     """
     b = np.array(basis, dtype=np.int64)
     if not _full_rank(b):
@@ -283,20 +339,31 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     # proved[i]: block i held no shorter vector, and b[:ends[i]] is unchanged since
     proved = np.zeros(n - 1, dtype=bool)
     for _ in range(BKZ_TOURS):
-        for i in range(n - 1):
+        i = 0
+        while i < n - 1:
             if proved[i]:
+                i += 1
                 continue
             j = ends[i]
-            rsub = np.ascontiguousarray(_gso(b[:j])[i:j, i:j])
+            R = _gso(b[:j])
+            if j == n:  # every later block ends at row n too: one walk searches them all
+                h = _first_shorter_block(np.ascontiguousarray(R[i:, i:]), ~proved[i:])
+                if h is None:
+                    proved[i:] = True
+                    break
+                proved[i : i + h] = True
+                i += h
+            rsub = np.ascontiguousarray(R[i:j, i:j])
             x = _shortest(rsub, 0.9999 * rsub[0, 0] ** 2)
             if x is None:
                 proved[i] = True
-                continue
-            before = b.copy()
-            b[i:j] = _complete_unimodular(x) @ b[i:j]
-            _lll_core(b, max(i, 1))  # rows b[:i] are untouched and reduced
-            moved = np.flatnonzero((b != before).any(axis=1))
-            proved[ends > moved.min(initial=n)] = False
+            else:
+                before = b.copy()
+                b[i:j] = _complete_unimodular(x) @ b[i:j]
+                _lll_core(b, max(i, 1))  # rows b[:i] are untouched and reduced
+                moved = np.flatnonzero((b != before).any(axis=1))
+                proved[ends > moved.min(initial=n)] = False
+            i += 1
         if proved.all():
             break
     return b
@@ -331,7 +398,9 @@ def enumerate_ball(
         t = np.array([float(x) for x in center])
     hist = np.zeros(bound + 1, dtype=np.int64)
     found = []
-    for xs in _fincke_pohst(R, t, limit, budget):
+    for level, xs, _ in _fincke_pohst(R, t, limit, budget):
+        if level:
+            continue
         # int64 wraparound is exact mod 2^64, so v is exact: each of its
         # entries is below 2^32, since its norm is about bound or less
         v = xs @ basis + sv
@@ -366,11 +435,13 @@ def shortest_norm(
         keep = lambda v: v.any(axis=1)
     best = int(_norms(basis)[keep(basis)].min())
     R, limit = _factor(basis, best - 1)
-    for xs in _fincke_pohst(R, np.zeros(basis.shape[0]), limit, budget):
+    for level, xs, _ in _fincke_pohst(R, np.zeros(basis.shape[0]), limit, budget):
+        if level:
+            continue
         v = xs @ basis  # exact, as in enumerate_ball
         q = _norms(v)
         short = q < best  # keep runs only on the few rows that could improve
         low = int(q[short][keep(v[short])].min(initial=best))
-        limit[0] -= best - low  # the slack stays
+        limit -= best - low  # the slack stays
         best = low
     return best

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 
+import zklat.lattice
 from zklat import catalog, fileio
 from zklat.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, main
 from zklat.lattice import Lattice, contains_frame
@@ -195,6 +196,19 @@ def test_negative_theta_bound_is_an_error_line(capsys):
     assert main(["theta", "D12_plus", "--max-norm", "-1"]) == EXIT_REFUTED
     captured = capsys.readouterr()
     assert "error:" in captured.err and "[0, 2^62)" in captured.err
+
+
+def test_bounds_are_checked_before_the_basis_is_reduced(tmp_path, capsys, monkeypatch):
+    def no_reduction(basis):
+        raise AssertionError("block_reduce ran before the bound check")
+
+    monkeypatch.setattr(zklat.lattice, "block_reduce", no_reduction)
+    p = tmp_path / "lat.txt"  # a fresh lattice: no reduced basis cached yet
+    fileio.write_text(p, fileio.dump_lattice(catalog.build("L48")))
+    for argv in (["theta", str(p), "--max-norm", "-1"], ["frame-find", str(p), "--k", "-1"]):
+        assert main(argv) == EXIT_REFUTED
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "[0, 2^62)" in captured.err
 
 
 def test_singular_lattice_file_is_an_error_line(tmp_path, capsys):

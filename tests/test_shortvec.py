@@ -11,13 +11,19 @@ from zklat import catalog
 from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
 from zklat.shortvec import (
+    BKZ_BLOCK,
+    BKZ_TOURS,
     CHUNK,
     RANK_PRIME,
     RECOMPUTE_ABOVE,
+    _complete_unimodular,
     _factor,
     _fincke_pohst,
+    _first_shorter_block,
     _full_rank,
+    _gso,
     _lll_core,
+    _shortest,
     block_reduce,
     enumerate_ball,
     shortest_norm,
@@ -138,9 +144,11 @@ def test_walk_ends_cleanly_when_the_limit_drops_mid_walk():
     for final in (0.5, 20.5):
         R, limit = _factor(basis, 200)
         blocks = []
-        for xs in _fincke_pohst(R, np.zeros(4), limit, np.inf):
+        for level, xs, _ in _fincke_pohst(R, np.zeros(4), limit, np.inf):
+            if level:
+                continue
             blocks.append(xs @ basis)
-            limit[0] = final
+            limit[:] = final
         assert all(len(b) for b in blocks) and (len(blocks) >= 2 or final < 1)
         late = np.concatenate(blocks[1:] or [np.zeros((0, 4), dtype=np.int64)])
         assert (np.einsum("ij,ij->i", late, late) <= final).all()
@@ -343,3 +351,81 @@ def test_float_check_passes_on_every_catalog_lattice():
     for lid in catalog.catalog_list("lattice"):
         lat = catalog.build(lid)
         _factor(lat.basis, 5 * lat.scale)  # raises if the margin were thin
+
+
+def block_by_block(basis):
+    """`block_reduce` with one `_shortest` walk per BKZ block: the reference tour."""
+    b = np.array(basis, dtype=np.int64)
+    n = b.shape[0]
+    _lll_core(b)
+    ends = np.minimum(np.arange(n - 1) + BKZ_BLOCK, n)
+    proved = np.zeros(n - 1, dtype=bool)
+    for _ in range(BKZ_TOURS):
+        for i in range(n - 1):
+            if proved[i]:
+                continue
+            j = ends[i]
+            rsub = np.ascontiguousarray(_gso(b[:j])[i:j, i:j])
+            x = _shortest(rsub, 0.9999 * rsub[0, 0] ** 2)
+            if x is None:
+                proved[i] = True
+                continue
+            before = b.copy()
+            b[i:j] = _complete_unimodular(x) @ b[i:j]
+            _lll_core(b, max(i, 1))
+            moved = np.flatnonzero((b != before).any(axis=1))
+            proved[ends > moved.min(initial=n)] = False
+        if proved.all():
+            break
+    return b
+
+
+MINNORM_POOL_CODES = [
+    "C_12_3_D6", "C_13_12", "C_23_12", "C_7_16", "C_16_4_P8", "Cp_4_20", "C_5_20", "C_13_20",
+]
+
+
+@pytest.mark.parametrize("kind, name", [
+    # the dimension 44 and 48 rows take a few seconds each
+    pytest.param("lattice", lid, marks=pytest.mark.slow) if lid in ("L44", "L48")
+    else ("lattice", lid)
+    for lid in catalog.catalog_list("lattice")
+] + [("lift", cid) for cid in MINNORM_POOL_CODES] + [("scrambled", n) for n in (12, 20, 30)])
+def test_block_reduce_matches_block_by_block_tours(kind, name):
+    if kind == "lattice":
+        basis = catalog.build(name).basis
+    elif kind == "lift":
+        basis = np.array(catalog.build(name).lift_basis(), dtype=np.int64)
+    else:
+        basis = scrambled_basis(np.random.default_rng(500 + name), name)
+    assert block_reduce(basis).tobytes() == block_by_block(basis).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_first_shorter_block_is_the_first_block_shortest_finds(seed):
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.integers(2, 21))
+    R = _gso(_lll_core(random_basis(rng, n)))
+    hits = [
+        _shortest(np.ascontiguousarray(R[l:, l:]), 0.9999 * R[l, l] ** 2) is not None
+        for l in range(n - 1)
+    ]
+    for live in (np.ones(n - 1, dtype=bool), rng.random(n - 1) < 0.7):
+        want = next((l for l in range(n - 1) if live[l] and hits[l]), None)
+        assert _first_shorter_block(R, live) == want
+
+
+def test_reduced_d20_basis_takes_one_walk(monkeypatch):
+    # every block of a dimension-20 basis ends at its last row
+    basis = block_reduce(catalog.build("D20").basis)
+    calls = []
+    walk = zklat.shortvec._fincke_pohst
+
+    def counted(*args):
+        calls.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(zklat.shortvec, "_fincke_pohst", counted)
+    red = block_reduce(basis)
+    assert len(calls) == 1  # a block-by-block tour walks each of the 19 blocks
+    assert hnf(red.tolist()) == hnf(basis.tolist())
