@@ -28,6 +28,7 @@ from .errors import BudgetExceeded, MembershipViolation, UnknownId
 from .lattice import (
     Frame,
     Lattice,
+    check_frame_norm,
     construction_a,
     contains_frame,
     frame_in_shell,
@@ -461,8 +462,7 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
     a code certificate.
     """
     info = lattice_info(lattice_id)  # raises UnknownId for anything but a catalog lattice
-    if k < 1:
-        raise UnknownId("frame norm must be a positive integer")
+    check_frame_norm(k)
     model = build(lattice_id)
     n = model.dim
 

@@ -15,6 +15,7 @@ from .arith import REPRESENTATION_CASES, representation_search, scale_frame, sta
 from .codes import ZkCode, is_self_dual, min_euclidean_weight
 from .errors import BudgetExceeded, PreconditionViolation, UnknownId, ZklatError
 from .lattice import (
+    Frame,
     Lattice,
     construction_a,
     contains_frame,
@@ -38,29 +39,30 @@ NODE_BUDGET_HELP = (
 )
 
 
-def _resolve(token: str):
-    """A catalog id, or a path to one of the text formats."""
+def _resolve(token: str, *kinds: type):
+    """The catalog object or file (in a text format) a token names, of one of `kinds`."""
     try:
-        return catalog.build(token)
+        obj = catalog.build(token)
     except UnknownId:
-        pass
-    path = Path(token)
-    if not path.exists():
-        raise UnknownId(f"{token!r} is neither a catalog id nor a file")
-    try:
-        return fileio.load(path.read_text())
-    except ValueError as e:  # a token that is not an integer
-        raise PreconditionViolation(f"{token!r}: {e}") from None
+        path = Path(token)
+        if not path.exists():
+            raise UnknownId(f"{token!r} is neither a catalog id nor a file") from None
+        try:
+            obj = fileio.load(path.read_text())
+        except ValueError as e:  # a token that is not an integer
+            raise PreconditionViolation(f"{token!r}: {e}") from None
+    if not isinstance(obj, kinds):
+        want = " or ".join(t.__name__ for t in kinds)
+        raise PreconditionViolation(f"{token!r} is a {type(obj).__name__}, not a {want}")
+    return obj
 
 
-def _as_lattice(obj) -> Lattice:
-    if isinstance(obj, Lattice):
-        return obj
-    if isinstance(obj, ZkCode):
-        return construction_a(obj)
+def _as_lattice(token: str) -> Lattice:
+    """The lattice a token names, or the Construction A lattice of its code or seed."""
+    obj = _resolve(token, Lattice, ZkCode, SkewSeed)
     if isinstance(obj, SkewSeed):
-        return construction_a(build_code_from_skew(obj))
-    raise UnknownId("expected a lattice, code, or seed")
+        obj = build_code_from_skew(obj)
+    return construction_a(obj) if isinstance(obj, ZkCode) else obj
 
 
 def _write_out(args, text: str) -> None:
@@ -68,8 +70,12 @@ def _write_out(args, text: str) -> None:
         fileio.write_text(args.out, text)
 
 
-def _ints(s: str) -> list[int]:
-    return [int(x) for x in s.replace(",", " ").split()]
+def _ints(text: str, count: int, flag: str) -> list[int]:
+    """The `count` comma- or space-separated integers of an option's value."""
+    xs = text.replace(",", " ").split()
+    if len(xs) != count or not all(x.removeprefix("-").isdecimal() for x in xs):
+        raise PreconditionViolation(f"{flag} takes {count} integers, not {text!r}")
+    return [int(x) for x in xs]
 
 
 def cmd_verify(args) -> int:
@@ -89,7 +95,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dmin(args) -> int:
-    code = _resolve(args.id)
+    code = _resolve(args.id, ZkCode)
     d = min_euclidean_weight(code, budget=args.budget)
     label = bounds.classify(code.n, code.k, d)
     print(f"d_E = {d}  ({label}, bound {bounds.d_E_upper_bound(code.n, code.k).value})")
@@ -97,7 +103,7 @@ def cmd_dmin(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    lat = _as_lattice(_resolve(args.id))
+    lat = _as_lattice(args.id)
     print(f"dim {lat.dim}, scale {lat.scale}, unimodular = {lat.is_unimodular()}, "
           f"even = {lat.is_even()}")
     _write_out(args, fileio.dump_lattice(lat))
@@ -105,13 +111,13 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_minnorm(args) -> int:
-    lat = _as_lattice(_resolve(args.id))
+    lat = _as_lattice(args.id)
     print(f"min norm = {min_norm(lat, budget=args.budget)}")
     return EXIT_OK
 
 
 def cmd_theta(args) -> int:
-    lat = _as_lattice(_resolve(args.id))
+    lat = _as_lattice(args.id)
     th = theta_prefix(lat, args.max_norm, budget=args.budget)
     for q, c in th.as_pairs():
         print(q, c)
@@ -120,7 +126,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_shadow(args) -> int:
-    lat = _as_lattice(_resolve(args.id))
+    lat = _as_lattice(args.id)
     parts = even_sublattice_and_shadow(lat)
     print(f"even sublattice: dim {parts.l0.dim}, refined scale {parts.scale}")
     for name, rep in (("l1", parts.rep_l1), ("l2", parts.rep_l2), ("l3", parts.rep_l3)):
@@ -129,7 +135,7 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    lat = _as_lattice(_resolve(args.id))
+    lat = _as_lattice(args.id)
     n1, n2 = even_neighbors(lat)
     ok = True
     for i, nb in enumerate((n1, n2), 1):
@@ -142,25 +148,26 @@ def cmd_neighbors(args) -> int:
 
 
 def cmd_two_neighbor(args) -> int:
-    lat = _as_lattice(_resolve(args.id))
-    out = two_neighbor_at_vector(lat, _ints(args.x), _ints(args.y))
+    lat = _as_lattice(args.id)
+    x = _ints(args.x, lat.dim, "--x")
+    y = _ints(args.y, lat.dim, "--y")
+    out = two_neighbor_at_vector(lat, x, y)
     print(f"odd unimodular neighbor: dim {out.dim}, scale {out.scale}")
     _write_out(args, fileio.dump_lattice(out))
     return EXIT_OK
 
 
 def cmd_frame_build(args) -> int:
-    seed = _resolve(args.seed)
-    a, b, c, d = _ints(args.abcd)
-    frame = build_frame(seed, FrameQuadruple(a, b, c, d))
-    member = contains_frame(_as_lattice(seed), frame)
+    seed = _resolve(args.seed, SkewSeed)
+    frame = build_frame(seed, FrameQuadruple(*_ints(args.abcd, 4, "--abcd")))
+    member = contains_frame(construction_a(build_code_from_skew(seed)), frame)
     print(f"{frame.norm_k}-frame, all rows in the lattice = {member}")
     _write_out(args, fileio.dump_frame(frame))
     return EXIT_OK if member else EXIT_REFUTED
 
 
 def cmd_frame_find(args) -> int:
-    lat = _as_lattice(_resolve(args.id))
+    lat = _as_lattice(args.id)
     frame = find_frame(lat, args.k, budget=args.budget)
     if frame is None:
         print("none (exhaustive)")
@@ -171,7 +178,7 @@ def cmd_frame_find(args) -> int:
 
 
 def cmd_frame_scale(args) -> int:
-    frame = _resolve(args.frame)
+    frame = _resolve(args.frame, Frame)
     out = scale_frame(frame, args.m)
     print(f"{out.norm_k}-frame (scaled by {args.m})")
     _write_out(args, fileio.dump_frame(out))

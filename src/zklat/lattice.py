@@ -114,6 +114,10 @@ class Lattice:
         iff every division is exact and the residual v - x H is zero.  The
         residual also covers the non-pivot columns of a rank-deficient H.
         """
+        if len(coords) != self.dim:
+            raise PreconditionViolation(
+                f"vector of length {len(coords)} for a lattice in dimension {self.dim}"
+            )
         v = _rescale_vector(coords, self.scale if scale is None else scale, self.scale)
         if v is None:
             return False
@@ -408,6 +412,13 @@ def frame_in_shell(lattice: Lattice, shell: np.ndarray, k: int) -> Frame | None:
     return frame
 
 
+def check_frame_norm(k: int) -> None:
+    """Raise PreconditionViolation unless k is a positive norm bound (`check_bound`)."""
+    if check_bound(k) == 0:
+        raise PreconditionViolation("frame norm 0 is not a positive integer")
+
+
 def find_frame(lattice: Lattice, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Frame | None:
     """Search for a k-frame; None is exhaustive, budget overrun raises."""
+    check_frame_norm(k)
     return frame_in_shell(lattice, norm_shell(lattice, k, budget=budget), k)

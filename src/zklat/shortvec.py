@@ -31,13 +31,12 @@ so the check made at the start still covers every lowered bound.  Bounds lie in
 
 `block_reduce` prepares the bases the walks run on: float LLL that
 keeps one Gram-Schmidt factor current in place (`_lll_core`), then BKZ
-tours whose blocks are searched with the same walk.  The blocks that
-end at the last row (all of them up to dimension BKZ_BLOCK) nest, each
-block's tree the top of the one before, so one walk with a limit per
-level finds the first of them that holds a shorter vector
-(`_first_shorter_block`), and only that block is walked again for its
-vector.  It only changes the basis by unimodular steps, so it never
-changes a verdict.
+tours with one walk per block search (`_first_shorter_block`).  The
+blocks that end at the last row (all of them up to dimension BKZ_BLOCK)
+nest, each block's tree the top of the one before, so one walk with a
+limit per level finds the first of them that holds a shorter vector,
+and that vector.  It only changes the basis by unimodular steps, so it
+never changes a verdict.
 """
 
 from __future__ import annotations
@@ -242,55 +241,37 @@ def _complete_unimodular(x):
     return np.array(u, dtype=np.int64)
 
 
-def _shortest(R, bound):
-    """Shortest nonzero coefficient row of the block with factor R, else None.
-
-    Heuristic only (basis preprocessing), so float norms are fine here.
-    """
-    n = R.shape[0]
-    best, bestx = bound, None
-    for level, xs, _ in _fincke_pohst(R, np.zeros(n), np.full(n, bound), np.inf):
-        if level:
-            continue
-        q = _norms(xs @ R.T)
-        q[~xs.any(axis=1)] = np.inf
-        j = int(np.argmin(q))
-        if q[j] < best:
-            best, bestx = q[j], xs[j]
-    return bestx
-
-
 def _first_shorter_block(R, live):
-    """The first live block l where `_shortest(R[l:, l:], B_l)` finds a row, else None.
+    """(l, x) for the first live block l holding a row shorter than B_l, else None.
 
     B_l = 0.9999 R_ll^2 is block l's bound in `block_reduce`; `live` has
     one entry per block, R.shape[0] - 1 of them (the last row is none).
-    Block l's tree is the top of block 0's: its nodes are block 0's nodes
-    at levels >= l, and its leaves are those at level l whose partial
-    norm is within B_l.  So one walk that prunes level l at
-    max(B_j : j <= l, live[j]) holds every live block's tree, and at
-    level l it applies `_shortest`'s norm test to the nonzero rows within
-    B_l.  Once block h is known to hold a shorter row, only blocks before
-    h count, so levels >= h drop to the limit of level h - 1.
+    Block l's tree is the top of block 0's, so one walk that prunes level
+    l at max(B_j : j <= l, live[j]) holds every live block's tree.  It is
+    depth first, so block l's leaves come in the order of block l's own
+    walk; x is the first of them with the least float norm x R[l:, l:]^T.
+    Once block h holds a shorter row, levels above h drop to the limit of
+    level h, and block h's tree is walked to its end.
     """
     m = R.shape[0]
     bounds = np.full(m, -np.inf)
     bounds[:-1][live] = 0.9999 * R.diagonal()[:-1][live] ** 2
     limit = np.maximum.accumulate(bounds)
-    first = None
+    first, best, bestx = m, np.inf, None
     for level, xs, parts in _fincke_pohst(R, np.zeros(m), limit, np.inf):
-        if first is not None and level >= first:
+        if level > first or bounds[level] == -np.inf:
             continue
-        inside = (parts <= bounds[level]) & xs.any(axis=1)
-        if not inside.any():
+        rows = xs[(parts <= bounds[level]) & xs.any(axis=1)]
+        if not len(rows):
             continue
-        rsub = np.ascontiguousarray(R[level:, level:])
-        if (_norms(xs[inside] @ rsub.T) < bounds[level]).any():
-            first = level
-            if not live[:level].any():
-                return first
-            limit[level:] = limit[level - 1]
-    return first
+        q = _norms(rows @ np.ascontiguousarray(R[level:, level:]).T)
+        j = int(np.argmin(q))
+        if q[j] < (best if level == first else bounds[level]):
+            if level < first:
+                first = level
+                limit[level + 1 :] = limit[level]
+            best, bestx = q[j], rows[j]
+    return None if bestx is None else (first, bestx)
 
 
 def _full_rank(b) -> bool:
@@ -326,9 +307,9 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     only affects downstream enumeration speed, never correctness.  A
     tour skips each block already shown to hold no shorter vector while
     the rows it reads are unchanged, since its search would find nothing
-    again.  The blocks that end at the last row share one walk
-    (`_first_shorter_block`); only the first of them that holds a
-    shorter vector is walked again, by `_shortest`, for that vector.
+    again.  Each search is one walk (`_first_shorter_block`) over the
+    unproved blocks that end where block i ends, and it returns the
+    vector to insert.
     """
     b = np.array(basis, dtype=np.int64)
     if not _full_rank(b):
@@ -345,19 +326,15 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
                 i += 1
                 continue
             j = ends[i]
-            R = _gso(b[:j])
-            if j == n:  # every later block ends at row n too: one walk searches them all
-                h = _first_shorter_block(np.ascontiguousarray(R[i:, i:]), ~proved[i:])
-                if h is None:
-                    proved[i:] = True
-                    break
+            # blocks i..j-2 that end at row j nest in block i's tree
+            live = ~proved[i : j - 1] & (ends[i : j - 1] == j)
+            hit = _first_shorter_block(np.ascontiguousarray(_gso(b[:j])[i:j, i:j]), live)
+            if hit is None:
+                proved[i : j - 1] |= live
+            else:
+                h, x = hit
                 proved[i : i + h] = True
                 i += h
-            rsub = np.ascontiguousarray(R[i:j, i:j])
-            x = _shortest(rsub, 0.9999 * rsub[0, 0] ** 2)
-            if x is None:
-                proved[i] = True
-            else:
                 before = b.copy()
                 b[i:j] = _complete_unimodular(x) @ b[i:j]
                 _lll_core(b, max(i, 1))  # rows b[:i] are untouched and reduced

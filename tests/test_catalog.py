@@ -6,7 +6,7 @@ import zklat.lattice
 import zklat.shortvec
 from zklat import catalog
 from zklat.codes import ZkCode, is_self_dual, min_euclidean_weight
-from zklat.errors import SkewViolation, UnknownId
+from zklat.errors import PreconditionViolation, SkewViolation, UnknownId
 from zklat.intmat import hnf
 from zklat.lattice import Lattice, contains_frame
 from zklat.skew import SkewSeed
@@ -90,6 +90,13 @@ def test_frame_report_rejects_a_code_with_the_wrong_root_system(monkeypatch):
     assert not ok and "root-system" in note
     v = catalog.frame_report("D4_5", 5)
     assert not any("catalog code" in line for line in v.chain)
+
+
+def test_frame_report_rejects_a_norm_below_one():
+    with pytest.raises(PreconditionViolation, match="frame norm 0 is not a positive integer"):
+        catalog.frame_report("D8_2", 0)
+    with pytest.raises(PreconditionViolation, match=r"bound -3 is outside \[0, 2\^62\)"):
+        catalog.frame_report("D8_2", -3)
 
 
 def test_frame_report_no_below_min_norm():

@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import pytest
 
 import zklat.lattice
 from zklat import catalog, fileio
@@ -217,3 +218,22 @@ def test_singular_lattice_file_is_an_error_line(tmp_path, capsys):
     for argv in (["minnorm", str(p)], ["theta", str(p), "--max-norm", "2"]):
         assert main(argv) == EXIT_REFUTED
         assert "linearly dependent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dmin", "D8_2"], "'D8_2' is a Lattice, not a ZkCode"),
+    (["frame-build", "C_13_12", "--abcd", "1,0,0,0"], "is a ZkCode, not a SkewSeed"),
+    (["frame-scale", "D8_2", "--m", "2"], "is a Lattice, not a Frame"),
+    (["frame-build", "D6_seed", "--abcd", "1,2,3"], "--abcd takes 4 integers, not '1,2,3'"),
+    (["frame-build", "D6_seed", "--abcd", "1,2,x,3"], "--abcd takes 4 integers, not '1,2,x,3'"),
+    (["two-neighbor", "D8_2", "--x", "1 2 3", "--y", "1 0 0"], "--x takes 16 integers, not '1 2 3'"),
+    (["two-neighbor", "D8_2", "--x", " ".join(["0"] * 16), "--y", "1 0"],
+     "--y takes 16 integers, not '1 0'"),
+    (["frame-find", "D8_2", "--k", "0"], "frame norm 0 is not a positive integer"),
+    (["report", "D8_2", "--k", "0"], "frame norm 0 is not a positive integer"),
+    (["report", "D8_2", "--k", "-1"], "norm bound -1 is outside [0, 2^62)"),
+])
+def test_wrong_input_is_an_error_line(argv, message, capsys):
+    assert main(argv) == EXIT_REFUTED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

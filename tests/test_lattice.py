@@ -158,6 +158,22 @@ def test_contains_frame_and_find_frame():
     assert contains_frame(lat, frame)
 
 
+def test_find_frame_rejects_a_norm_below_one():
+    lat = Lattice(np.eye(4, dtype=np.int64), 1)
+    with pytest.raises(PreconditionViolation, match="frame norm 0 is not a positive integer"):
+        find_frame(lat, 0)
+    with pytest.raises(PreconditionViolation, match=r"bound -2 is outside \[0, 2\^62\)"):
+        find_frame(lat, -2)
+
+
+def test_contains_rejects_a_vector_of_the_wrong_length():
+    nb = even_neighbors(catalog.build("D8_2"))[0]  # even unimodular, dimension 16
+    with pytest.raises(PreconditionViolation, match="length 3 for a lattice in dimension 16"):
+        nb.contains([1, 2, 3])
+    with pytest.raises(PreconditionViolation, match="length 3 for a lattice in dimension 16"):
+        two_neighbor_at_vector(nb, [1, 2, 3], [1, 0, 0])
+
+
 def test_frame_in_shell_at_large_scale():
     # Z^4 at scale 4099^2: inner products of these rows reach ~1.5e8 > 2^24
     a, b, c, d = 1, 1, 3, 1

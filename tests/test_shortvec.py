@@ -23,7 +23,7 @@ from zklat.shortvec import (
     _full_rank,
     _gso,
     _lll_core,
-    _shortest,
+    _norms,
     block_reduce,
     enumerate_ball,
     shortest_norm,
@@ -353,6 +353,25 @@ def test_float_check_passes_on_every_catalog_lattice():
         _factor(lat.basis, 5 * lat.scale)  # raises if the margin were thin
 
 
+def _shortest(R, bound):
+    """Shortest nonzero coefficient row of the block with factor R, else None.
+
+    The reference block search: one walk of the block alone, bound B at
+    every level; of equal float norms, the first row of the walk wins.
+    """
+    n = R.shape[0]
+    best, bestx = bound, None
+    for level, xs, _ in _fincke_pohst(R, np.zeros(n), np.full(n, bound), np.inf):
+        if level:
+            continue
+        q = _norms(xs @ R.T)
+        q[~xs.any(axis=1)] = np.inf
+        j = int(np.argmin(q))
+        if q[j] < best:
+            best, bestx = q[j], xs[j]
+    return bestx
+
+
 def block_by_block(basis):
     """`block_reduce` with one `_shortest` walk per BKZ block: the reference tour."""
     b = np.array(basis, dtype=np.int64)
@@ -406,13 +425,15 @@ def test_first_shorter_block_is_the_first_block_shortest_finds(seed):
     rng = np.random.default_rng(600 + seed)
     n = int(rng.integers(2, 21))
     R = _gso(_lll_core(random_basis(rng, n)))
-    hits = [
-        _shortest(np.ascontiguousarray(R[l:, l:]), 0.9999 * R[l, l] ** 2) is not None
-        for l in range(n - 1)
-    ]
+    rows = [_shortest(np.ascontiguousarray(R[l:, l:]), 0.9999 * R[l, l] ** 2) for l in range(n - 1)]
     for live in (np.ones(n - 1, dtype=bool), rng.random(n - 1) < 0.7):
-        want = next((l for l in range(n - 1) if live[l] and hits[l]), None)
-        assert _first_shorter_block(R, live) == want
+        want = next((l for l in range(n - 1) if live[l] and rows[l] is not None), None)
+        got = _first_shorter_block(R, live)
+        if want is None:
+            assert got is None
+        else:
+            # the block's own walk would return the very same row
+            assert got[0] == want and got[1].tobytes() == rows[want].tobytes()
 
 
 def test_reduced_d20_basis_takes_one_walk(monkeypatch):
@@ -429,3 +450,24 @@ def test_reduced_d20_basis_takes_one_walk(monkeypatch):
     red = block_reduce(basis)
     assert len(calls) == 1  # a block-by-block tour walks each of the 19 blocks
     assert hnf(red.tolist()) == hnf(basis.tolist())
+
+
+def test_each_block_search_is_one_walk(monkeypatch):
+    # dimension 28: tail blocks share a walk, blocks ending earlier take one each
+    basis = catalog.build("R28_15").basis
+    counts = {"walks": 0, "searches": 0}
+    walk, search = zklat.shortvec._fincke_pohst, zklat.shortvec._first_shorter_block
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_search(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(zklat.shortvec, "_fincke_pohst", counted_walk)
+    monkeypatch.setattr(zklat.shortvec, "_first_shorter_block", counted_search)
+    block_reduce(basis)
+    # a block that holds a shorter vector is not walked again for it
+    assert counts["walks"] == counts["searches"] > 1
