@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = verified / found, 1 = refuted / not found, 2 = unknown
-(budget exhausted or no certificate either way).
+(budget exhausted or no certificate either way).  Malformed input,
+including a malformed option, is an `error:` line with exit code 1.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ NODE_BUDGET_HELP = (
     "enumeration node budget: the number of Fincke-Pohst tree nodes "
     "expanded, not loop iterations"
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's exit code for malformed input, not 2 (unknown)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_REFUTED, f"error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    """A `--budget` value: a node count, so a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _resolve(token: str, *kinds: type):
@@ -235,10 +251,25 @@ _REPRODUCE_TABLES = {
 }
 
 
+def _checked(what: str, compute, expected) -> tuple[str, int]:
+    """The row text for `what`, compute() against `expected`, and the row's exit code.
+
+    A budget overrun makes the row unknown; the table goes on.
+    """
+    try:
+        got = compute()
+    except BudgetExceeded as e:
+        return f"{what} unknown (budget exceeded: {e})", EXIT_UNKNOWN
+    ok = got == expected
+    return f"{what} {got} (expected {expected}) {'ok' if ok else 'FAIL'}", (
+        EXIT_OK if ok else EXIT_REFUTED
+    )
+
+
 def cmd_reproduce(args) -> int:
     title, what = _REPRODUCE_TABLES[args.table]
     print(f"reproducing: {title}")
-    failures = 0
+    statuses = []  # one exit code per checked row
     if what == "seeds":
         for sid in catalog.catalog_list("skew_seed"):
             catalog.build(sid)  # constructor enforces the skew identities
@@ -250,36 +281,40 @@ def cmd_reproduce(args) -> int:
             if lat.dim > 28 and not args.slow:
                 print(f"  {lid}: skipped (dim {lat.dim}; use --slow)")
                 continue
-            mn = min_norm(lat, budget=args.budget)
-            ok = mn == info.min_norm
-            failures += not ok
-            print(f"  {lid}: min norm {mn} (expected {info.min_norm}) {'ok' if ok else 'FAIL'}")
+            text, status = _checked(
+                "min norm", lambda: min_norm(lat, budget=args.budget), info.min_norm
+            )
+            statuses.append(status)
+            print(f"  {lid}: {text}")
     elif isinstance(what, int):
         for cid in catalog.catalog_list("code"):
             code = catalog.build(cid)
             if code.n != what:
                 continue
             ok = is_self_dual(code)
-            failures += not ok
+            statuses.append(EXIT_OK if ok else EXIT_REFUTED)
             line = f"  {cid}: self-dual {ok}"
             exp = catalog.catalog_get(cid).expected.get("d_E")
             if exp is not None and (code.n <= 28 or args.slow):
-                d = min_euclidean_weight(code, budget=args.budget)
-                ok2 = d == exp
-                failures += not ok2
-                line += f", d_E {d} (expected {exp}) {'ok' if ok2 else 'FAIL'}"
+                text, status = _checked(
+                    "d_E", lambda: min_euclidean_weight(code, budget=args.budget), exp
+                )
+                statuses.append(status)
+                line += f", {text}"
             print(line)
     else:
         for cid in what:
             code = catalog.build(cid)
             ok = is_self_dual(code)
-            failures += not ok
+            statuses.append(EXIT_OK if ok else EXIT_REFUTED)
             print(f"  {cid}: self-dual {ok}")
-    return EXIT_OK if failures == 0 else EXIT_REFUTED
+    if EXIT_REFUTED in statuses:
+        return EXIT_REFUTED
+    return EXIT_UNKNOWN if EXIT_UNKNOWN in statuses else EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zklat",
         description="self-dual codes over Z_k, Construction A lattices, and k-frames",
     )
@@ -290,15 +325,18 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
         return p
 
+    def budget(p):
+        p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
+
     p = add("verify", cmd_verify); p.add_argument("id")
     p = add("dmin", cmd_dmin); p.add_argument("id")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
+    budget(p)
     p = add("lattice", cmd_lattice); p.add_argument("id"); p.add_argument("--out")
     p = add("minnorm", cmd_minnorm); p.add_argument("id")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
+    budget(p)
     p = add("theta", cmd_theta); p.add_argument("id")
     p.add_argument("--max-norm", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
+    budget(p)
     p.add_argument("--out")
     p = add("shadow", cmd_shadow); p.add_argument("id")
     p = add("neighbors", cmd_neighbors); p.add_argument("id"); p.add_argument("--out")
@@ -309,7 +347,7 @@ def main(argv=None) -> int:
     p.add_argument("--abcd", required=True); p.add_argument("--out")
     p = add("frame-find", cmd_frame_find); p.add_argument("id")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
+    budget(p)
     p.add_argument("--out")
     p = add("frame-scale", cmd_frame_scale); p.add_argument("frame")
     p.add_argument("--m", type=int, required=True); p.add_argument("--out")
@@ -326,7 +364,7 @@ def main(argv=None) -> int:
     p.add_argument("--type1", action="store_true")
     p = add("reproduce", cmd_reproduce)
     p.add_argument("table", choices=sorted(_REPRODUCE_TABLES))
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=NODE_BUDGET_HELP)
+    budget(p)
     p.add_argument("--slow", action="store_true")
 
     args = parser.parse_args(argv)

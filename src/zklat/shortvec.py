@@ -30,8 +30,10 @@ so the check made at the start still covers every lowered bound.  Bounds lie in
 [0, 2^62), so every norm the walk's consumers form fits in int64.
 
 `block_reduce` prepares the bases the walks run on: float LLL that
-keeps one Gram-Schmidt factor current in place (`_lll_core`), then BKZ
-tours with one walk per block search (`_first_shorter_block`).  The
+keeps one Gram-Schmidt factor current in place (`_lll_core`, on Python
+ints and floats: per step it does too little arithmetic to repay a numpy
+call), then BKZ tours with one walk per block search
+(`_first_shorter_block`).  The
 blocks that end at the last row (all of them up to dimension BKZ_BLOCK)
 nest, each block's tree the top of the one before, so one walk with a
 limit per level finds the first of them that holds a shorter vector,
@@ -40,6 +42,8 @@ never changes a verdict.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,9 +57,10 @@ BOUND_CAP = 2**62  # every norm bound lies in [0, BOUND_CAP)
 RANK_PRIME = 2**31 - 1
 
 LLL_DELTA = 0.999
+ETA = 0.505  # size-reduce only above this |mu|: ties +-1/2 stay, drift cannot flip them
 RECOMPUTE_ABOVE = 2**20  # a larger size-reduction coefficient refactors R
 BKZ_BLOCK = 20
-BKZ_TOURS = 4
+BKZ_TOURS = 32  # a bound on run time: every catalog basis converges within 15 tours
 
 
 def check_bound(bound: int) -> int:
@@ -173,48 +178,69 @@ def _gso(rows):
     return R * np.where(R.diagonal() < 0, -1.0, 1.0)[:, None]
 
 
+def _columns(b):
+    """The columns R[:k+1, k] of R = _gso(b), as lists of Python floats."""
+    R = _gso(b)
+    return [R[: k + 1, k].tolist() for k in range(b.shape[0])]
+
+
 def _lll_core(b, start=1):
     """In-place LLL on a full-rank int64 row basis whose rows b[:start] are reduced.
 
     One R from _gso(b) is kept current through the run (Schnorr and
     Euchner, Math. Programming 66, 1994), not refactored at each step.
+    The run works on Python scalars: the rows as lists of ints, R as its
+    columns R[:k+1, k], lists of floats, and b is written back at the end.
+    A step touches a few dozen numbers, fewer than repay a numpy call.
     Size-reducing b_k by q b_j subtracts q times column j of R from
-    column k, and leaves b*_k alone.  Swapping b_{k-1} and b_k swaps
-    columns k-1 and k of R; one 2x2 reflection of rows k-1 and k then
-    restores the triangle and its positive diagonal.  A coefficient q
-    above RECOMPUTE_ABOVE cancels many leading bits of column k, so R is
-    then refactored from b and row k size-reduced again.
+    column k, and leaves b*_k alone; it is done only when |mu| > ETA, so
+    a tie mu = +-1/2 is left alone and a reduced basis stays as it is.
+    Swapping b_{k-1} and b_k swaps columns k-1 and k of R; one 2x2
+    reflection of rows k-1 and k then restores the triangle and its
+    positive diagonal.  The reflection is elementwise IEEE arithmetic, not
+    a BLAS product, so its rounding does not depend on the BLAS numpy
+    links.  A coefficient q above RECOMPUTE_ABOVE cancels many leading
+    bits of column k, so R is then refactored from b and row k
+    size-reduced again.
     """
     n = b.shape[0]
-    R = _gso(b)
+    rows = b.tolist()
+    cols = _columns(b)
     k = max(start, 1)
     while k < n:
+        ck = cols[k]
         while True:
             big = False
             for j in range(k - 1, -1, -1):
-                mu = R[j, k] / R[j, j]
-                if abs(mu) > 0.5:
+                cj = cols[j]
+                mu = ck[j] / cj[j]
+                if abs(mu) > ETA:
                     q = round(mu)
-                    b[k] -= q * b[j]
-                    R[: j + 1, k] -= q * R[: j + 1, j]
+                    rows[k] = [x - q * y for x, y in zip(rows[k], rows[j])]
+                    ck[: j + 1] = [x - q * y for x, y in zip(ck, cj)]
                     big = big or abs(q) > RECOMPUTE_ABOVE
             if not big:
                 break
-            R = _gso(b)
-        a, c = R[k - 1, k - 1], R[k, k]
-        mu = R[k - 1, k] / a
+            b[:] = rows
+            cols = _columns(b)
+            ck = cols[k]
+        a, c = cols[k - 1][k - 1], ck[k]
+        mu = ck[k - 1] / a
         if c * c >= (LLL_DELTA - mu * mu) * a * a:
             k += 1
             continue
-        b[[k - 1, k]] = b[[k, k - 1]]
-        R[: k + 1, [k - 1, k]] = R[: k + 1, [k, k - 1]]
-        # column k-1 is now b_k's, with the entry c below the diagonal
-        a = R[k - 1, k - 1]
-        r = np.hypot(a, c)
-        rows = R[k - 1 : k + 1, k - 1 :]
-        rows[:] = np.array([[a, c], [c, -a]]) / r @ rows
-        rows[1, 0] = 0.0
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        # b_k's column moves to k-1 with the entry c below the diagonal;
+        # the reflection (s, t; t, -s) of rows k-1 and k clears it
+        d = cols[k - 1][k - 1]
+        r = math.hypot(ck[k - 1], c)
+        s, t = ck[k - 1] / r, c / r
+        cols[k - 1], cols[k] = ck[: k - 1] + [r], cols[k - 1][: k - 1] + [s * d, t * d]
+        for cj in cols[k + 1 :]:
+            y, z = cj[k - 1], cj[k]
+            cj[k - 1], cj[k] = s * y + t * z, t * y - s * z
         k = max(k - 1, 1)
+    b[:] = rows
     return b
 
 
@@ -299,7 +325,7 @@ def _full_rank(b) -> bool:
 
 
 def block_reduce(basis: np.ndarray) -> np.ndarray:
-    """Float LLL followed by BKZ tours (heuristic preprocessing).
+    """Float LLL followed by BKZ tours until no block holds a shorter vector.
 
     Accepts any integer basis of independent rows, reduced or not, and
     raises PreconditionViolation on dependent ones.  Every transformation
@@ -309,7 +335,10 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     the rows it reads are unchanged, since its search would find nothing
     again.  Each search is one walk (`_first_shorter_block`) over the
     unproved blocks that end where block i ends, and it returns the
-    vector to insert.
+    vector to insert.  Tours stop once every block is proved, so the
+    output is a fixed point: reducing it again changes nothing.  At most
+    BKZ_TOURS tours run, a bound on run time, since in floats nothing
+    proves that the tours end.
     """
     b = np.array(basis, dtype=np.int64)
     if not _full_rank(b):

@@ -163,6 +163,48 @@ def test_reproduce_table3_checks_every_d_e(capsys):
     assert "FAIL" not in out
 
 
+# a budget the D12_plus proof (165 nodes) meets and D20's (385) does not
+TABLE2_BUDGET = "250"
+
+
+def test_reproduce_table2_reports_every_row_under_a_budget(capsys):
+    assert main(["reproduce", "table2", "--budget", TABLE2_BUDGET]) == EXIT_UNKNOWN
+    out = capsys.readouterr().out
+    assert "  D12_plus: min norm 2 (expected 2) ok\n" in out
+    for lid in ("D20", "R28_15"):  # rows after the first overrun are reported too
+        assert re.search(
+            rf"  {lid}: min norm unknown \(budget exceeded: enumeration nodes: \d+ used, "
+            rf"budget {TABLE2_BUDGET}\)\n", out
+        )
+    assert "  L48: skipped" in out
+
+
+def test_reproduce_table2_fails_before_it_is_unknown(capsys, monkeypatch):
+    wrong = catalog.LatticeInfo("C_12_3_D6", 3, {})
+    info = catalog.lattice_info
+    monkeypatch.setattr(catalog, "lattice_info", lambda lid: wrong if lid == "D12_plus" else info(lid))
+    assert main(["reproduce", "table2", "--budget", TABLE2_BUDGET]) == EXIT_REFUTED
+    out = capsys.readouterr().out
+    assert "  D12_plus: min norm 2 (expected 3) FAIL\n" in out and "D20: min norm unknown" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmin", "C_13_12"],
+    ["minnorm", "D8_2"],
+    ["theta", "D8_2", "--max-norm", "1"],
+    ["frame-find", "D8_2", "--k", "2"],
+    ["reproduce", "table2"],
+])
+@pytest.mark.parametrize("budget", ["-1", "x"])
+def test_budget_must_be_a_non_negative_integer(argv, budget, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--budget", budget])
+    assert info.value.code == EXIT_REFUTED  # not EXIT_UNKNOWN: nothing was searched
+    captured = capsys.readouterr()
+    assert f"error: argument --budget: '{budget}' is not a non-negative integer" in captured.err
+    assert "budget exceeded" not in captured.out
+
+
 def test_malformed_file_is_an_error(tmp_path, capsys):
     texts = [
         "",

@@ -402,22 +402,72 @@ def block_by_block(basis):
 MINNORM_POOL_CODES = [
     "C_12_3_D6", "C_13_12", "C_23_12", "C_7_16", "C_16_4_P8", "Cp_4_20", "C_5_20", "C_13_20",
 ]
-
-
-@pytest.mark.parametrize("kind, name", [
+CATALOG_BASES = [
     # the dimension 44 and 48 rows take a few seconds each
     pytest.param("lattice", lid, marks=pytest.mark.slow) if lid in ("L44", "L48")
     else ("lattice", lid)
     for lid in catalog.catalog_list("lattice")
-] + [("lift", cid) for cid in MINNORM_POOL_CODES] + [("scrambled", n) for n in (12, 20, 30)])
-def test_block_reduce_matches_block_by_block_tours(kind, name):
+] + [("lift", cid) for cid in MINNORM_POOL_CODES]
+
+
+def basis_of(kind, name):
     if kind == "lattice":
-        basis = catalog.build(name).basis
-    elif kind == "lift":
-        basis = np.array(catalog.build(name).lift_basis(), dtype=np.int64)
-    else:
-        basis = scrambled_basis(np.random.default_rng(500 + name), name)
+        return catalog.build(name).basis
+    if kind == "lift":
+        return np.array(catalog.build(name).lift_basis(), dtype=np.int64)
+    return scrambled_basis(np.random.default_rng(500 + name), name)
+
+
+@pytest.mark.parametrize("kind, name", CATALOG_BASES + [("scrambled", n) for n in (12, 20, 30)])
+def test_block_reduce_matches_block_by_block_tours(kind, name):
+    basis = basis_of(kind, name)
     assert block_reduce(basis).tobytes() == block_by_block(basis).tobytes()
+
+
+# C_19_40's lift needs 7 BKZ tours before every block is proved
+@pytest.mark.parametrize("kind, name", CATALOG_BASES + [("lift", "C_19_40")])
+def test_block_reduce_is_idempotent(kind, name):
+    # ties mu = +-1/2 are common in root lattices, and only |mu| > ETA is
+    # reduced; tours run until every block is proved
+    red = block_reduce(basis_of(kind, name))
+    assert block_reduce(red).tobytes() == red.tobytes()
+    assert _lll_core(red.copy()).tobytes() == red.tobytes()
+
+
+def assert_lll_core_contract(b, start):
+    """_lll_core(b, start) reduces b in place, as int64, and keeps its lattice."""
+    before = b.copy()
+    out = _lll_core(b, start)
+    assert out is b and b.dtype == np.int64
+    assert hnf(b.tolist()) == hnf(before.tolist())
+    assert_lll_reduced(b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lll_core_contract_random(seed):
+    rng = np.random.default_rng(700 + seed)
+    assert_lll_core_contract(random_basis(rng, int(rng.integers(2, 13)), spread=30), 1)
+    # a reduced head of `start` rows, then a tail whose projection away from
+    # the head is 1000 times a lattice: every tail vector is longer than the
+    # head's b*, so no swap reaches row start - 1 and the head stays as it is
+    start, m = (int(x) for x in rng.integers(1, 7, size=2))
+    b = np.zeros((start + m, start + m), dtype=np.int64)
+    b[:start, :start] = _lll_core(random_basis(rng, start))
+    b[start:, start:] = 1000 * random_basis(rng, m, spread=30)
+    b[start:] += rng.integers(-9, 10, size=(m, start)) @ b[:start]
+    head = b[:start].copy()
+    assert_lll_core_contract(b, start)
+    assert b[:start].tobytes() == head.tobytes()
+
+
+def test_lll_core_contract_after_a_bkz_insertion():
+    # R28_15: after LLL, block 3 of the first 20 rows holds a shorter vector
+    b = _lll_core(catalog.build("R28_15").basis.copy())
+    R = np.ascontiguousarray(_gso(b)[:BKZ_BLOCK, :BKZ_BLOCK])
+    i, x = _first_shorter_block(R, np.ones(BKZ_BLOCK - 1, dtype=bool))
+    assert i >= 1
+    b[i:BKZ_BLOCK] = _complete_unimodular(x) @ b[i:BKZ_BLOCK]
+    assert_lll_core_contract(b, i)
 
 
 @pytest.mark.parametrize("seed", range(12))
