@@ -1,9 +1,10 @@
-"""Small exact integer/rational matrix helpers.
+"""Exact integer matrix helpers: two eliminations, both on Python ints.
 
-Everything here works on plain Python ints (arbitrary precision) or
-Fractions; numpy is used only as a convenient container by callers.
-Matrix sizes in this package stay below ~100x50, so the textbook
-algorithms are plenty fast.
+`hnf`, for row spaces and rank, pivots each column on its smallest
+nonzero entry, so intermediate entries stay small (Havas, Majewski and
+Matthews, Experimental Math. 7, 1998).  `_eliminate`, for `det` and
+`solve_rows`, is fraction-free (Bareiss, Math. Comp. 22, 1968): its
+entries are minors of the input and its divisions are exact.
 """
 
 from __future__ import annotations
@@ -15,80 +16,87 @@ from math import gcd
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form (upper triangular, positive pivots).
 
-    Returns only the nonzero rows.  Input rows are not modified.
+    Entries above each pivot lie in [0, pivot).  Returns only the nonzero
+    rows; the HNF is unique, so the pivot order never shows in it.
+    Input rows are not modified.
     """
     m = [list(map(int, r)) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
     r = 0
-    for j in range(ncols):
-        # kill everything below the pivot with extended gcd steps
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
+    for j in range(len(m[0]) if m else 0):
+        nz = [i for i in range(r, len(m)) if m[i][j]]
+        if not nz:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, len(m)):
-            while m[i][j] != 0:
-                q = m[r][j] // m[i][j]
-                m[r] = [a - q * b for a, b in zip(m[r], m[i])]
-                m[r], m[i] = m[i], m[r]
+        while len(nz) > 1:
+            piv = min(nz, key=lambda i: abs(m[i][j]))
+            p, prow = m[piv][j], m[piv]
+            for i in nz:
+                if i != piv:
+                    q = m[i][j] // p
+                    m[i] = [a - q * b for a, b in zip(m[i], prow)]
+            nz = [i for i in nz if m[i][j]]
+        m[r], m[nz[0]] = m[nz[0]], m[r]
         if m[r][j] < 0:
             m[r] = [-a for a in m[r]]
+        p, prow = m[r][j], m[r]
         for i in range(r):
-            q = m[i][j] // m[r][j]
+            q = m[i][j] // p
             if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - q * b for a, b in zip(m[i], prow)]
         r += 1
-    return [row for row in m[:r] if any(row)]
+    return m[:r]
 
 
-def det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+def _eliminate(a: list[list[int]], n: int) -> int:
+    """Determinant of the first n columns of the n rows a (Bareiss, in place).
+
+    Row i then holds the eliminated matrix from column i on.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
                 return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        ak = a[k]
+        p = ak[k]
+        # index loops: at these sizes a comprehension per row costs more
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+            ai = a[i]
+            f = ai[k]
+            if f or p != prev:
+                for j in range(k + 1, len(ak)):
+                    ai[j] = (ai[j] * p - f * ak[j]) // prev
+        prev = p
+    return sign * prev
+
+
+def det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    return _eliminate([list(map(int, r)) for r in rows], len(rows))
 
 
 def solve_rows(a: list[list], rhs: list[list]) -> list[list[Fraction]] | None:
     """Solve x A = b exactly for every row b of rhs; None if A is singular.
 
-    One Gauss-Jordan elimination on A^T, carrying every right-hand side
-    along as a column.
+    One elimination on A^T with every right-hand side carried along as a
+    column, then back-substitution for d x in integers: d = det A, so
+    d x is integral (Cramer's rule).
     """
     n = len(a)
-    # transpose so we can do standard column elimination on A^T x^T = b^T
-    m = [[Fraction(a[i][j]) for i in range(n)] + [Fraction(b[j]) for b in rhs] for j in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [[m[j][n + i] for j in range(n)] for i in range(len(rhs))]
+    m = [[int(a[i][j]) for i in range(n)] + [int(b[j]) for b in rhs] for j in range(n)]
+    d = _eliminate(m, n)
+    if not d:
+        return None
+    dx = [None] * n  # dx[i][c]: d times x_i for right-hand side c
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = [d * v for v in row[n:]]
+        for f, y in zip(row[i + 1 : n], dx[i + 1 :]):
+            acc = [s - f * t for s, t in zip(acc, y)]
+        dx[i] = [s // row[i] for s in acc]
+    return [[Fraction(dx[i][c], d) for i in range(n)] for c in range(len(rhs))]
 
 
 def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:

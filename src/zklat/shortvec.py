@@ -29,16 +29,17 @@ the starting bound.  A smaller ball has a smaller coefficient bound c,
 so the check made at the start still covers every lowered bound.  Bounds lie in
 [0, 2^62), so every norm the walk's consumers form fits in int64.
 
-`block_reduce` prepares the bases the walks run on: float LLL that
+`block_reduce` prepares the bases the walks run on.  It checks the rank
+exactly, as the row count of the basis's HNF, then runs float LLL that
 keeps one Gram-Schmidt factor current in place (`_lll_core`, on Python
 ints and floats: per step it does too little arithmetic to repay a numpy
-call), then BKZ tours with one walk per block search
-(`_first_shorter_block`).  The
-blocks that end at the last row (all of them up to dimension BKZ_BLOCK)
-nest, each block's tree the top of the one before, so one walk with a
-limit per level finds the first of them that holds a shorter vector,
-and that vector.  It only changes the basis by unimodular steps, so it
-never changes a verdict.
+call; a bound on its swaps read from the input turns drift that would
+cycle into an error), then BKZ tours with one walk per block search
+(`_first_shorter_block`).  The blocks that end at the last row (all of
+them up to dimension BKZ_BLOCK) nest, each block's tree the top of the
+one before, so one walk with a limit per level finds the first of them
+that holds a shorter vector, and that vector.  It only changes the
+basis by unimodular steps, so it never changes a verdict.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ CHUNK = 1024  # frontier rows created per numpy step
 DEFAULT_NODE_BUDGET = 2_000_000_000
 SLACK_MARGIN = 1e-3  # float error allowed, as a share of the pruning slack
 BOUND_CAP = 2**62  # every norm bound lies in [0, BOUND_CAP)
-RANK_PRIME = 2**31 - 1
 
 LLL_DELTA = 0.999
 ETA = 0.505  # size-reduce only above this |mu|: ties +-1/2 stay, drift cannot flip them
@@ -202,10 +202,18 @@ def _lll_core(b, start=1):
     links.  A coefficient q above RECOMPUTE_ABOVE cancels many leading
     bits of column k, so R is then refactored from b and row k
     size-reduced again.
+
+    The Gram minors of an integer basis are integers >= 1, and a swap
+    shrinks their product D by a factor below LLL_DELTA, so a run makes
+    at most log D / log(1/LLL_DELTA) swaps, D read from the first R.  Past
+    twice that plus n, R has drifted and may cycle: PreconditionViolation.
     """
     n = b.shape[0]
     rows = b.tolist()
     cols = _columns(b)
+    log_d = sum(2 * (n - j) * math.log(cols[j][j]) for j in range(n))
+    max_swaps = int(2 * log_d / -math.log(LLL_DELTA)) + n
+    swaps = 0
     k = max(start, 1)
     while k < n:
         ck = cols[k]
@@ -229,6 +237,9 @@ def _lll_core(b, start=1):
         if c * c >= (LLL_DELTA - mu * mu) * a * a:
             k += 1
             continue
+        swaps += 1
+        if swaps > max_swaps:
+            raise PreconditionViolation(f"LLL passed its bound of {max_swaps} swaps: R has drifted")
         rows[k - 1], rows[k] = rows[k], rows[k - 1]
         # b_k's column moves to k-1 with the entry c below the diagonal;
         # the reflection (s, t; t, -s) of rows k-1 and k clears it
@@ -300,40 +311,16 @@ def _first_shorter_block(R, live):
     return None if bestx is None else (first, bestx)
 
 
-def _full_rank(b) -> bool:
-    """Exactly: are the rows of the integer matrix b linearly independent?
-
-    Gaussian elimination mod the prime RANK_PRIME finds a pivot in every
-    row when they are independent mod p, which proves it over Q.  Else
-    p may divide every maximal minor by chance, and the row count of the
-    exact HNF decides.
-    """
-    a = np.mod(b, RANK_PRIME)
-    r = 0
-    for c in range(a.shape[1]):
-        if r == a.shape[0]:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if not nz.size:
-            continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        # residues stay below 2^31, so every product fits in int64
-        a[r] = a[r] * pow(int(a[r, c]), -1, RANK_PRIME) % RANK_PRIME
-        a[r + 1 :] = (a[r + 1 :] - np.outer(a[r + 1 :, c], a[r]) % RANK_PRIME) % RANK_PRIME
-        r += 1
-    return r == a.shape[0] or len(hnf(b.tolist())) == b.shape[0]
-
-
 def block_reduce(basis: np.ndarray) -> np.ndarray:
     """Float LLL followed by BKZ tours until no block holds a shorter vector.
 
     Accepts any integer basis of independent rows, reduced or not, and
-    raises PreconditionViolation on dependent ones.  Every transformation
-    applied is unimodular, so the output spans the same lattice; quality
-    only affects downstream enumeration speed, never correctness.  A
-    tour skips each block already shown to hold no shorter vector while
-    the rows it reads are unchanged, since its search would find nothing
-    again.  Each search is one walk (`_first_shorter_block`) over the
+    raises PreconditionViolation on dependent ones: the rank is the row
+    count of the exact HNF.  Every transformation applied is unimodular,
+    so the output spans the same lattice; quality only affects
+    downstream enumeration speed, never correctness.  A tour skips each
+    block already shown to hold no shorter vector while the rows it
+    reads are unchanged, since its search would find nothing again.  Each search is one walk (`_first_shorter_block`) over the
     unproved blocks that end where block i ends, and it returns the
     vector to insert.  Tours stop once every block is proved, so the
     output is a fixed point: reducing it again changes nothing.  At most
@@ -341,7 +328,7 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     proves that the tours end.
     """
     b = np.array(basis, dtype=np.int64)
-    if not _full_rank(b):
+    if len(hnf(b.tolist())) < b.shape[0]:
         raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
     n = b.shape[0]
     _lll_core(b)

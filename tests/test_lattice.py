@@ -6,7 +6,7 @@ import pytest
 from zklat import catalog
 from zklat.codes import ZkCode, build_four_negacirculant, min_euclidean_weight
 from zklat.errors import BadDimension, NotOdd, NotSelfDual, PreconditionViolation
-from zklat.intmat import hnf, solve_fraction
+from zklat.intmat import det, hnf, solve_fraction
 from zklat.lattice import (
     Frame,
     Lattice,
@@ -96,6 +96,22 @@ def test_shadow_partition_theta_additive():
             sums[q] = sums.get(q, 0) + c
     for q, c in whole.as_pairs():
         assert sums.get(q, 0) == c
+
+
+@pytest.mark.parametrize("lid", catalog.catalog_list("lattice"))
+def test_shadow_of_every_catalog_lattice(lid):
+    lat = catalog.build(lid)
+    parts = even_sublattice_and_shadow(lat)
+    n = lat.dim
+    # L0* is dual to L0: their bases pair to the identity, exactly
+    pairing = parts.l0_dual.basis.astype(object) @ parts.l0_refined.basis.T.astype(object)
+    assert (pairing == parts.scale * np.eye(n, dtype=object)).all()
+    assert hnf((2 * parts.l0.basis).tolist()) == hnf(parts.l0_refined.basis.tolist())
+    # L0 has index 2 in L; the shadow cosets lie outside L, l2 inside
+    assert abs(det(parts.l0.gram_true().tolist())) == 4
+    assert lat.contains(parts.rep_l2, parts.scale)
+    assert not lat.contains(parts.rep_l1, parts.scale)
+    assert not lat.contains(parts.rep_l3, parts.scale)
 
 
 def test_shadow_rejects_even():

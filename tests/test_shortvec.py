@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,17 +12,16 @@ import zklat.shortvec
 from zklat import catalog
 from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
+from zklat.lattice import even_sublattice_and_shadow
 from zklat.shortvec import (
     BKZ_BLOCK,
     BKZ_TOURS,
     CHUNK,
-    RANK_PRIME,
     RECOMPUTE_ABOVE,
     _complete_unimodular,
     _factor,
     _fincke_pohst,
     _first_shorter_block,
-    _full_rank,
     _gso,
     _lll_core,
     _norms,
@@ -290,6 +291,39 @@ def test_reduction_of_large_entry_bases_is_lll_reduced(n):
         assert_lll_reduced(red)
 
 
+def assert_hnf(h):
+    """h is in row Hermite normal form, with no zero row."""
+    pivots = [next(j for j, a in enumerate(row) if a) for row in h]
+    assert pivots == sorted(set(pivots))
+    for i, (p, row) in enumerate(zip(pivots, h)):
+        assert row[p] > 0
+        assert all(0 <= other[p] < row[p] for other in h[:i])
+
+
+@pytest.mark.parametrize("case", ["L36 shadow Gram", "scrambled 30"])
+def test_hnf_of_large_inputs(case):
+    if case == "scrambled 30":
+        rows = scrambled_basis(np.random.default_rng(530), 30).tolist()
+    else:
+        l0 = even_sublattice_and_shadow(catalog.build("L36")).l0
+        rows = l0.gram_true().tolist()
+    h = hnf(rows)
+    assert_hnf(h)
+    assert len(h) == len(rows)
+    # the input's rows lie in the span of h, and h is unique
+    assert hnf(h + rows) == h
+
+
+def test_a_cycling_lll_raises_at_its_step_bound(monkeypatch):
+    # a reflection whose new diagonal entry is twice too long swaps forever
+    fake = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    fake.hypot = lambda x, y: 2 * math.hypot(x, y)
+    monkeypatch.setattr(zklat.shortvec, "math", fake)
+    basis = random_basis(np.random.default_rng(1), 6, spread=30)
+    with pytest.raises(PreconditionViolation, match="bound of .* swaps"):
+        _lll_core(basis)
+
+
 def test_a_huge_size_reduction_refactors_r(monkeypatch):
     # the last row reduces against e_0 .. e_3 with coefficients beyond 2^20
     basis = np.eye(5, dtype=np.int64)
@@ -317,12 +351,13 @@ def test_dependent_rows_are_rejected_before_reduction():
 
 
 def test_rank_check_is_exact():
-    # singular mod RANK_PRIME, so the exact HNF decides
-    assert _full_rank(np.array([[RANK_PRIME, 0], [0, 1]]))
-    assert _full_rank(np.array([[1, 1], [1, 1 + RANK_PRIME]]))
-    assert not _full_rank(np.array([[2, 4], [3, 6]]))
+    # singular mod the prime 2^31 - 1, but not over the integers
+    for basis in ([[2**31 - 1, 0], [0, 1]], [[1, 1], [1, 2**31]]):
+        assert block_reduce(np.array(basis)).shape == (2, 2)
+    with pytest.raises(PreconditionViolation, match="linearly dependent"):
+        block_reduce(np.array([[2, 4], [3, 6]]))
     # nonsingular however close to parallel: the float-check test's basis
-    assert _full_rank(np.array([[3, 1], [3 * 10**8 + 1, 10**8]]))
+    assert block_reduce(np.array([[3, 1], [3 * 10**8 + 1, 10**8]])).shape == (2, 2)
 
 
 @pytest.mark.parametrize("bound", [-1, 2**62, 2**70])
