@@ -366,7 +366,6 @@ def lattice_case(lattice_id: str) -> RepresentationCase:
 # ---------------------------------------------------------------------------
 
 _SEARCH_DIM_CAP = 20  # live proofs (search, fingerprint) only in dimensions up to this
-_SEARCH_NORM_CAP = 8  # direct frame search only for frame norms up to this
 
 
 def _divisors(k: int) -> list[int]:
@@ -494,8 +493,6 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
 
     if n <= _SEARCH_DIM_CAP:
         for d in usable:
-            if d > _SEARCH_NORM_CAP:
-                break
             try:
                 shell = norm_shell(model, d)
                 frame = frame_in_shell(model, shell, d)

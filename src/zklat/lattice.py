@@ -31,6 +31,7 @@ from .shortvec import (
     block_reduce,
     check_bound,
     enumerate_ball,
+    enumerate_shell,
     shortest_norm,
 )
 
@@ -231,9 +232,9 @@ def _theta(lattice: Lattice, shift, max_norm, budget: int) -> ThetaPrefix:
     if bound.denominator != 1:
         raise PreconditionViolation("max_norm * scale must be an integer")
     bound = check_bound(int(bound))  # before paying for the reduction
-    hist, _ = enumerate_ball(lattice.reduced_basis(), bound, shift=shift, budget=budget)
-    counts = {Fraction(q, lattice.scale): int(c) for q, c in enumerate(hist) if c}
-    return ThetaPrefix(counts, Fraction(max_norm))
+    counts, norms = enumerate_ball(lattice.reduced_basis(), bound, shift=shift, budget=budget)
+    theta = {Fraction(q, lattice.scale): c for q, c in zip(norms.tolist(), counts.tolist())}
+    return ThetaPrefix(theta, Fraction(max_norm))
 
 
 @dataclass
@@ -389,9 +390,8 @@ def norm_shell(
     the lattice is one of these rows or its negative.
     """
     bound = check_bound(k * lattice.scale)  # before paying for the reduction
-    _, vecs = enumerate_ball(lattice.reduced_basis(), bound, collect=True, budget=budget)
     # one row per +-pair comes back; flip it to the representative
-    shell = vecs[vecs[:, -1] == bound][:, :-1]
+    shell = enumerate_shell(lattice.reduced_basis(), bound, budget=budget)
     lead = shell[np.arange(shell.shape[0]), np.argmax(shell != 0, axis=1)]
     shell = shell * np.sign(lead)[:, None]
     return shell[np.lexsort(shell.T[::-1])]

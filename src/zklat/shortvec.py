@@ -7,12 +7,13 @@ parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo et al.,
 CHES 2011), so memory stays bounded at every dimension while the tree
 order stays that of Fincke-Pohst.  It yields every block of nodes it
 creates with its level and prunes each level at its own limit; the
-vectors are the nodes at level 0.  Every emitted vector's norm is then
-recomputed in integer arithmetic, so the reported counts and norms are
-exact.  `enumerate_ball` counts a ball; `shortest_norm` is the one exact
-shortest-vector search, a single walk whose bound shrinks each time a
-shorter vector turns up (Schnorr and Euchner, Math. Programming 66,
-1994).
+vectors are the nodes at level 0.  One reader, `_ball`, recomputes
+their norms in integer arithmetic, so every reported count and norm is
+exact, and serves three consumers: `enumerate_ball` counts a ball by
+the norms that occur, `enumerate_shell` keeps the vectors of one norm,
+and `shortest_norm` is the one exact shortest-vector search, a single
+walk whose bound shrinks each time a shorter vector turns up (Schnorr
+and Euchner, Math. Programming 66, 1994).
 
 Pruning uses a float Cholesky factor R of the Gram matrix G and the
 bound padded by a slack of 1e-4 (bound + 1).  `_factor` checks once per
@@ -362,22 +363,15 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     return b
 
 
-def enumerate_ball(
-    basis: np.ndarray,
-    bound: int,
-    shift: np.ndarray | None = None,
-    collect: bool = False,
-    budget: int = DEFAULT_NODE_BUDGET,
-):
-    """All vectors shift + x * basis with integer squared length <= bound.
+def _ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_BUDGET):
+    """Blocks (v, q, limit): the vectors v = shift + x * basis of norm q <= bound.
 
-    Returns (hist, vectors) where hist[q] counts vectors of squared
-    length q and vectors is an int64 array (or None when collect=False)
-    whose last column holds each vector's squared length.  A shift in
-    the basis's rational span describes a lattice coset; its exact
-    coefficients against the basis centre the walk.  Without a shift the
-    ball is symmetric: `vectors` holds 0 and one vector of each +-pair,
-    and hist counts both.
+    The one exact reader of the walk: q holds the exact integer norms, and
+    limit is the walk's live limit array, which the consumer may lower
+    between blocks.  A shift in the basis's rational span describes a
+    lattice coset; its exact coefficients against the basis centre the
+    walk.  Without a shift (or with a zero one) the walk holds 0 and one
+    vector of each +-pair.
     """
     basis = np.asarray(basis, dtype=np.int64)
     R, limit = _factor(basis, bound)
@@ -389,8 +383,6 @@ def enumerate_ball(
         if center is None:
             raise PreconditionViolation("shift not in the lattice's span")
         t = np.array([float(x) for x in center])
-    hist = np.zeros(bound + 1, dtype=np.int64)
-    found = []
     for level, xs, _ in _fincke_pohst(R, t, limit, budget):
         if level:
             continue
@@ -398,22 +390,36 @@ def enumerate_ball(
         # entries is below 2^32, since its norm is about bound or less
         v = xs @ basis + sv
         q = _norms(v)
-        inside = q <= bound
-        np.add.at(hist, q[inside], 1)
-        if collect:
-            found.append(np.column_stack([v[inside], q[inside]]))
-    if not np.any(t):  # the walk held one vector of each +-pair
-        hist[1:] *= 2
-    if not collect:
-        return hist, None
-    if not found:
-        return hist, np.zeros((0, basis.shape[1] + 1), dtype=np.int64)
-    return hist, np.concatenate(found)
+        inside = q <= bound  # the slack admits a few vectors just outside
+        yield (v, q, limit) if inside.all() else (v[inside], q[inside], limit)
 
 
-def shortest_norm(
-    basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET, keep=None
-) -> int:
+def enumerate_ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_BUDGET):
+    """Sparse counts (counts, norms) of the vectors shift + x * basis of norm <= bound.
+
+    norms lists the norms that occur, ascending, and counts[i] is the
+    number of vectors of norm norms[i], so counts.sum() is the number of
+    vectors.  Memory grows with the vectors found, not with the bound.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    # each block's distinct norms and their counts, merged once at the end
+    blocks = [np.unique(q, return_counts=True) for _, q, _ in _ball(basis, bound, shift, budget)]
+    seen, tallies = (np.concatenate(a) for a in zip((empty, empty), *blocks))
+    norms, at = np.unique(seen, return_inverse=True)
+    counts = np.zeros(norms.size, dtype=np.int64)
+    np.add.at(counts, at, tallies)
+    if shift is None or not np.any(shift):  # the walk held one vector of each +-pair
+        counts[norms > 0] *= 2
+    return counts, norms
+
+
+def enumerate_shell(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
+    """The vectors x * basis of norm exactly bound, one of each +-pair, as rows."""
+    rows = [v[q == bound] for v, q, _ in _ball(basis, bound, budget=budget)]
+    return np.concatenate([np.zeros((0, np.shape(basis)[1]), dtype=np.int64)] + rows)
+
+
+def shortest_norm(basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET, keep=None) -> int:
     """Exact minimum squared length of a lattice vector that `keep` accepts.
 
     `keep` maps an array of vectors (rows) to a boolean mask; it must be
@@ -427,12 +433,7 @@ def shortest_norm(
     if keep is None:
         keep = lambda v: v.any(axis=1)
     best = int(_norms(basis)[keep(basis)].min())
-    R, limit = _factor(basis, best - 1)
-    for level, xs, _ in _fincke_pohst(R, np.zeros(basis.shape[0]), limit, budget):
-        if level:
-            continue
-        v = xs @ basis  # exact, as in enumerate_ball
-        q = _norms(v)
+    for v, q, limit in _ball(basis, best - 1, budget=budget):
         short = q < best  # keep runs only on the few rows that could improve
         low = int(q[short][keep(v[short])].min(initial=best))
         limit -= best - low  # the slack stays

@@ -140,18 +140,37 @@ def test_frame_report_scales_a_searched_smaller_frame():
     assert contains_frame(catalog.build("D12_plus"), v.frame)
 
 
-def test_frame_report_enumerates_once_per_divisor(monkeypatch):
+def recorded_shells(monkeypatch):
+    """(basis, bound) of every shell read from now on (one list, appended to)."""
     calls = []
-    enumerate_ball = zklat.lattice.enumerate_ball
+    enumerate_shell = zklat.lattice.enumerate_shell
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return enumerate_ball(*args, **kwargs)
+    def recorded(basis, bound, *args, **kwargs):
+        calls.append((basis, bound))
+        return enumerate_shell(basis, bound, *args, **kwargs)
 
-    monkeypatch.setattr(zklat.lattice, "enumerate_ball", counted)
+    monkeypatch.setattr(zklat.lattice, "enumerate_shell", recorded)
+    return calls
+
+
+def test_frame_report_enumerates_once_per_divisor(monkeypatch):
+    calls = recorded_shells(monkeypatch)
     v = catalog.frame_report("A5_4", 2)
     assert v.status == "no" and "exhaustive search" in v.chain[0]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lid", ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"])
+def test_direct_search_decides_every_small_k_at_small_norms(lid, monkeypatch):
+    # no cap on the searched norm: each k <= 60 gets a verdict, and the
+    # model's shells are read only at small norms (the code fingerprints'
+    # root shells live in other lattices, with other bases)
+    model = catalog.build(lid)
+    calls = recorded_shells(monkeypatch)
+    for k in range(1, 61):
+        assert catalog.frame_report(lid, k).status in ("yes", "no"), k
+    norms = {b // model.scale for basis, b in calls if basis is model.reduced_basis()}
+    assert norms and max(norms) <= 7, sorted(norms)
 
 
 def test_frame_report_unknown_out_of_reach():

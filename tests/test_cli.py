@@ -96,6 +96,34 @@ def test_shadow_and_neighbors(capsys):
         assert main(["neighbors", p]) == EXIT_OK
 
 
+def test_neighbors_writes_both_neighbor_files(tmp_path, capsys):
+    src, out = tmp_path / "z8.txt", tmp_path / "nb"
+    fileio.write_text(str(src), fileio.dump_lattice(Lattice(np.eye(8, dtype=np.int64), 1)))
+    assert main(["neighbors", str(src), "--out", str(out)]) == EXIT_OK
+    for i in (1, 2):
+        nb = fileio.load(fileio.read_text(f"{out}.{i}"))
+        assert nb.dim == 8 and nb.is_unimodular() and nb.is_even()
+
+
+def test_two_neighbor_writes_an_odd_unimodular_lattice(tmp_path, capsys):
+    # E8 at scale 4: D8 roots and the all-halves glue vector, doubled
+    rows = 2 * (np.eye(8, dtype=np.int64) - np.eye(8, k=-1, dtype=np.int64))
+    rows[0, 0], rows[7] = 4, 1
+    src, out = tmp_path / "e8.txt", tmp_path / "odd.txt"
+    fileio.write_text(str(src), fileio.dump_lattice(Lattice(rows, 4)))
+    argv = ["two-neighbor", str(src), "--x", "2 2 2 2 2 2 2 -2", "--y", "1,1,1,1,1,1,1,1"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert "odd unimodular neighbor: dim 8" in capsys.readouterr().out
+    odd = fileio.load(fileio.read_text(str(out)))
+    assert odd.is_unimodular() and not odd.is_even()
+    assert zklat.lattice.min_norm(odd) == 1
+
+
+def test_a_seed_token_names_its_construction_a_lattice(capsys):
+    assert main(["minnorm", "D6_seed"]) == EXIT_OK
+    assert capsys.readouterr().out == "min norm = 2\n"
+
+
 def test_frame_build_and_scale(tmp_path, capsys):
     fr = tmp_path / "frame.txt"
     assert main(["frame-build", "D6_seed", "--abcd", "0,0,3,0", "--out", str(fr)]) == EXIT_OK

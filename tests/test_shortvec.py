@@ -12,12 +12,13 @@ import zklat.shortvec
 from zklat import catalog
 from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
-from zklat.lattice import even_sublattice_and_shadow
+from zklat.lattice import Lattice, even_sublattice_and_shadow, find_frame
 from zklat.shortvec import (
     BKZ_BLOCK,
     BKZ_TOURS,
     CHUNK,
     RECOMPUTE_ABOVE,
+    _ball,
     _complete_unimodular,
     _factor,
     _fincke_pohst,
@@ -27,6 +28,7 @@ from zklat.shortvec import (
     _norms,
     block_reduce,
     enumerate_ball,
+    enumerate_shell,
     shortest_norm,
 )
 
@@ -43,15 +45,35 @@ def brute_counts(basis, bound, shift=None, box=12):
     return hist
 
 
+def dense(ball, bound):
+    """The sparse (counts, norms) of `enumerate_ball` as a histogram of bound + 1 entries."""
+    counts, norms = ball
+    # only the norms that occur, ascending, each once
+    assert (np.diff(norms) > 0).all() and (counts > 0).all() and norms.max(initial=0) <= bound
+    hist = np.zeros(bound + 1, dtype=np.int64)
+    hist[norms] = counts
+    return hist
+
+
+def ball_vectors(basis, bound, shift=None):
+    """Every vector `_ball` yields, each checked against its exact norm."""
+    blocks = [np.zeros((0, basis.shape[1]), dtype=np.int64)]
+    for v, q, _ in _ball(basis, bound, shift):
+        assert np.array_equal(np.einsum("ij,ij->i", v, v), q) and (q <= bound).all()
+        blocks.append(v)
+    return np.concatenate(blocks)
+
+
 def test_z2_counts():
     basis = np.eye(2, dtype=np.int64)
-    hist, _ = enumerate_ball(basis, 4)
-    assert hist.tolist() == [1, 4, 4, 0, 4]
+    counts, norms = enumerate_ball(basis, 4)
+    assert norms.tolist() == [0, 1, 2, 4] and counts.tolist() == [1, 4, 4, 4]
+    assert dense((counts, norms), 4).tolist() == [1, 4, 4, 0, 4]
 
 
 def test_z24_norm_counts():
     basis = np.eye(24, dtype=np.int64)
-    hist, _ = enumerate_ball(basis, 2)
+    hist = dense(enumerate_ball(basis, 2), 2)
     assert hist[1] == 48 and hist[2] == 4 * (24 * 23 // 2)
 
 
@@ -64,17 +86,14 @@ def test_random_lattices_match_bruteforce(seed):
         if round(np.linalg.det(basis.astype(float))) != 0:
             break
     bound = int(rng.integers(4, 12))
-    hist, vecs = enumerate_ball(basis, bound, collect=True)
-    assert np.array_equal(hist, brute_counts(basis, bound))
-    # collected vectors carry their exact norm in the last column
-    for row in vecs:
-        assert int(row[:-1] @ row[:-1]) == row[-1] <= bound
+    assert np.array_equal(dense(enumerate_ball(basis, bound), bound), brute_counts(basis, bound))
+    ball_vectors(basis, bound)  # the reader's vectors carry their exact norms
 
 
 def test_coset_enumeration():
     basis = 2 * np.eye(2, dtype=np.int64)
     shift = np.array([1, 1], dtype=np.int64)
-    hist, _ = enumerate_ball(basis, 8, shift=shift)
+    hist = dense(enumerate_ball(basis, 8, shift=shift), 8)
     assert np.array_equal(hist, brute_counts(basis, 8, shift=shift))
     assert hist[0] == 0 and hist[2] == 4  # (±1, ±1)
 
@@ -169,10 +188,10 @@ def test_random_shift_cosets_match_bruteforce(seed):
     shift = num @ (basis // den)  # = (num / den) * basis, an integer vector
     center = num / den
     bound = int(rng.integers(8, 40))
-    hist, vecs = enumerate_ball(basis, bound, shift=shift, collect=True)
+    hist = dense(enumerate_ball(basis, bound, shift=shift), bound)
     want, q = brute_ball(basis, bound, shift=shift, center=center)
     assert np.array_equal(hist, np.bincount(q, minlength=bound + 1))
-    assert sorted(vecs[:, :-1].tolist()) == sorted(want.tolist())
+    assert sorted(ball_vectors(basis, bound, shift).tolist()) == sorted(want.tolist())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -180,22 +199,25 @@ def test_collect_holds_one_vector_of_each_pair(seed):
     rng = np.random.default_rng(300 + seed)
     basis = random_basis(rng, int(rng.integers(2, 5)))
     bound = int(rng.integers(6, 20))
-    hist, vecs = enumerate_ball(basis, bound, collect=True)
-    rows = {tuple(r) for r in vecs[:, :-1].tolist()}
+    vecs = ball_vectors(basis, bound)
+    rows = {tuple(r) for r in vecs.tolist()}
     negs = {tuple(-x for x in r) for r in rows}
     zero = tuple([0] * basis.shape[1])
-    want, _ = brute_ball(basis, bound)
+    want, q = brute_ball(basis, bound)
     assert len(rows) == len(vecs) and rows & negs == {zero}
     assert rows | negs == {tuple(r) for r in want.tolist()}
-    assert hist.sum() == len(want)
+    assert enumerate_ball(basis, bound)[0].sum() == len(want)
+    # the shell reader keeps the same one vector of each pair, at one norm
+    for k in range(bound + 1):
+        shell = {tuple(r) for r in enumerate_shell(basis, k).tolist()}
+        assert shell <= rows and len(shell) == (q == k).sum() // (2 if k else 1)
 
 
 def test_ball_of_many_chunks_matches_bruteforce():
     basis = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.int64)
-    hist, vecs = enumerate_ball(basis, 60, collect=True)
-    assert len(vecs) > 8 * CHUNK
+    assert len(ball_vectors(basis, 60)) > 8 * CHUNK
     _, q = brute_ball(basis, 60)
-    assert np.array_equal(hist, np.bincount(q, minlength=61))
+    assert np.array_equal(dense(enumerate_ball(basis, 60), 60), np.bincount(q, minlength=61))
 
 
 def test_d20_ball_runs_in_bounded_memory():
@@ -203,11 +225,11 @@ def test_d20_ball_runs_in_bounded_memory():
     basis = lat.reduced_basis()
     tracemalloc.start()
     try:
-        hist, _ = enumerate_ball(basis, 5 * lat.scale)
+        counts, _ = enumerate_ball(basis, 5 * lat.scale)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hist.sum() == 602609
+    assert counts.sum() == 602609
     # collecting the same ball holds 301,305 rows of 21 int64 (~50 MB)
     assert peak < 8 * 2**20
 
@@ -227,8 +249,16 @@ def test_near_singular_basis_trips_the_float_check():
             enumerate_ball(basis, 4)
         with pytest.raises(PreconditionViolation):
             shortest_norm(basis)
-        hist, _ = enumerate_ball(block_reduce(basis), 4)
-        assert hist.tolist() == [1, 4, 4, 0, 4]
+        assert dense(enumerate_ball(block_reduce(basis), 4), 4).tolist() == [1, 4, 4, 0, 4]
+
+
+def test_a_gram_that_is_not_positive_definite_in_floats_is_rejected():
+    # the float check's basis at e = 9: its float Gram has no Cholesky factor
+    basis = np.array([[3, 1], [3 * 10**9 + 1, 10**9]], dtype=np.int64)
+    with pytest.raises(PreconditionViolation, match="not numerically positive definite"):
+        enumerate_ball(basis, 4)
+    with pytest.raises(PreconditionViolation, match="not numerically positive definite"):
+        enumerate_shell(basis, 4)
 
 
 def assert_lll_reduced(b, delta=Fraction(99, 100), eta=Fraction(51, 100)):
@@ -368,18 +398,20 @@ def test_bounds_outside_the_int64_range_are_rejected(bound):
         _factor(np.eye(2, dtype=np.int64), bound)
 
 
-def test_histogram_is_the_only_dense_array():
-    # 761 vectors of Z^4 * 251 up to norm 12 * 251^2: a 5.8 MB histogram
-    basis = 251 * np.eye(4, dtype=np.int64)
-    bound = 12 * 251**2
+def test_a_scaled_ball_needs_no_array_sized_by_its_bound():
+    # Z^4 * 4099 up to norm 12 * 4099^2: 761 vectors, and a bound of 2 * 10^8
+    s = 4099
+    lat = Lattice(s * np.eye(4, dtype=np.int64), s * s)
     tracemalloc.start()
     try:
-        hist, _ = enumerate_ball(basis, bound)
+        frame = find_frame(lat, 12)
+        counts, norms = enumerate_ball(lat.reduced_basis(), 12 * s * s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hist.sum() == 761
-    assert peak <= 1.2 * hist.nbytes
+    assert counts.sum() == 761 and norms.tolist() == [q * s * s for q in range(13)]
+    assert frame is not None and frame.norm_k == 12
+    assert peak < 2**20
 
 
 def test_float_check_passes_on_every_catalog_lattice():
