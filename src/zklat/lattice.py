@@ -100,7 +100,11 @@ class Lattice:
         return self.is_integral() and not np.any(self.gram_true().diagonal() % 2)
 
     def reduced_basis(self) -> np.ndarray:
-        """The block-reduced basis, computed on the first call (read-only)."""
+        """The `block_reduce`d basis, computed on the first call (read-only).
+
+        Up to dimension BKZ_BLOCK that is the LLL basis: the exact walk
+        that reads it is the walk a BKZ search would repeat.
+        """
         if self._reduced is None:
             b = block_reduce(self.basis) if self._code is None else self._code.reduced_lift()
             b.flags.writeable = False
@@ -205,7 +209,11 @@ def construction_a(code: ZkCode) -> Lattice:
 
 
 def min_norm(lattice: Lattice, budget: int = DEFAULT_NODE_BUDGET):
-    """Exact minimum norm (block-reduced basis + exhaustive enumeration)."""
+    """Exact minimum norm: one shrinking walk on `reduced_basis()`.
+
+    Up to dimension BKZ_BLOCK the basis is LLL-reduced only, since a BKZ
+    search there would walk the whole lattice, as this walk does.
+    """
     return _norm_value(shortest_norm(lattice.reduced_basis(), budget), lattice.scale)
 
 

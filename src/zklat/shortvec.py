@@ -35,12 +35,16 @@ exactly, as the row count of the basis's HNF, then runs float LLL that
 keeps one Gram-Schmidt factor current in place (`_lll_core`, on Python
 ints and floats: per step it does too little arithmetic to repay a numpy
 call; a bound on its swaps read from the input turns drift that would
-cycle into an error), then BKZ tours with one walk per block search
-(`_first_shorter_block`).  The blocks that end at the last row (all of
-them up to dimension BKZ_BLOCK) nest, each block's tree the top of the
-one before, so one walk with a limit per level finds the first of them
-that holds a shorter vector, and that vector.  It only changes the
-basis by unimodular steps, so it never changes a verdict.
+cycle into an error).  A basis of at most BKZ_BLOCK rows is one block,
+and a BKZ search of it is a walk of the whole lattice as large as the
+exact walk the caller runs next, so it gets LLL alone.  A longer basis
+then gets BKZ tours with one walk per block search
+(`_first_shorter_block`), each over a projection of at most BKZ_BLOCK
+dimensions.  The blocks that end at the last row nest, each block's
+tree the top of the one before, so one walk with a limit per level
+finds the first of them that holds a shorter vector, and that vector.
+It only changes the basis by unimodular steps, so it never changes a
+verdict.
 """
 
 from __future__ import annotations
@@ -313,15 +317,22 @@ def _first_shorter_block(R, live):
 
 
 def block_reduce(basis: np.ndarray) -> np.ndarray:
-    """Float LLL followed by BKZ tours until no block holds a shorter vector.
+    """Float LLL, then BKZ tours until no block holds a shorter vector.
 
     Accepts any integer basis of independent rows, reduced or not, and
     raises PreconditionViolation on dependent ones: the rank is the row
     count of the exact HNF.  Every transformation applied is unimodular,
     so the output spans the same lattice; quality only affects
-    downstream enumeration speed, never correctness.  A tour skips each
-    block already shown to hold no shorter vector while the rows it
-    reads are unchanged, since its search would find nothing again.  Each search is one walk (`_first_shorter_block`) over the
+    downstream enumeration speed, never correctness.
+
+    A basis of at most BKZ_BLOCK rows gets LLL alone.  Its first block
+    is the whole basis, so each BKZ search would walk the whole lattice
+    at radius |b_1|, as large as the exact walk that follows, once per
+    insertion, and no verdict depends on it.  A longer basis gets tours
+    of blocks of BKZ_BLOCK rows, each a projection of the lattice.  A
+    tour skips each block already shown to hold no shorter vector while
+    the rows it reads are unchanged, since its search would find nothing
+    again.  Each search is one walk (`_first_shorter_block`) over the
     unproved blocks that end where block i ends, and it returns the
     vector to insert.  Tours stop once every block is proved, so the
     output is a fixed point: reducing it again changes nothing.  At most
@@ -333,6 +344,8 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
         raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
     n = b.shape[0]
     _lll_core(b)
+    if n <= BKZ_BLOCK:  # the first block is the whole basis: its walk is the caller's
+        return b
     ends = np.minimum(np.arange(n - 1) + BKZ_BLOCK, n)
     # proved[i]: block i held no shorter vector, and b[:ends[i]] is unchanged since
     proved = np.zeros(n - 1, dtype=bool)

@@ -444,6 +444,8 @@ def block_by_block(basis):
     b = np.array(basis, dtype=np.int64)
     n = b.shape[0]
     _lll_core(b)
+    if n <= BKZ_BLOCK:  # one block: LLL alone
+        return b
     ends = np.minimum(np.arange(n - 1) + BKZ_BLOCK, n)
     proved = np.zeros(n - 1, dtype=bool)
     for _ in range(BKZ_TOURS):
@@ -485,7 +487,9 @@ def basis_of(kind, name):
     return scrambled_basis(np.random.default_rng(500 + name), name)
 
 
-@pytest.mark.parametrize("kind, name", CATALOG_BASES + [("scrambled", n) for n in (12, 20, 30)])
+@pytest.mark.parametrize("kind, name", CATALOG_BASES + [("lift", "C_5_28")] + [
+    ("scrambled", n) for n in (12, 20, 24, 30)
+])
 def test_block_reduce_matches_block_by_block_tours(kind, name):
     basis = basis_of(kind, name)
     assert block_reduce(basis).tobytes() == block_by_block(basis).tobytes()
@@ -553,9 +557,8 @@ def test_first_shorter_block_is_the_first_block_shortest_finds(seed):
             assert got[0] == want and got[1].tobytes() == rows[want].tobytes()
 
 
-def test_reduced_d20_basis_takes_one_walk(monkeypatch):
-    # every block of a dimension-20 basis ends at its last row
-    basis = block_reduce(catalog.build("D20").basis)
+def count_walks(monkeypatch):
+    """A list that gains one entry per `_fincke_pohst` call from now on."""
     calls = []
     walk = zklat.shortvec._fincke_pohst
 
@@ -564,8 +567,25 @@ def test_reduced_d20_basis_takes_one_walk(monkeypatch):
         return walk(*args)
 
     monkeypatch.setattr(zklat.shortvec, "_fincke_pohst", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, name", [("lattice", "D20"), ("lift", "C_13_20"), ("scrambled", 20)])
+def test_a_one_block_basis_is_reduced_without_a_walk(monkeypatch, kind, name):
+    # up to BKZ_BLOCK rows the first block is the whole basis: LLL alone
+    basis = basis_of(kind, name)
+    calls = count_walks(monkeypatch)
     red = block_reduce(basis)
-    assert len(calls) == 1  # a block-by-block tour walks each of the 19 blocks
+    assert not calls
+    assert red.tobytes() == _lll_core(basis.copy()).tobytes()
+    assert hnf(red.tolist()) == hnf(basis.tolist())
+
+
+def test_a_basis_longer_than_one_block_gets_bkz_walks(monkeypatch):
+    basis = basis_of("scrambled", BKZ_BLOCK + 1)
+    calls = count_walks(monkeypatch)
+    red = block_reduce(basis)
+    assert calls
     assert hnf(red.tolist()) == hnf(basis.tolist())
 
 
