@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .arith import REPRESENTATION_CASES, FrameVerdict, RepresentationCase, scale_frame
+from .arith import REPRESENTATION_CASES, FrameVerdict, RepresentationCase, factorize, scale_frame
 from .cliques import components
 from .codes import (
     ZkCode,
@@ -369,8 +369,11 @@ _SEARCH_DIM_CAP = 20  # live proofs (search, fingerprint) only in dimensions up 
 
 
 def _divisors(k: int) -> list[int]:
-    """The divisors d >= 2 of k; [1] for k = 1."""
-    return [d for d in range(2, k + 1) if k % d == 0] or [1]
+    """The divisors d >= 2 of k, ascending; [1] for k = 1."""
+    divs = [1]
+    for p, e in factorize(k).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)[1:] or [1]
 
 
 def _root_system(lattice: Lattice) -> tuple[tuple[int, int], ...]:

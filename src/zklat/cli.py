@@ -224,8 +224,11 @@ def cmd_report(args) -> int:
     print(f"{args.lattice}, k={args.k}: {verdict.status}")
     for step in verdict.chain:
         print(" -", step)
-    if getattr(args, "out", None) and verdict.frame is not None:
-        fileio.write_text(args.out, fileio.dump_frame(verdict.frame))
+    if getattr(args, "out", None):
+        if verdict.frame is None:
+            print(f"no frame file written to {args.out}: the verdict carries no explicit frame")
+        else:
+            fileio.write_text(args.out, fileio.dump_frame(verdict.frame))
     return {"yes": EXIT_OK, "no": EXIT_REFUTED}.get(verdict.status, EXIT_UNKNOWN)
 
 

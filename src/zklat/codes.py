@@ -78,12 +78,7 @@ class ZkCode:
         return [list(r) for r in self._lift]
 
     def reduced_lift(self) -> np.ndarray:
-        """The lift's basis after `block_reduce`, computed on the first call (read-only).
-
-        Up to length BKZ_BLOCK that is the LLL basis: the lift is one BKZ
-        block, whose search would be the very walk `min_euclidean_weight`
-        runs on it.
-        """
+        """The lift's basis after `block_reduce`, computed on the first call (read-only)."""
         if self._reduced is None:
             b = block_reduce(np.array(self._lift, dtype=np.int64))
             b.flags.writeable = False
@@ -181,9 +176,8 @@ def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int
     The coset c + k Z^n of a codeword c has shortest squared length
     euclidean_weight(c), so d_E is the shortest vector of the lift
     C + k Z^n whose entries are not all divisible by k.  One shrinking
-    walk (`shortest_norm`) on the reduced lift (`reduced_lift`: LLL up
-    to length BKZ_BLOCK, where a BKZ search would be this same walk, and
-    LLL then BKZ beyond) finds it; `budget` is its node budget.
+    walk (`shortest_norm`) on the reduced lift (`reduced_lift`) finds
+    it; `budget` is its node budget.
     """
     if code.cardinality == 1:
         raise PreconditionViolation("the zero code has no nonzero codeword, so no d_E")

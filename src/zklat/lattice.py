@@ -100,11 +100,7 @@ class Lattice:
         return self.is_integral() and not np.any(self.gram_true().diagonal() % 2)
 
     def reduced_basis(self) -> np.ndarray:
-        """The `block_reduce`d basis, computed on the first call (read-only).
-
-        Up to dimension BKZ_BLOCK that is the LLL basis: the exact walk
-        that reads it is the walk a BKZ search would repeat.
-        """
+        """The `block_reduce`d basis, computed on the first call (read-only)."""
         if self._reduced is None:
             b = block_reduce(self.basis) if self._code is None else self._code.reduced_lift()
             b.flags.writeable = False
@@ -209,11 +205,7 @@ def construction_a(code: ZkCode) -> Lattice:
 
 
 def min_norm(lattice: Lattice, budget: int = DEFAULT_NODE_BUDGET):
-    """Exact minimum norm: one shrinking walk on `reduced_basis()`.
-
-    Up to dimension BKZ_BLOCK the basis is LLL-reduced only, since a BKZ
-    search there would walk the whole lattice, as this walk does.
-    """
+    """Exact minimum norm: one shrinking walk on `reduced_basis()`."""
     return _norm_value(shortest_norm(lattice.reduced_basis(), budget), lattice.scale)
 
 

@@ -5,11 +5,10 @@ Fincke-Pohst tree one level at a time as numpy arrays and walks it depth
 first over frontier chunks of at most `CHUNK` rows, the scheme of
 parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo et al.,
 CHES 2011), so memory stays bounded at every dimension while the tree
-order stays that of Fincke-Pohst.  It yields every block of nodes it
-creates with its level and prunes each level at its own limit; the
-vectors are the nodes at level 0.  One reader, `_ball`, recomputes
-their norms in integer arithmetic, so every reported count and norm is
-exact, and serves three consumers: `enumerate_ball` counts a ball by
+order stays that of Fincke-Pohst.  It prunes every level at one limit
+and yields the leaves, the coefficient rows of the ball, in blocks.
+One reader, `_ball`, recomputes their norms in integer arithmetic, so
+every reported count and norm is exact, and serves three consumers: `enumerate_ball` counts a ball by
 the norms that occur, `enumerate_shell` keeps the vectors of one norm,
 and `shortest_norm` is the one exact shortest-vector search, a single
 walk whose bound shrinks each time a shorter vector turns up (Schnorr
@@ -24,25 +23,19 @@ Every partial norm of such a vector, taken with G + E, is at most its
 full norm, bound + err c^2.  The check demands err c^2 <= slack / 1000
 (the rounding of the partial sums themselves is far smaller still) and
 raises PreconditionViolation otherwise, so no vector of the ball is
-ever pruned.  The walk reads its limits from an array that
-`shortest_norm` lowers as a whole between blocks, keeping the slack of
-the starting bound.  A smaller ball has a smaller coefficient bound c,
-so the check made at the start still covers every lowered bound.  Bounds lie in
-[0, 2^62), so every norm the walk's consumers form fits in int64.
+ever pruned.  The walk reads its limit from a one-entry array that
+`shortest_norm` lowers between blocks, keeping the slack of the
+starting bound.  A smaller ball has a smaller coefficient bound c, so
+the check made at the start still covers every lowered bound.  Bounds
+lie in [0, 2^62), so every norm the walk's consumers form fits in int64.
 
 `block_reduce` prepares the bases the walks run on.  It checks the rank
 exactly, as the row count of the basis's HNF, then runs float LLL that
 keeps one Gram-Schmidt factor current in place (`_lll_core`, on Python
 ints and floats: per step it does too little arithmetic to repay a numpy
 call; a bound on its swaps read from the input turns drift that would
-cycle into an error).  A basis of at most BKZ_BLOCK rows is one block,
-and a BKZ search of it is a walk of the whole lattice as large as the
-exact walk the caller runs next, so it gets LLL alone.  A longer basis
-then gets BKZ tours with one walk per block search
-(`_first_shorter_block`), each over a projection of at most BKZ_BLOCK
-dimensions.  The blocks that end at the last row nest, each block's
-tree the top of the one before, so one walk with a limit per level
-finds the first of them that holds a shorter vector, and that vector.
+cycle into an error), then BKZ tours with one walk (`_shortest`) per
+block search, each over a projection of at most BKZ_BLOCK dimensions.
 It only changes the basis by unimodular steps, so it never changes a
 verdict.
 """
@@ -79,12 +72,12 @@ def check_bound(bound: int) -> int:
 
 
 def _factor(basis: np.ndarray, bound: int):
-    """Upper-triangular float R with R^T R = Gram, and the pruning limits.
+    """Upper-triangular float R with R^T R = Gram, and the pruning limit.
 
-    The limits, bound + slack at every level, come as an array: the walk
-    reads them afresh at every step, so its consumer may lower them.  A
-    bound in [0, 2^62) keeps every emitted vector's norm, and so every
-    square and partial sum `_norms` forms, inside int64.
+    The limit, bound + slack, comes as a one-entry array: the walk reads
+    it afresh at every step, so its consumer may lower it.  A bound in
+    [0, 2^62) keeps every emitted vector's norm, and so every square and
+    partial sum `_norms` forms, inside int64.
     """
     check_bound(bound)
     gram = (basis @ basis.T).astype(np.float64)
@@ -101,23 +94,23 @@ def _factor(basis: np.ndarray, bound: int):
             f"float pruning error bound {err * coef**2:.3g} (Cholesky residual "
             f"{err:.3g}) is not far below the slack {slack:.3g}"
         )
-    return R, np.full(basis.shape[0], bound + slack)
+    return R, np.array([bound + slack])
 
 
 def _fincke_pohst(R, t, limit, budget):
-    """Every block of tree nodes, as (level, rows x[level:], partial norms).
+    """The integer rows x with |(x + t) R^T|^2 <= limit[0], in blocks.
 
-    A node at level i is a suffix x[i:] of integer rows with float partial
-    norm |((x + t) R^T)[i:]|^2 <= limit[i]; the nodes at level 0 are the
-    rows x with |(x + t) R^T|^2 <= limit[0].  Each step takes the deepest
-    pending block, expands its leading rows whose children number at
-    most CHUNK (at least one row) to the next level and leaves the rest
-    on the stack, so the walk is depth first and holds at most one block
-    of about CHUNK rows per level.  When t is zero the tree is symmetric
+    A node at level i is a suffix x[i:] with float partial norm
+    |((x + t) R^T)[i:]|^2 <= limit[0]; the rows yielded are the nodes at
+    level 0.  Each step takes the deepest pending block, expands its
+    leading rows whose children number at most CHUNK (at least one row)
+    to the next level and leaves the rest on the stack, so the walk is
+    depth first and holds at most one block of about CHUNK rows per
+    level.  When t is zero the tree is symmetric
     under x -> -x and only the zero row and, of each +-pair, the row
     whose last nonzero entry is positive are walked.  The consumer may
-    lower any limit between blocks; pending nodes are then pruned against
-    the lowered limits.  Raises BudgetExceeded once more than `budget`
+    lower the limit between blocks; pending nodes are then pruned against
+    the lowered limit.  Raises BudgetExceeded once more than `budget`
     tree nodes were expanded.
     """
     n = R.shape[0]
@@ -131,7 +124,7 @@ def _fincke_pohst(R, t, limit, budget):
     while stack:
         level, rows, parts = stack.pop()
         i = level - 1
-        lim = limit[i]
+        lim = limit[0]
         xs, part = rows[:CHUNK], parts[:CHUNK]
         c = xs @ R[i, level:] + toff[i]
         rad = np.sqrt(np.maximum(lim - part, 0.0))
@@ -163,9 +156,10 @@ def _fincke_pohst(R, t, limit, budget):
         child = np.empty((x.size, n - i), dtype=np.int64)
         child[:, 0] = x
         child[:, 1:] = xs[parent]
-        yield i, child, newpart
         if i:
             stack.append((i, child, newpart))
+        else:
+            yield child
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -283,37 +277,20 @@ def _complete_unimodular(x):
     return np.array(u, dtype=np.int64)
 
 
-def _first_shorter_block(R, live):
-    """(l, x) for the first live block l holding a row shorter than B_l, else None.
+def _shortest(R, bound):
+    """The first row x of least float norm |x R^T|^2 below bound, else None.
 
-    B_l = 0.9999 R_ll^2 is block l's bound in `block_reduce`; `live` has
-    one entry per block, R.shape[0] - 1 of them (the last row is none).
-    Block l's tree is the top of block 0's, so one walk that prunes level
-    l at max(B_j : j <= l, live[j]) holds every live block's tree.  It is
-    depth first, so block l's leaves come in the order of block l's own
-    walk; x is the first of them with the least float norm x R[l:, l:]^T.
-    Once block h holds a shorter row, levels above h drop to the limit of
-    level h, and block h's tree is walked to its end.
+    One walk of the block with factor R alone, pruned at bound; the zero
+    row is skipped.
     """
-    m = R.shape[0]
-    bounds = np.full(m, -np.inf)
-    bounds[:-1][live] = 0.9999 * R.diagonal()[:-1][live] ** 2
-    limit = np.maximum.accumulate(bounds)
-    first, best, bestx = m, np.inf, None
-    for level, xs, parts in _fincke_pohst(R, np.zeros(m), limit, np.inf):
-        if level > first or bounds[level] == -np.inf:
-            continue
-        rows = xs[(parts <= bounds[level]) & xs.any(axis=1)]
-        if not len(rows):
-            continue
-        q = _norms(rows @ np.ascontiguousarray(R[level:, level:]).T)
+    best, bestx = bound, None
+    for xs in _fincke_pohst(R, np.zeros(R.shape[0]), np.array([bound]), np.inf):
+        q = _norms(xs @ R.T)
+        q[~xs.any(axis=1)] = np.inf
         j = int(np.argmin(q))
-        if q[j] < (best if level == first else bounds[level]):
-            if level < first:
-                first = level
-                limit[level + 1 :] = limit[level]
-            best, bestx = q[j], rows[j]
-    return None if bestx is None else (first, bestx)
+        if q[j] < best:
+            best, bestx = q[j], xs[j]
+    return bestx
 
 
 def block_reduce(basis: np.ndarray) -> np.ndarray:
@@ -325,16 +302,13 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     so the output spans the same lattice; quality only affects
     downstream enumeration speed, never correctness.
 
-    A basis of at most BKZ_BLOCK rows gets LLL alone.  Its first block
-    is the whole basis, so each BKZ search would walk the whole lattice
-    at radius |b_1|, as large as the exact walk that follows, once per
-    insertion, and no verdict depends on it.  A longer basis gets tours
-    of blocks of BKZ_BLOCK rows, each a projection of the lattice.  A
-    tour skips each block already shown to hold no shorter vector while
-    the rows it reads are unchanged, since its search would find nothing
-    again.  Each search is one walk (`_first_shorter_block`) over the
-    unproved blocks that end where block i ends, and it returns the
-    vector to insert.  Tours stop once every block is proved, so the
+    A basis of at most BKZ_BLOCK rows gets LLL alone: its first block is
+    the whole basis, so a BKZ search would be the exact walk its caller
+    runs next.  A longer basis gets tours of blocks of BKZ_BLOCK rows,
+    each a projection of the lattice searched by one walk (`_shortest`)
+    for a vector shorter than its first row, which is then inserted.  A
+    tour skips each block already shown to hold none while the rows it
+    reads are unchanged.  Tours stop once every block is proved, so the
     output is a fixed point: reducing it again changes nothing.  At most
     BKZ_TOURS tours run, a bound on run time, since in floats nothing
     proves that the tours end.
@@ -344,33 +318,26 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
         raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
     n = b.shape[0]
     _lll_core(b)
-    if n <= BKZ_BLOCK:  # the first block is the whole basis: its walk is the caller's
+    if n <= BKZ_BLOCK:
         return b
     ends = np.minimum(np.arange(n - 1) + BKZ_BLOCK, n)
     # proved[i]: block i held no shorter vector, and b[:ends[i]] is unchanged since
     proved = np.zeros(n - 1, dtype=bool)
     for _ in range(BKZ_TOURS):
-        i = 0
-        while i < n - 1:
+        for i in range(n - 1):
             if proved[i]:
-                i += 1
                 continue
             j = ends[i]
-            # blocks i..j-2 that end at row j nest in block i's tree
-            live = ~proved[i : j - 1] & (ends[i : j - 1] == j)
-            hit = _first_shorter_block(np.ascontiguousarray(_gso(b[:j])[i:j, i:j]), live)
-            if hit is None:
-                proved[i : j - 1] |= live
-            else:
-                h, x = hit
-                proved[i : i + h] = True
-                i += h
-                before = b.copy()
-                b[i:j] = _complete_unimodular(x) @ b[i:j]
-                _lll_core(b, max(i, 1))  # rows b[:i] are untouched and reduced
-                moved = np.flatnonzero((b != before).any(axis=1))
-                proved[ends > moved.min(initial=n)] = False
-            i += 1
+            R = np.ascontiguousarray(_gso(b[:j])[i:j, i:j])
+            x = _shortest(R, 0.9999 * R[0, 0] ** 2)
+            if x is None:
+                proved[i] = True
+                continue
+            before = b.copy()
+            b[i:j] = _complete_unimodular(x) @ b[i:j]
+            _lll_core(b, max(i, 1))  # rows b[:i] are untouched and reduced
+            moved = np.flatnonzero((b != before).any(axis=1))
+            proved[ends > moved.min(initial=n)] = False
         if proved.all():
             break
     return b
@@ -380,7 +347,7 @@ def _ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_
     """Blocks (v, q, limit): the vectors v = shift + x * basis of norm q <= bound.
 
     The one exact reader of the walk: q holds the exact integer norms, and
-    limit is the walk's live limit array, which the consumer may lower
+    limit is the walk's one-entry limit array, which the consumer may lower
     between blocks.  A shift in the basis's rational span describes a
     lattice coset; its exact coefficients against the basis centre the
     walk.  Without a shift (or with a zero one) the walk holds 0 and one
@@ -396,9 +363,7 @@ def _ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_
         if center is None:
             raise PreconditionViolation("shift not in the lattice's span")
         t = np.array([float(x) for x in center])
-    for level, xs, _ in _fincke_pohst(R, t, limit, budget):
-        if level:
-            continue
+    for xs in _fincke_pohst(R, t, limit, budget):
         # int64 wraparound is exact mod 2^64, so v is exact: each of its
         # entries is below 2^32, since its norm is about bound or less
         v = xs @ basis + sv

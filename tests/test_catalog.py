@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,16 @@ def test_frame_report_rejects_a_code_with_the_wrong_root_system(monkeypatch):
     assert not ok and "root-system" in note
     v = catalog.frame_report("D4_5", 5)
     assert not any("catalog code" in line for line in v.chain)
+
+
+def test_divisors_match_the_linear_scan_and_are_fast_at_large_k():
+    for k in range(1, 3000):
+        assert catalog._divisors(k) == ([d for d in range(2, k + 1) if k % d == 0] or [1])
+    start = time.perf_counter()
+    divs = catalog._divisors(10**12)  # trial division to 10^6, not a scan to 10^12
+    assert time.perf_counter() - start < 5
+    assert len(divs) == 13 * 13 - 1 and divs[0] == 2 and divs[-1] == 10**12
+    assert divs == sorted(divs) and all(10**12 % d == 0 for d in divs)
 
 
 def test_frame_report_rejects_a_norm_below_one():

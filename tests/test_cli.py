@@ -167,6 +167,15 @@ def test_report_writes_the_frame(tmp_path, capsys):
     assert contains_frame(catalog.build("D12_plus"), frame)
 
 
+def test_report_out_says_when_it_writes_no_frame(tmp_path, capsys):
+    # k = 13 rests on the code certificate of C_13_12: a "yes" with no explicit frame
+    out = tmp_path / "frame.txt"
+    assert main(["report", "D12_plus", "--k", "13", "--out", str(out)]) == EXIT_OK
+    assert not out.exists()
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"no frame file written to {out}: the verdict carries no explicit frame"
+
+
 def test_bound(capsys):
     assert main(["bound", "--n", "20", "--k", "5"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("10")

@@ -15,17 +15,16 @@ from zklat.intmat import det, hnf
 from zklat.lattice import Lattice, even_sublattice_and_shadow, find_frame
 from zklat.shortvec import (
     BKZ_BLOCK,
-    BKZ_TOURS,
     CHUNK,
     RECOMPUTE_ABOVE,
     _ball,
     _complete_unimodular,
     _factor,
     _fincke_pohst,
-    _first_shorter_block,
     _gso,
     _lll_core,
     _norms,
+    _shortest,
     block_reduce,
     enumerate_ball,
     enumerate_shell,
@@ -164,9 +163,7 @@ def test_walk_ends_cleanly_when_the_limit_drops_mid_walk():
     for final in (0.5, 20.5):
         R, limit = _factor(basis, 200)
         blocks = []
-        for level, xs, _ in _fincke_pohst(R, np.zeros(4), limit, np.inf):
-            if level:
-                continue
+        for xs in _fincke_pohst(R, np.zeros(4), limit, np.inf):
             blocks.append(xs @ basis)
             limit[:] = final
         assert all(len(b) for b in blocks) and (len(blocks) >= 2 or final < 1)
@@ -420,54 +417,6 @@ def test_float_check_passes_on_every_catalog_lattice():
         _factor(lat.basis, 5 * lat.scale)  # raises if the margin were thin
 
 
-def _shortest(R, bound):
-    """Shortest nonzero coefficient row of the block with factor R, else None.
-
-    The reference block search: one walk of the block alone, bound B at
-    every level; of equal float norms, the first row of the walk wins.
-    """
-    n = R.shape[0]
-    best, bestx = bound, None
-    for level, xs, _ in _fincke_pohst(R, np.zeros(n), np.full(n, bound), np.inf):
-        if level:
-            continue
-        q = _norms(xs @ R.T)
-        q[~xs.any(axis=1)] = np.inf
-        j = int(np.argmin(q))
-        if q[j] < best:
-            best, bestx = q[j], xs[j]
-    return bestx
-
-
-def block_by_block(basis):
-    """`block_reduce` with one `_shortest` walk per BKZ block: the reference tour."""
-    b = np.array(basis, dtype=np.int64)
-    n = b.shape[0]
-    _lll_core(b)
-    if n <= BKZ_BLOCK:  # one block: LLL alone
-        return b
-    ends = np.minimum(np.arange(n - 1) + BKZ_BLOCK, n)
-    proved = np.zeros(n - 1, dtype=bool)
-    for _ in range(BKZ_TOURS):
-        for i in range(n - 1):
-            if proved[i]:
-                continue
-            j = ends[i]
-            rsub = np.ascontiguousarray(_gso(b[:j])[i:j, i:j])
-            x = _shortest(rsub, 0.9999 * rsub[0, 0] ** 2)
-            if x is None:
-                proved[i] = True
-                continue
-            before = b.copy()
-            b[i:j] = _complete_unimodular(x) @ b[i:j]
-            _lll_core(b, max(i, 1))
-            moved = np.flatnonzero((b != before).any(axis=1))
-            proved[ends > moved.min(initial=n)] = False
-        if proved.all():
-            break
-    return b
-
-
 MINNORM_POOL_CODES = [
     "C_12_3_D6", "C_13_12", "C_23_12", "C_7_16", "C_16_4_P8", "Cp_4_20", "C_5_20", "C_13_20",
 ]
@@ -487,12 +436,28 @@ def basis_of(kind, name):
     return scrambled_basis(np.random.default_rng(500 + name), name)
 
 
+def block_searches(b):
+    """`_shortest` on each BKZ block of b in turn, as `block_reduce` searches it."""
+    n = b.shape[0]
+    for i in range(n - 1):
+        j = min(i + BKZ_BLOCK, n)
+        R = np.ascontiguousarray(_gso(b[:j])[i:j, i:j])
+        yield _shortest(R, 0.9999 * R[0, 0] ** 2)
+
+
 @pytest.mark.parametrize("kind, name", CATALOG_BASES + [("lift", "C_5_28")] + [
     ("scrambled", n) for n in (12, 20, 24, 30)
 ])
 def test_block_reduce_matches_block_by_block_tours(kind, name):
+    # the output is a fixed point of a block-by-block tour: past one block,
+    # no block holds a vector shorter than its first row; up to one block
+    # the output is the LLL basis
     basis = basis_of(kind, name)
-    assert block_reduce(basis).tobytes() == block_by_block(basis).tobytes()
+    red = block_reduce(basis)
+    if red.shape[0] <= BKZ_BLOCK:
+        assert red.tobytes() == _lll_core(basis.copy()).tobytes()
+    else:
+        assert all(x is None for x in block_searches(red))
 
 
 # C_19_40's lift needs 7 BKZ tours before every block is proved
@@ -534,8 +499,7 @@ def test_lll_core_contract_random(seed):
 def test_lll_core_contract_after_a_bkz_insertion():
     # R28_15: after LLL, block 3 of the first 20 rows holds a shorter vector
     b = _lll_core(catalog.build("R28_15").basis.copy())
-    R = np.ascontiguousarray(_gso(b)[:BKZ_BLOCK, :BKZ_BLOCK])
-    i, x = _first_shorter_block(R, np.ones(BKZ_BLOCK - 1, dtype=bool))
+    i, x = next((i, x) for i, x in enumerate(block_searches(b[:BKZ_BLOCK])) if x is not None)
     assert i >= 1
     b[i:BKZ_BLOCK] = _complete_unimodular(x) @ b[i:BKZ_BLOCK]
     assert_lll_core_contract(b, i)
@@ -543,18 +507,28 @@ def test_lll_core_contract_after_a_bkz_insertion():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_first_shorter_block_is_the_first_block_shortest_finds(seed):
+    # brute force over a box of coefficient rows, on every block of a
+    # random LLL-reduced basis of 2 to 6 rows and of the same rows in
+    # reverse order: `_shortest` finds a row exactly when the block holds
+    # a nonzero row below the bound, and then one of least float norm, so
+    # the first block it finds a row in is the first block holding a
+    # shorter vector
     rng = np.random.default_rng(600 + seed)
-    n = int(rng.integers(2, 21))
-    R = _gso(_lll_core(random_basis(rng, n)))
-    rows = [_shortest(np.ascontiguousarray(R[l:, l:]), 0.9999 * R[l, l] ** 2) for l in range(n - 1)]
-    for live in (np.ones(n - 1, dtype=bool), rng.random(n - 1) < 0.7):
-        want = next((l for l in range(n - 1) if live[l] and rows[l] is not None), None)
-        got = _first_shorter_block(R, live)
-        if want is None:
-            assert got is None
-        else:
-            # the block's own walk would return the very same row
-            assert got[0] == want and got[1].tobytes() == rows[want].tobytes()
+    n = int(rng.integers(2, 7))
+    red = _lll_core(random_basis(rng, n))
+    for R, l in itertools.product((_gso(red), _gso(red[::-1])), range(n - 1)):
+        Rl = np.ascontiguousarray(R[l:, l:])
+        m = n - l
+        for bound in (0.9999 * Rl[0, 0] ** 2, 2 * Rl[0, 0] ** 2):
+            # |x_i| <= sqrt(bound * (G^-1)_ii) inside the ball
+            box = int(np.sqrt(bound * (np.linalg.inv(Rl) ** 2).sum(axis=1)).max()) + 1
+            xs = np.indices((2 * box + 1,) * m).reshape(m, -1).T - box
+            q = _norms(xs @ Rl.T)[xs.any(axis=1)]
+            x = _shortest(Rl, bound)
+            if x is None:
+                assert not (q < bound).any()
+            else:
+                assert x.any() and np.isclose(_norms(x[None] @ Rl.T)[0], q.min(), rtol=1e-12)
 
 
 def count_walks(monkeypatch):
@@ -590,10 +564,10 @@ def test_a_basis_longer_than_one_block_gets_bkz_walks(monkeypatch):
 
 
 def test_each_block_search_is_one_walk(monkeypatch):
-    # dimension 28: tail blocks share a walk, blocks ending earlier take one each
+    # dimension 28: every block search walks its block once, and nothing else walks
     basis = catalog.build("R28_15").basis
     counts = {"walks": 0, "searches": 0}
-    walk, search = zklat.shortvec._fincke_pohst, zklat.shortvec._first_shorter_block
+    walk, search = zklat.shortvec._fincke_pohst, zklat.shortvec._shortest
 
     def counted_walk(*args):
         counts["walks"] += 1
@@ -604,7 +578,6 @@ def test_each_block_search_is_one_walk(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(zklat.shortvec, "_fincke_pohst", counted_walk)
-    monkeypatch.setattr(zklat.shortvec, "_first_shorter_block", counted_search)
+    monkeypatch.setattr(zklat.shortvec, "_shortest", counted_search)
     block_reduce(basis)
-    # a block that holds a shorter vector is not walked again for it
     assert counts["walks"] == counts["searches"] > 1
