@@ -17,9 +17,9 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import BadDimension, OutOfRange, PreconditionViolation
+from .errors import BadDimension, PreconditionViolation
 from .lattice import Frame
-from .skew import FrameQuadruple, _is_prime, search_quadruple
+from .skew import FrameQuadruple, factorize, is_prime, search_quadruple
 
 __all__ = [
     "REPRESENTATION_CASES",
@@ -59,7 +59,7 @@ REPRESENTATION_CASES = {
 
 
 def representation_search(case: RepresentationCase, p: int) -> FrameQuadruple | None:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise PreconditionViolation("p must be prime")
     return search_quadruple(case.k, case.m, case.ell, p)
 
@@ -105,21 +105,6 @@ def scale_frame(frame: Frame, m: int) -> Frame:
     blocks = [q @ v[i : i + 4] for i in range(0, n, 4)]
     out = np.vstack(blocks)
     return Frame(out, frame.scale, frame.norm_k * m)
-
-
-def factorize(k: int) -> dict[int, int]:
-    if k >= 1 << 63:
-        raise OutOfRange("factorization by trial division supports k < 2^63")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out[d] = out.get(d, 0) + 1
-            k //= d
-        d += 1 if d == 2 else 2
-    if k > 1:
-        out[k] = out.get(k, 0) + 1
-    return out
 
 
 def star_condition_check(case: RepresentationCase, min_k: int, k: int) -> bool:

@@ -8,6 +8,9 @@ determinant of the lift, whose HNF basis the code keeps).  The minimum
 Euclidean weight d_E is the shortest vector of the lift C + k Z^n that
 lies outside k Z^n.  The code block-reduces its lift at most once, when
 first asked, and `lattice.construction_a` reads the same reduced basis.
+The paper's generator shapes are written once, here: `systematic`
+(I | M), `four_negacirculant` and `bordered`; `skew` builds its seeds
+and codes from the same three.
 """
 
 from __future__ import annotations
@@ -117,16 +120,33 @@ def circulant(first_row) -> np.ndarray:
     return out
 
 
-def build_four_negacirculant(k: int, r_a, r_b) -> ZkCode:
-    """Length-4m code with generator (I | A B ; -B^T A^T), A, B negacirculant."""
+def systematic(k: int, right) -> ZkCode:
+    """The code over Z_k with generator (I | right); ZkCode reduces it mod k."""
+    return ZkCode(k, np.hstack([np.eye(len(right), dtype=np.int64), right]))
+
+
+def four_negacirculant(r_a, r_b) -> np.ndarray:
+    """(A B ; -B^T A^T) with A, B the negacirculant matrices of r_a, r_b."""
     if len(r_a) != len(r_b):
         raise PreconditionViolation("r_A and r_B must have equal length")
-    m = len(r_a)
     a = negacirculant(r_a)
     b = negacirculant(r_b)
-    right = np.block([[a, b], [-b.T, a.T]])
-    gen = np.hstack([np.eye(2 * m, dtype=np.int64), right]) % k
-    return ZkCode(k, tuple(map(tuple, gen.tolist())))
+    return np.block([[a, b], [-b.T, a.T]])
+
+
+def bordered(inner, left: int) -> np.ndarray:
+    """inner under a row of ones, with a column of `left` to its left (corner 0)."""
+    n = len(inner)
+    out = np.zeros((n + 1, n + 1), dtype=np.int64)
+    out[0, 1:] = 1
+    out[1:, 0] = left
+    out[1:, 1:] = inner
+    return out
+
+
+def build_four_negacirculant(k: int, r_a, r_b) -> ZkCode:
+    """Length-4m code with generator (I | A B ; -B^T A^T), A, B negacirculant."""
+    return systematic(k, four_negacirculant(r_a, r_b))
 
 
 def build_z4_two_block(a: int, b: int, top_right, bottom_right) -> ZkCode:
@@ -149,15 +169,8 @@ def build_z4_two_block(a: int, b: int, top_right, bottom_right) -> ZkCode:
 
 
 def build_bordered_circulant(k: int, first_row) -> ZkCode:
-    """Length 2(p+1) code with generator (I | bordered circulant)."""
-    p = len(first_row)
-    r = circulant(first_row)
-    right = np.zeros((p + 1, p + 1), dtype=np.int64)
-    right[0, 1:] = 1
-    right[1:, 0] = 1
-    right[1:, 1:] = r
-    gen = np.hstack([np.eye(p + 1, dtype=np.int64), right]) % k
-    return ZkCode(k, tuple(map(tuple, gen.tolist())))
+    """Length 2(p+1) code with generator (I | circulant bordered by +1)."""
+    return systematic(k, bordered(circulant(first_row), 1))
 
 
 def is_self_dual(code: ZkCode) -> bool:

@@ -59,12 +59,14 @@ def _checked_rows(rows, what: str) -> list[list[int]]:
     return exact
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: == on ndarray fields has no single truth value
 class Lattice:
     basis: np.ndarray  # n x n int64 rows; true vectors are rows / sqrt(scale)
     scale: int
 
     def __post_init__(self):
+        if self.scale < 1:
+            raise PreconditionViolation(f"lattice scale {self.scale} is not a positive integer")
         self.basis = np.array(_checked_rows(self.basis, "basis"), dtype=np.int64)
         n = self.basis.shape[0]
         if self.basis.shape != (n, n):
@@ -142,6 +144,10 @@ class Frame:
     norm_k: int
 
     def __post_init__(self):
+        if self.scale < 1 or self.norm_k < 1:
+            raise PreconditionViolation(
+                f"frame scale {self.scale} and norm {self.norm_k} must be positive integers"
+            )
         rows = tuple(map(tuple, _checked_rows(self.vectors, "frame")))
         object.__setattr__(self, "vectors", rows)
         v = self.np_vectors()
@@ -237,7 +243,7 @@ def _theta(lattice: Lattice, shift, max_norm, budget: int) -> ThetaPrefix:
     return ThetaPrefix(theta, Fraction(max_norm))
 
 
-@dataclass
+@dataclass(eq=False)
 class ShadowParts:
     """Even sublattice, its dual, and the three nontrivial coset shifts.
 

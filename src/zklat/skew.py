@@ -2,7 +2,9 @@
 
 The seeds live over the plain integers; reduction mod k happens only
 when the associated code is built, because MM^T = mI is an integer
-identity that reduction would destroy.
+identity that reduction would destroy.  Seeds and their codes use the
+builders of `codes` (`four_negacirculant`, `bordered`, `systematic`).
+Trial division (`factorize`, `is_prime`) lives here, below `arith`.
 """
 
 from __future__ import annotations
@@ -12,22 +14,29 @@ from math import isqrt
 
 import numpy as np
 
-from .codes import ZkCode, negacirculant
-from .errors import CongruenceViolation, PreconditionViolation, SkewViolation
+from .codes import ZkCode, bordered, circulant, four_negacirculant, systematic
+from .errors import CongruenceViolation, OutOfRange, PreconditionViolation, SkewViolation
 from .lattice import Frame
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+def factorize(k: int) -> dict[int, int]:
+    """The prime factorization {p: e} of k, by trial division."""
+    if k >= 1 << 63:
+        raise OutOfRange("factorization by trial division supports k < 2^63")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= k:
+        while k % d == 0:
+            out[d] = out.get(d, 0) + 1
+            k //= d
+        d += 1 if d == 2 else 2
+    if k > 1:
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def is_prime(p: int) -> bool:
+    return factorize(p) == {p: 1}
 
 
 @dataclass(frozen=True)
@@ -74,34 +83,20 @@ class FrameQuadruple:
 
 def build_paley_skew(p: int) -> np.ndarray:
     """Bordered quadratic-residue matrix P_{p+1} with P P^T = p I."""
-    if not _is_prime(p) or p % 4 != 3:
+    if not is_prime(p) or p % 4 != 3:
         raise PreconditionViolation("p must be a prime congruent to 3 mod 4")
-    squares = {(x * x) % p for x in range(1, (p + 1) // 2 + 1)}
-    q = np.zeros((p, p), dtype=np.int64)
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            q[i, j] = -1 if (j - i) % p in squares else 1
-    mat = np.zeros((p + 1, p + 1), dtype=np.int64)
-    mat[0, 1:] = 1
-    mat[1:, 0] = -1
-    mat[1:, 1:] = q
-    return mat
+    squares = {x * x % p for x in range(1, p)}
+    # Q_ij depends only on (j - i) mod p, so Q is the circulant of one row
+    return bordered(circulant([0] + [-1 if j in squares else 1 for j in range(1, p)]), -1)
 
 
-def build_skew_negacirculant(r_a1, r_a2) -> np.ndarray:
-    """(A1 A2 ; -A2^T A1^T) from negacirculant blocks; SkewSeed checks it."""
-    a1 = negacirculant(r_a1)
-    a2 = negacirculant(r_a2)
-    return np.block([[a1, a2], [-a2.T, a1.T]])
+# (A1 A2 ; -A2^T A1^T) from negacirculant blocks; SkewSeed checks it is skew
+build_skew_negacirculant = four_negacirculant
 
 
 def build_code_from_skew(seed: SkewSeed) -> ZkCode:
     """Self-dual code of length 2n with generator (I_n | M + ell*I_n)."""
-    n = seed.order
-    mat = seed.np_matrix() + seed.ell * np.eye(n, dtype=np.int64)
-    return ZkCode(seed.k, np.hstack([np.eye(n, dtype=np.int64), mat]))
+    return systematic(seed.k, seed.np_matrix() + seed.ell * np.eye(seed.order, dtype=np.int64))
 
 
 def frame_constant(seed: SkewSeed, q: FrameQuadruple) -> int:
@@ -129,12 +124,18 @@ def build_frame(seed: SkewSeed, q: FrameQuadruple) -> Frame:
     return Frame(rows, seed.k, frame_constant(seed, q))
 
 
-def _signed_range(limit: int):
-    """0, 1, -1, 2, -2, ...: magnitude-ascending, positive first."""
-    yield 0
-    for v in range(1, limit + 1):
-        yield v
-        yield -v
+def _signed(limit: int, residue: int = 0, modulus: int = 1):
+    """The v with |v| <= limit and v = residue (mod modulus), lazily, by |v|,
+    positive first: 0, 1, -1, 2, -2, ... for the defaults."""
+    pos = residue % modulus
+    neg = modulus - pos  # the least |v| of a negative v in the class
+    while pos <= limit or neg <= limit:
+        if pos <= neg:
+            yield pos
+            pos += modulus
+        else:
+            yield -neg
+            neg += modulus
 
 
 def search_quadruple(k: int, m: int, ell: int, target: int) -> FrameQuadruple | None:
@@ -143,24 +144,17 @@ def search_quadruple(k: int, m: int, ell: int, target: int) -> FrameQuadruple | 
     magnitude-ascending order (positive before negative).
 
     Exhaustive over |a|,|c| <= sqrt(k*target), |b|,|d| <= sqrt(k*target/m);
-    a returned None is therefore a proof of nonexistence.
+    a returned None is therefore a proof of nonexistence.  Every scan is
+    lazy, so memory stays flat at any target; time does not.
     """
     kn = k * target
-    amax = isqrt(kn)
-    bmax = isqrt(kn // m)
-    for a in _signed_range(amax):
+    for a in _signed(isqrt(kn)):
         ra = kn - a * a
-        for b in _signed_range(bmax):
+        for b in _signed(isqrt(ra // m)):
             rb = ra - m * b * b
-            if rb < 0:
-                continue
-            cmax = isqrt(rb)
-            # congruences fix c and d modulo k given (a, b)
+            # the congruences fix d and then c modulo k given (a, b)
             d0 = (a + ell * b) % k
-            c0 = (b + ell * d0) % k
-            for c in sorted(
-                range(-cmax + (c0 + cmax) % k, cmax + 1, k), key=lambda v: (abs(v), v < 0)
-            ):
+            for c in _signed(isqrt(rb), b + ell * d0, k):
                 rc = rb - c * c
                 if rc % m:
                     continue
@@ -168,6 +162,6 @@ def search_quadruple(k: int, m: int, ell: int, target: int) -> FrameQuadruple | 
                 if d_abs * d_abs * m != rc:
                     continue
                 for d in (d_abs, -d_abs) if d_abs else (0,):
-                    if (d - d0) % k == 0 and (b - c + ell * d) % k == 0:
+                    if (d - d0) % k == 0:
                         return FrameQuadruple(a, b, c, d)
     return None

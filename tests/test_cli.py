@@ -316,3 +316,16 @@ def test_wrong_input_is_an_error_line(argv, message, capsys):
     assert main(argv) == EXIT_REFUTED
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["minnorm"], "lattice 2 -1\n1 0\n0 1\n"),
+    (["minnorm"], "lattice 2 0\n1 0\n0 1\n"),
+    (["frame-scale", "--m", "2"], "frame -1 4 -1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"),
+])
+def test_a_scale_or_norm_below_one_is_an_error_line(argv, text, tmp_path, capsys):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    assert main([argv[0], str(p), *argv[1:]]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

@@ -49,6 +49,16 @@ def test_lattice_roundtrip():
     assert np.array_equal(again.basis, lat.basis)
 
 
+@pytest.mark.parametrize("loader, text", [
+    (load_lattice, "lattice 2 -1\n1 0\n0 1\n"),
+    (load_lattice, "lattice 2 0\n1 0\n0 1\n"),
+    (load_frame, "frame -1 4 -1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"),
+])
+def test_a_header_scale_or_norm_below_one_is_rejected(loader, text):
+    with pytest.raises(PreconditionViolation):
+        loader(text)
+
+
 def test_frame_roundtrip_reverifies_gram():
     z4 = Lattice(np.eye(4, dtype=np.int64), 1)
     frame = find_frame(z4, 1)

@@ -229,6 +229,13 @@ def test_frame_rejects_rows_whose_gram_wraps():
         Frame(((2**32, 1), (-1, 2**32)), 1, 1)
 
 
+def test_lattices_and_shadow_parts_compare_by_identity():
+    lat = Lattice(np.eye(2, dtype=np.int64), 1)
+    assert lat == lat and lat != Lattice(np.eye(2, dtype=np.int64), 1)
+    parts = even_sublattice_and_shadow(catalog.build("D12_plus"))
+    assert parts == parts and parts != even_sublattice_and_shadow(catalog.build("D12_plus"))
+
+
 def _solve_member(basis, v) -> bool:
     """Reference membership: an exact rational solve of x B = v."""
     sol = solve_fraction(np.asarray(basis).tolist(), [int(a) for a in v])

@@ -1,7 +1,12 @@
+import time
+from itertools import islice, product
+from math import isqrt
+
 import numpy as np
 import pytest
 
-from zklat.codes import is_self_dual, negacirculant
+from zklat.arith import REPRESENTATION_CASES
+from zklat.codes import build_four_negacirculant, is_self_dual, negacirculant
 from zklat.errors import CongruenceViolation, PreconditionViolation, SkewViolation
 from zklat.skew import (
     FrameQuadruple,
@@ -11,8 +16,10 @@ from zklat.skew import (
     build_paley_skew,
     build_skew_negacirculant,
     frame_constant,
+    is_prime,
     search_quadruple,
 )
+from zklat.skew import _signed
 
 D6 = ((0, 2, 2), (0, 1, -4))
 D6_SEED = SkewSeed(build_skew_negacirculant(*D6), k=3, m=25, ell=1)
@@ -111,3 +118,75 @@ def test_order_2_mod_4_square_ok():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         SkewSeed(((0, 1), (-1, 0)), k=3, m=1, ell=1)
+
+
+def _signed_key(v):
+    return (abs(v), v < 0)
+
+
+def test_signed_is_the_sorted_residue_class():
+    for limit in range(40):
+        for modulus in range(1, 9):
+            for residue in range(modulus):
+                want = sorted(
+                    (v for v in range(-limit, limit + 1) if (v - residue) % modulus == 0),
+                    key=_signed_key,
+                )
+                assert list(_signed(limit, residue, modulus)) == want
+    assert list(_signed(3)) == [0, 1, -1, 2, -2, 3, -3]
+    assert list(_signed(-1)) == []
+
+
+def test_signed_is_lazy():
+    t0 = time.perf_counter()
+    assert list(islice(_signed(10**15, 1, 3), 5)) == [1, -2, 4, -5, 7]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _first_quadruple_by_brute_force(k, m, ell, target):
+    """Every solution in the scan box, then the least in signed order."""
+    kn = k * target
+    amax, bmax = isqrt(kn), isqrt(kn // m)
+    found = []
+    for a, b, c in product(range(-amax, amax + 1), range(-bmax, bmax + 1), range(-amax, amax + 1)):
+        for d in range(-bmax, bmax + 1):
+            if (
+                a * a + m * b * b + c * c + m * d * d == kn
+                and (b - c + ell * d) % k == 0
+                and (d - a - ell * b) % k == 0
+            ):
+                found.append((a, b, c, d))
+    if not found:
+        return None
+    return FrameQuadruple(*min(found, key=lambda q: tuple(map(_signed_key, q))))
+
+
+@pytest.mark.parametrize("label", sorted(REPRESENTATION_CASES))
+def test_search_quadruple_is_the_first_solution_in_signed_order(label):
+    c = REPRESENTATION_CASES[label]
+    for target in range(1, 31):
+        want = _first_quadruple_by_brute_force(c.k, c.m, c.ell, target)
+        assert search_quadruple(c.k, c.m, c.ell, target) == want, target
+
+
+def test_paley_is_the_quadratic_residue_definition():
+    for p in (3, 7, 11, 19, 23, 43):
+        squares = {x * x % p for x in range(1, p)}
+        want = np.zeros((p + 1, p + 1), dtype=np.int64)
+        want[0, 1:], want[1:, 0] = 1, -1
+        for i, j in product(range(p), repeat=2):
+            if i != j:
+                want[i + 1, j + 1] = -1 if (j - i) % p in squares else 1
+        assert np.array_equal(build_paley_skew(p), want)
+
+
+def test_unequal_negacirculant_rows_are_rejected():
+    with pytest.raises(PreconditionViolation):
+        build_skew_negacirculant((0, 1, 1), (1, 0))
+    with pytest.raises(PreconditionViolation):
+        build_four_negacirculant(3, (0, 1, 1), (1, 0))
+
+
+def test_is_prime():
+    assert [p for p in range(-3, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert is_prime(1000000007) and not is_prime(1000000007 * 3)
