@@ -68,6 +68,9 @@ def four_square_decomposition(m: int) -> tuple[int, int, int, int]:
     """a^2+b^2+c^2+d^2 = m with a >= b >= c >= d >= 0, a maximal."""
     if m < 0:
         raise PreconditionViolation("m must be non-negative")
+    if m and m % 8 == 0:
+        # squares are 0, 1, 4 mod 8, so every representation of m is twice one of m/4
+        return tuple(2 * x for x in four_square_decomposition(m // 4))
     for a in range(isqrt(m), -1, -1):
         ra = m - a * a
         for b in range(min(a, isqrt(ra)), -1, -1):

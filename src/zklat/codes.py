@@ -1,12 +1,12 @@
 """Codes over Z_k: construction, self-duality, Euclidean weights.
 
-A code is held as a generator matrix with entries reduced to
-{0, ..., k-1}.  The generator rows are required to enumerate the code
-without repetition: the product of the additive row orders must equal
-the number of distinct codewords (checked on construction via the
-determinant of the lift, whose HNF basis the code keeps).  The minimum
-Euclidean weight d_E is the shortest vector of the lift C + k Z^n that
-lies outside k Z^n.  The code block-reduces its lift at most once, when
+A code is given by generator rows with entries reduced to
+{0, ..., k-1}; any rows will do, dependent ones included.  The one
+thing the code derives from them is the HNF basis of its lift
+C + k Z^n, made on construction: it gives the cardinality (k^n over
+the product of the pivots), `construction_a` and d_E.  The minimum
+Euclidean weight d_E is the shortest vector of the lift that lies
+outside k Z^n.  The code block-reduces its lift at most once, when
 first asked, and `lattice.construction_a` reads the same reduced basis.
 The paper's generator shapes are written once, here: `systematic`
 (I | M), `four_negacirculant` and `bordered`; `skew` builds its seeds
@@ -16,12 +16,12 @@ and codes from the same three.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionViolation
-from .intmat import hnf, vec_gcd
+from .errors import PreconditionViolation
+from .intmat import hnf
 from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, shortest_norm
 
 
@@ -35,16 +35,10 @@ def euclidean_weight(x, k: int) -> int:
     return total
 
 
-def weight_table(k: int) -> np.ndarray:
-    r = np.arange(k, dtype=np.int64)
-    return np.minimum(r, k - r) ** 2
-
-
 @dataclass(frozen=True)
 class ZkCode:
     k: int
     generators: tuple[tuple[int, ...], ...]
-    row_orders: tuple[int, ...] = field(init=False)
     cardinality: int = field(init=False)
     _lift: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _reduced: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -58,19 +52,12 @@ class ZkCode:
         if len({len(row) for row in gens}) != 1 or not gens[0]:
             raise PreconditionViolation("generator rows must share one nonzero length")
         object.__setattr__(self, "generators", gens)
-        orders = tuple(self.k // gcd(self.k, vec_gcd(row)) for row in gens)
-        object.__setattr__(self, "row_orders", orders)
         n, k = len(gens[0]), self.k
         lift = hnf([list(r) for r in gens] + [[k * (i == j) for j in range(n)] for i in range(n)])
         object.__setattr__(self, "_lift", tuple(map(tuple, lift)))
         # the lift's index k^n / |C| in Z^n is the product of its HNF pivots
         index = prod(row[i] for i, row in enumerate(lift))
         object.__setattr__(self, "cardinality", k**n // index)
-        if prod(orders) != self.cardinality:
-            raise PreconditionViolation(
-                "generator rows are not independent: "
-                f"product of row orders {prod(orders)} != cardinality {self.cardinality}"
-            )
 
     @property
     def n(self) -> int:
@@ -87,17 +74,6 @@ class ZkCode:
             b.flags.writeable = False
             object.__setattr__(self, "_reduced", b)
         return self._reduced
-
-    def matrix(self) -> np.ndarray:
-        return np.array(self.generators, dtype=np.int64)
-
-    def codewords(self) -> np.ndarray:
-        """All codewords as an array (cardinality x n).  Small codes only."""
-        if self.cardinality > 10**6:
-            raise BudgetExceeded("codewords listed", self.cardinality, 10**6)
-        grids = np.meshgrid(*[np.arange(o) for o in self.row_orders], indexing="ij")
-        msgs = np.stack([g.ravel() for g in grids], axis=1)
-        return (msgs @ self.matrix()) % self.k
 
 
 def negacirculant(first_row) -> np.ndarray:
@@ -174,13 +150,11 @@ def build_bordered_circulant(k: int, first_row) -> ZkCode:
 
 
 def is_self_dual(code: ZkCode) -> bool:
-    g = code.matrix()
-    if np.any((g @ g.T) % code.k != 0):
+    """|C|^2 = k^n (so |C| = |C^perp|) and the rows are orthogonal mod k."""
+    if code.cardinality**2 != code.k**code.n:
         return False
-    n = code.n
-    if n % 2 != 0:
-        return False
-    return code.cardinality == code.k ** (n // 2)
+    g = np.array(code.generators, dtype=object)  # Python ints: no int64 wrap at large k
+    return not np.any((g @ g.T) % code.k)
 
 
 def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -197,13 +171,3 @@ def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int
     k = code.k
     return shortest_norm(code.reduced_lift(), budget, keep=lambda v: (v % k).any(axis=1))
 
-
-def min_euclidean_weight_naive(code: ZkCode, cap: int = 10**6) -> int:
-    """Unpruned reference enumeration; independent check for small codes."""
-    if code.cardinality > cap:
-        raise BudgetExceeded("codewords enumerated", code.cardinality, cap)
-    words = code.codewords()
-    wt = weight_table(code.k)
-    weights = wt[words].sum(axis=1)
-    nonzero = words.any(axis=1)
-    return int(weights[nonzero].min())

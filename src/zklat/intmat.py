@@ -10,7 +10,6 @@ entries are minors of the input and its divisions are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -104,9 +103,3 @@ def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:
     x = solve_rows(a, [b])
     return None if x is None else x[0]
 
-
-def vec_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return g

@@ -1,0 +1,45 @@
+"""Reference codeword listing for the tests: the lift's HNF box.
+
+The HNF rows h_1..h_n of the lift C + k Z^n are upper triangular with
+pivots h_ii dividing k, so the words sum t_i h_i mod k with
+0 <= t_i < k / h_ii are the codewords, each exactly once, whatever
+generators the code was given.  The oracle lists them and takes the
+least Euclidean weight directly, with no pruning.
+"""
+
+import numpy as np
+
+from zklat.codes import ZkCode
+
+WORD_CAP = 10**6
+
+
+def codewords(code: ZkCode) -> np.ndarray:
+    """All codewords (cardinality x n), listed by the lift's HNF box."""
+    assert code.cardinality <= WORD_CAP, "too many codewords for the oracle"
+    h = np.array(code.lift_basis(), dtype=np.int64)
+    box = [np.arange(code.k // h[i, i]) for i in range(code.n)]
+    grids = np.meshgrid(*box, indexing="ij")
+    coeffs = np.stack([g.ravel() for g in grids], axis=1)
+    return (coeffs @ h) % code.k
+
+
+def min_euclidean_weight_naive(code: ZkCode) -> int:
+    """The least Euclidean weight over all nonzero codewords."""
+    words = codewords(code)
+    r = np.arange(code.k)
+    weights = (np.minimum(r, code.k - r) ** 2)[words].sum(axis=1)
+    return int(weights[words.any(axis=1)].min())
+
+
+def random_selfdual_code(k, dsq, n_half, rnd) -> ZkCode:
+    """(I | B) with B a random monomial matrix whose entries square to -1 mod k.
+
+    `rnd` is a `random.Random`; `dsq` lists square roots of -1 mod k.
+    """
+    perm = list(range(n_half))
+    rnd.shuffle(perm)
+    b = np.zeros((n_half, n_half), dtype=np.int64)
+    for i, j in enumerate(perm):
+        b[i, j] = rnd.choice(dsq)
+    return ZkCode(k, np.hstack([np.eye(n_half, dtype=np.int64), b]))

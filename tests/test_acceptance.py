@@ -7,20 +7,17 @@ membership checks.  The large-dimension rows and the dimension-36 theta
 prefix run only with --slow.
 """
 
+import random
 import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from code_oracle import min_euclidean_weight_naive, random_selfdual_code
 
 from zklat import catalog
 from zklat.arith import REPRESENTATION_CASES, representation_search, scale_frame
-from zklat.codes import (
-    ZkCode,
-    is_self_dual,
-    min_euclidean_weight,
-    min_euclidean_weight_naive,
-)
+from zklat.codes import is_self_dual, min_euclidean_weight
 from zklat.lattice import (
     Frame,
     Lattice,
@@ -234,20 +231,11 @@ def test_scale_frame_up_to_25():
         assert contains_frame(z4, scaled)
 
 
-def _random_selfdual_code(k, dsq, n_half, rng):
-    perm = rng.permutation(n_half)
-    b = np.zeros((n_half, n_half), dtype=np.int64)
-    for i, j in enumerate(perm):
-        b[i, j] = dsq[int(rng.integers(len(dsq)))]
-    gen = np.hstack([np.eye(n_half, dtype=np.int64), b]) % k
-    return ZkCode(k, tuple(map(tuple, gen.tolist())))
-
-
 def test_pruned_matches_naive_weight():
-    rng = np.random.default_rng(2026)
+    rnd = random.Random(2026)
     for k, dsq in [(2, [1]), (5, [2, 3]), (10, [3, 7]), (13, [5, 8])]:
         for _ in range(3):
-            code = _random_selfdual_code(k, dsq, int(rng.integers(2, 5)), rng)
+            code = random_selfdual_code(k, dsq, rnd.randint(2, 4), rnd)
             if code.cardinality > 10**5:
                 continue
             assert is_self_dual(code)

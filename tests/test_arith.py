@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -52,6 +54,26 @@ def test_four_square_decomposition(m):
     a, b, c, d = four_square_decomposition(m)
     assert a >= b >= c >= d >= 0
     assert a * a + b * b + c * c + d * d == m
+
+
+def test_four_square_decomposition_is_the_greatest_sorted_representation():
+    # brute force: the lexicographically greatest (a, b, c, d), a >= b >= c >= d >= 0
+    top = 2000
+    best = {}
+    for a in range(isqrt(top) + 1):
+        for b in range(a + 1):
+            for c in range(b + 1):
+                for d in range(c + 1):
+                    m = a * a + b * b + c * c + d * d
+                    if m <= top:
+                        best[m] = max(best.get(m, (0, 0, 0, 0)), (a, b, c, d))
+    assert [four_square_decomposition(m) for m in range(top + 1)] == [best[m] for m in range(top + 1)]
+
+
+def test_four_square_decomposition_of_a_large_power_of_two():
+    # 8 | m halves the entries, so 2^40 is read off 4 = 2^2 in 19 steps, not a scan
+    assert four_square_decomposition(2**40) == (2**20, 0, 0, 0)
+    assert four_square_decomposition(2**39) == (2**19, 2**19, 0, 0)
 
 
 def test_quaternion_matrix_gram():

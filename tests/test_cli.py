@@ -55,6 +55,20 @@ def test_dmin_of_the_zero_code_is_an_error(tmp_path, capsys):
     assert "d_E" not in captured.out and "error: " in captured.err
 
 
+def test_dmin_of_a_code_with_dependent_rows(tmp_path, capsys):
+    p = tmp_path / "code.txt"
+    p.write_text("zkcode 6 2\n1 1\n2 2\n")  # the second row is twice the first
+    assert main(["dmin", str(p)]) == EXIT_OK
+    assert "d_E = 2 " in capsys.readouterr().out
+
+
+def test_lattice_of_an_odd_length_self_dual_code(tmp_path, capsys):
+    p = tmp_path / "code.txt"
+    p.write_text("zkcode 4 3\n2 0 0\n0 2 0\n0 0 2\n")  # {0, 2}^3, whose A_4 is Z^3
+    assert main(["lattice", str(p)]) == EXIT_OK
+    assert "dim 3, scale 4, unimodular = True" in capsys.readouterr().out
+
+
 def test_lattice_and_minnorm_from_file(tmp_path, capsys):
     out = tmp_path / "lat.txt"
     assert main(["lattice", "C_13_12", "--out", str(out)]) == EXIT_OK
@@ -130,6 +144,14 @@ def test_frame_build_and_scale(tmp_path, capsys):
     assert "3-frame" in capsys.readouterr().out
     assert main(["frame-scale", str(fr), "--m", "2"]) == EXIT_OK
     assert "6-frame" in capsys.readouterr().out
+
+
+def test_frame_scale_by_a_large_power_of_two(tmp_path, capsys):
+    lat, fr = tmp_path / "z4.txt", tmp_path / "frame.txt"
+    lat.write_text("lattice 4 1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    assert main(["frame-find", str(lat), "--k", "1", "--out", str(fr)]) == EXIT_OK
+    assert main(["frame-scale", str(fr), "--m", str(2**39)]) == EXIT_OK
+    assert f"{2**39}-frame" in capsys.readouterr().out
 
 
 def test_frame_find_exit_codes(tmp_path, capsys):

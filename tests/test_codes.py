@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from code_oracle import codewords, min_euclidean_weight_naive, random_selfdual_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +18,10 @@ from zklat.codes import (
     euclidean_weight,
     is_self_dual,
     min_euclidean_weight,
-    min_euclidean_weight_naive,
     negacirculant,
 )
 from zklat.errors import BudgetExceeded, PreconditionViolation
+from zklat.intmat import hnf
 from zklat.lattice import construction_a, min_norm
 
 
@@ -81,7 +84,6 @@ def test_z4_two_block_rejects_odd_bottom():
 def test_z4_two_block_cardinality():
     code = build_z4_two_block(1, 1, [[1, 1]], [[2, 2]])
     assert code.cardinality == 4 * 2
-    assert code.row_orders == (4, 2)
 
 
 def test_bordered_circulant_small():
@@ -93,7 +95,7 @@ def test_bordered_circulant_small():
 def test_bordered_circulant_selfdual_probe():
     # direct G G^T computation decides self-duality for this shape
     code = build_bordered_circulant(4, (1, 1, 1))
-    g = code.matrix()
+    g = np.array(code.generators)
     expect = not np.any((g @ g.T) % 4) and code.cardinality == 4**4
     assert is_self_dual(code) == expect
 
@@ -101,6 +103,23 @@ def test_bordered_circulant_selfdual_probe():
 def test_is_self_dual_tiny():
     assert is_self_dual(ZkCode(2, ((1, 1),)))
     assert not is_self_dual(ZkCode(2, ((1, 0),)))
+
+
+def test_odd_length_self_dual():
+    # {0, 2}^3 over Z_4: |C|^2 = 8^2 = 4^3, and A_4(C) is Z^3
+    code = ZkCode(4, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    assert is_self_dual(code)
+    lat = construction_a(code)
+    assert lat.dim == 3 and lat.is_unimodular() and min_norm(lat) == 1
+    assert not is_self_dual(ZkCode(4, ((2, 0, 0), (0, 2, 0))))
+
+
+def test_self_dual_past_int64():
+    # x^2 = -1 mod the prime p = 2^40 + 97, so (1 | x) is self-dual; x^2 passes 2^63
+    p, x = 1099511627873, 961209656835
+    assert (x * x + 1) % p == 0
+    assert is_self_dual(ZkCode(p, ((1, x),)))
+    assert not is_self_dual(ZkCode(p, ((1, x + 1),)))
 
 
 def test_lift_is_computed_once_at_construction(monkeypatch):
@@ -159,23 +178,12 @@ def test_matches_naive_on_random_codes(rnd):
     assert min_euclidean_weight(code) == min_euclidean_weight_naive(code)
 
 
-def _random_selfdual_code(k, dsq, n_half, rnd):
-    """(I | B) with B a monomial matrix whose entries square to -1 mod k."""
-    perm = list(range(n_half))
-    rnd.shuffle(perm)
-    b = np.zeros((n_half, n_half), dtype=np.int64)
-    for i, j in enumerate(perm):
-        b[i, j] = rnd.choice(dsq)
-    gen = np.hstack([np.eye(n_half, dtype=np.int64), b]) % k
-    return ZkCode(k, tuple(map(tuple, gen.tolist())))
-
-
 @settings(deadline=None, max_examples=25)
 @given(st.randoms(use_true_random=False))
 def test_pruned_matches_naive_on_random_selfdual(rnd):
     k, dsq = rnd.choice([(2, [1]), (5, [2, 3]), (10, [3, 7]), (13, [5, 8])])
     n_half = rnd.randint(2, 4)
-    code = _random_selfdual_code(k, dsq, n_half, rnd)
+    code = random_selfdual_code(k, dsq, n_half, rnd)
     if code.cardinality > 10**5:
         return
     assert is_self_dual(code)
@@ -190,10 +198,27 @@ def test_pruned_matches_naive_on_structured_codes():
         assert min_euclidean_weight(code) == min_euclidean_weight_naive(code)
 
 
-def test_row_independence_validated():
-    # duplicate rows make product of row orders exceed the span size
-    with pytest.raises(PreconditionViolation):
-        ZkCode(4, ((1, 1), (1, 1)))
+def test_dependent_rows_span_one_code():
+    # a repeated row adds nothing: the code is still {t(1, 1)}, of size 4
+    assert ZkCode(4, ((1, 1), (1, 1))).cardinality == 4
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_hnf_box_lists_the_span(rnd):
+    # any generators, dependent ones included: the box lists each word of their span once
+    k = rnd.randint(2, 6)
+    n = rnd.randint(1, 4)
+    gens = [[rnd.randrange(k) for _ in range(n)] for _ in range(rnd.randint(1, 3))]
+    code = ZkCode(k, gens)
+    listed = codewords(code).tolist()
+    words = {tuple(w) for w in listed}
+    assert len(words) == len(listed) == code.cardinality
+    span = {
+        tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) % k for j in range(n))
+        for coeffs in itertools.product(range(k), repeat=len(gens))
+    }
+    assert words == span
 
 
 @pytest.mark.parametrize("gens", [((1, 2), (1,)), ((),), ((), ())])
@@ -205,7 +230,7 @@ def test_generator_rows_need_one_nonzero_length(gens):
 def test_weights_divisible_by_k_for_selfdual():
     code = build_four_negacirculant(5, (0, 0, 0, 1, 1), (1, 4, 2, 1, 0))
     rng = np.random.default_rng(11)
-    gens = code.matrix()
+    gens = np.array(code.generators)
     for _ in range(50):
         coeffs = rng.integers(0, 5, size=gens.shape[0])
         word = (coeffs @ gens) % 5
@@ -229,3 +254,25 @@ def test_a_code_and_its_lattice_share_one_reduction(monkeypatch):
     assert len(calls) == 1
     assert construction_a(code).reduced_basis() is code.reduced_lift()
     assert len(calls) == 1
+
+
+def test_frames_read_off_as_selfdual_codes():
+    # a k-frame f_1..f_n of L gives phi(v) = (<v, f_i>)_i, and phi(L) / k Z^n is a
+    # self-dual Z_k-code whose lift is phi(L); its n rows are dependent for composite k
+    checked = 0
+    for lid in ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"]:
+        lat = catalog.build(lid)
+        for k in range(2, 13):
+            frame = catalog.frame_report(lid, k).frame
+            if frame is None:
+                continue
+            assert frame.scale == lat.scale
+            prod = lat.basis.astype(object) @ frame.np_vectors().astype(object).T
+            assert not np.any(prod % lat.scale)
+            m = prod // lat.scale
+            code = ZkCode(k, (m % k).tolist())
+            assert is_self_dual(code), (lid, k)
+            assert code.lift_basis() == hnf(m.tolist()), (lid, k)
+            assert min_norm(construction_a(code)) == min_norm(lat), (lid, k)
+            checked += 1
+    assert checked == 43  # every "yes" with an explicit frame at these k

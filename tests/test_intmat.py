@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zklat.intmat import det, hnf, solve_fraction, solve_rows, vec_gcd
+from zklat.intmat import det, hnf, solve_fraction, solve_rows
 
 
 def random_unimodular(n, rng, steps=20):
@@ -113,9 +113,3 @@ def test_solve_rows_on_random_matrices():
             assert all(isinstance(t, Fraction) for t in x)
             assert [sum(x[i] * a[i][j] for i in range(n)) for j in range(n)] == b
             assert solve_fraction(a, b) == x
-
-
-def test_vec_gcd():
-    assert vec_gcd([4, 6, 10]) == 2
-    assert vec_gcd([0, 0]) == 0
-
