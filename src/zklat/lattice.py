@@ -6,6 +6,14 @@ lattice is spanned by the rows divided by sqrt(s).  Construction A
 lattices carry s = k so every vector has integer coordinates; shadow
 machinery refines the scale to 4s.  All correctness-critical arithmetic
 is exact.
+
+Membership (`Lattice.contains`, `contains_frame`) is decided against the
+dual lattice when the lattice is unimodular, as every lattice of the
+paper is: then L = L*, so v lies in L iff B v = 0 (mod s), one integer
+product for a whole batch of rows, in int64 below the norm cap of
+`_checked_rows`.  Any other basis (not integral, of index > 1 in its
+dual, or rank-deficient) takes an exact back-substitution against its
+HNF, one row at a time.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ class Lattice:
         self.basis.flags.writeable = False
         self._reduced = None
         self._code = None  # set by construction_a: the code that holds the reduction
+        self._unimodular = None
         self._hnf = None
 
     @property
@@ -94,9 +103,10 @@ class Lattice:
         return not np.any(self.gram_scaled() % self.scale != 0)
 
     def is_unimodular(self) -> bool:
-        if not self.is_integral():
-            return False
-        return abs(det(self.gram_true().tolist())) == 1
+        """Integral with Gram determinant +-1, computed on the first call."""
+        if self._unimodular is None:
+            self._unimodular = self.is_integral() and abs(det(self.gram_true().tolist())) == 1
+        return self._unimodular
 
     def is_even(self) -> bool:
         return self.is_integral() and not np.any(self.gram_true().diagonal() % 2)
@@ -110,20 +120,51 @@ class Lattice:
         return self._reduced
 
     def contains(self, coords, scale: int | None = None) -> bool:
-        """Membership of a vector given in scaled coordinates.
-
-        Exact back-substitution in Python ints against the row HNF H of
-        the basis: each pivot fixes one coefficient of x, and v is a member
-        iff every division is exact and the residual v - x H is zero.  The
-        residual also covers the non-pivot columns of a rank-deficient H.
-        """
+        """Membership of a vector given in scaled coordinates at `scale`
+        (by default the lattice's own); the test is `_contains_rows`."""
         if len(coords) != self.dim:
             raise PreconditionViolation(
                 f"vector of length {len(coords)} for a lattice in dimension {self.dim}"
             )
-        v = _rescale_vector(coords, self.scale if scale is None else scale, self.scale)
+        row = np.array([[int(x) for x in coords]], dtype=object)
+        return self._contains_rows(row, self.scale if scale is None else scale)
+
+    def _contains_rows(self, rows: np.ndarray, scale: int) -> bool:
+        """Whether every row, in scaled coordinates at `scale`, is a member.
+
+        The rows are rescaled to the lattice's scale s once, as a matrix.
+        A unimodular lattice equals its dual, so v is a member iff every
+        <v, b_i> / s is an integer: one product of the rows with B^T,
+        reduced mod s.  That product runs in int64 when every row has
+        norm below ROW_NORM_CAP; the basis rows do too, so by
+        Cauchy-Schwarz no partial sum can wrap (see `_checked_rows`).
+        A longer row keeps it in Python ints.  For any other lattice
+        v in L* does not give v in L, and each row takes the exact
+        back-substitution of `_hnf_member`.
+
+        Int64 rows must already have norms below ROW_NORM_CAP, as a
+        Frame's do; other rows come as an object array of Python ints.
+        """
+        if scale < 1:
+            raise PreconditionViolation(f"vector scale {scale} is not a positive integer")
+        v = _rescale_rows(rows, scale, self.scale)
         if v is None:
             return False
+        if not self.is_unimodular():
+            return all(self._hnf_member(row) for row in v.tolist())
+        if v.dtype == object and all(sum(x * x for x in r) < ROW_NORM_CAP for r in v.tolist()):
+            v = v.astype(np.int64)
+        return not np.any(v @ self.basis.T % self.scale)
+
+    def _hnf_member(self, v: list[int]) -> bool:
+        """Membership of v (at the lattice's scale; overwritten) by HNF.
+
+        Exact back-substitution in Python ints against the row HNF H of
+        the basis, built on the first call: each pivot fixes one
+        coefficient of x, and v is a member iff every division is exact
+        and the residual v - x H is zero.  The residual also covers the
+        non-pivot columns of a rank-deficient H.
+        """
         if self._hnf is None:
             self._hnf = [
                 (next(j for j, a in enumerate(row) if a), row) for row in hnf(self.basis.tolist())
@@ -174,25 +215,23 @@ class ThetaPrefix:
         return sorted((q, c) for q, c in self.counts.items() if c)
 
 
-def _rescale_vector(coords, from_scale: int, to_scale: int):
-    """The coordinates at to_scale of a vector given at from_scale.
+def _rescale_rows(rows: np.ndarray, from_scale: int, to_scale: int) -> np.ndarray | None:
+    """The rows at to_scale of vectors given at from_scale.
 
-    They are coords * sqrt(to_scale / from_scale); None unless every one
+    They are rows * sqrt(to_scale / from_scale); None unless every entry
     is an integer.  With the ratio a^2 / b^2 in lowest terms they are
-    coords * a / b, so the divisions by b must be exact.  A ratio that is
-    not such a square has an irrational root, which leaves only the zero
-    vector.
+    rows * a / b, in Python ints, so the divisions by b must be exact.  A
+    ratio that is not such a square has an irrational root, which leaves
+    only zero rows.
     """
-    if from_scale == to_scale:  # the common case, kept to one pass
-        return [int(x) for x in coords]
+    if from_scale == to_scale:  # the common case: the rows as given
+        return rows
     g = gcd(to_scale, from_scale)
     a, b = isqrt(to_scale // g), isqrt(from_scale // g)
     if a * a * g != to_scale or b * b * g != from_scale:
-        return None if any(coords) else [0] * len(coords)
-    v = [int(x) * a for x in coords]
-    if any(x % b for x in v):
-        return None
-    return [x // b for x in v]
+        return None if rows.any() else rows
+    v = rows.astype(object) * a
+    return None if np.any(v % b) else v // b
 
 
 def construction_a(code: ZkCode) -> Lattice:
@@ -380,10 +419,15 @@ def two_neighbor_at_vector(lattice: Lattice, x, y) -> Lattice:
 
 
 def contains_frame(lattice: Lattice, frame: Frame) -> bool:
-    """All n frame vectors lie in the lattice (Frame has checked their Gram)."""
+    """All n frame vectors lie in the lattice (Frame has checked their Gram).
+
+    The n x n matrix is tested as one batch (`Lattice._contains_rows`): on a
+    unimodular lattice one int64 product F B^T mod s, with no loop over
+    the rows and no HNF.
+    """
     if len(frame.vectors) != lattice.dim or len(frame.vectors[0]) != lattice.dim:
         return False
-    return all(lattice.contains(row, frame.scale) for row in frame.vectors)
+    return lattice._contains_rows(frame.np_vectors(), frame.scale)
 
 
 def norm_shell(

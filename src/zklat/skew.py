@@ -4,7 +4,8 @@ The seeds live over the plain integers; reduction mod k happens only
 when the associated code is built, because MM^T = mI is an integer
 identity that reduction would destroy.  Seeds and their codes use the
 builders of `codes` (`four_negacirculant`, `bordered`, `systematic`).
-Trial division (`factorize`, `is_prime`) lives here, below `arith`.
+The prime test (`is_prime`, deterministic Miller-Rabin) and trial
+division (`factorize`) live here, below `arith`.
 """
 
 from __future__ import annotations
@@ -19,24 +20,57 @@ from .errors import CongruenceViolation, OutOfRange, PreconditionViolation, Skew
 from .lattice import Frame
 
 
+# below _MR_LIMIT, Miller-Rabin to the first 13 prime bases decides
+# primality exactly (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin over _MR_BASES, exact for p < _MR_LIMIT."""
+    if p >= _MR_LIMIT:
+        raise OutOfRange("the prime test supports p < 3.3 * 10^24")
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # a witnesses that p is composite
+    return True
+
+
 def factorize(k: int) -> dict[int, int]:
-    """The prime factorization {p: e} of k, by trial division."""
+    """The prime factorization {p: e} of k, by trial division.
+
+    It stops as soon as the cofactor left is prime, so a prime times
+    small factors costs a few Miller-Rabin tests, not a scan to its root.
+    """
     if k >= 1 << 63:
         raise OutOfRange("factorization by trial division supports k < 2^63")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out[d] = out.get(d, 0) + 1
-            k //= d
+    d, prime = 2, is_prime(k)
+    while not prime and d * d <= k:
+        if k % d == 0:
+            while k % d == 0:
+                out[d] = out.get(d, 0) + 1
+                k //= d
+            prime = is_prime(k)
         d += 1 if d == 2 else 2
     if k > 1:
         out[k] = out.get(k, 0) + 1
     return out
-
-
-def is_prime(p: int) -> bool:
-    return factorize(p) == {p: 1}
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zklat.lattice
 from zklat import catalog
 from zklat.codes import ZkCode, build_four_negacirculant, min_euclidean_weight
 from zklat.errors import BadDimension, NotOdd, NotSelfDual, PreconditionViolation
@@ -248,28 +249,46 @@ def _perturbed(v, rng):
     return w
 
 
+def _agrees_with_solve_member(target, rng):
+    """contains against the rational oracle: members, perturbed vectors, scales 4s and 9s.
+
+    Every target is unimodular, so every answer must be the dual test's: no HNF is built.
+    """
+    b = target.basis
+    outside = 0
+    for _ in range(30):
+        v = rng.integers(-3, 4, size=target.dim) @ b
+        assert target.contains(v) and _solve_member(b, v)
+        w = _perturbed(v, rng)
+        assert target.contains(w) == _solve_member(b, w)
+        outside += not _solve_member(b, w)
+        # the same vectors given in the scales 4s and 9s
+        for r in (2, 3):
+            s = r * r * target.scale
+            assert target.contains(r * v, s)
+            assert target.contains(r * w, s) == _solve_member(b, w)
+            assert not target.contains(r * v + 1, s)  # not divisible by r
+        assert not target.contains(v, 2 * target.scale)  # ratio not a square
+    assert outside > 0
+    assert target.is_unimodular() and target._hnf is None
+
+
 def test_contains_agrees_with_solve_fraction():
     lat = catalog.build("D12_plus")
     red = Lattice(lat.reduced_basis(), lat.scale)
     assert hnf(red.basis.tolist()) != red.basis.tolist()  # not in HNF
     rng = np.random.default_rng(12)
     for target in (lat, red):
-        b = target.basis
-        outside = 0
-        for _ in range(30):
-            v = rng.integers(-3, 4, size=target.dim) @ b
-            assert target.contains(v) and _solve_member(b, v)
-            w = _perturbed(v, rng)
-            assert target.contains(w) == _solve_member(b, w)
-            outside += not _solve_member(b, w)
-            # the same vectors given in the scales 4s and 9s
-            for r in (2, 3):
-                s = r * r * target.scale
-                assert target.contains(r * v, s)
-                assert target.contains(r * w, s) == _solve_member(b, w)
-                assert not target.contains(r * v + 1, s)  # not divisible by r
-            assert not target.contains(v, 2 * target.scale)  # ratio not a square
-        assert outside > 0
+        _agrees_with_solve_member(target, rng)
+
+
+@pytest.mark.parametrize("lid", ["D8_2", "D4_5", "A5_4", "D20", "R28_32", "R28_15"])
+def test_dual_test_agrees_with_solve_fraction(lid):
+    # the other catalog lattices up to dimension 28 (D12_plus: the test above)
+    lat = catalog.build(lid)
+    rng = np.random.default_rng(22)
+    for target in (lat, Lattice(lat.reduced_basis(), lat.scale)):
+        _agrees_with_solve_member(target, rng)
 
 
 def test_contains_across_scales_that_do_not_divide():
@@ -280,6 +299,61 @@ def test_contains_across_scales_that_do_not_divide():
     assert lat.contains([0, 0], 2) and not lat.contains([1, 0], 2)  # ratio not a square
     assert contains_frame(lat, Frame(2 * np.eye(2, dtype=np.int64), 4, 1))
     assert not contains_frame(lat, Frame(((1, 1), (1, -1)), 2, 1))  # (1, 1) / sqrt(2)
+
+
+def test_contains_rejects_a_scale_below_one():
+    lat = Lattice(np.eye(2, dtype=np.int64), 1)
+    for scale in (0, -3):
+        with pytest.raises(PreconditionViolation, match=f"scale {scale} is not a positive integer"):
+            lat.contains([1, 0], scale)
+
+
+def test_contains_keeps_rows_beyond_the_int64_cap_exact():
+    # Z^2; each row fits in int64, but its norm is above 2^62, and its
+    # product with the basis row (3, 0) would wrap in int64
+    lat = Lattice(3 * np.eye(2, dtype=np.int64), 9)
+    assert lat.contains([3 * 2**61, 3]) and not lat.contains([3 * 2**61, 1])
+    assert lat.contains([2**62, 2], 4) and not lat.contains([2**62 + 2, 1], 4)
+
+
+def test_a_dual_vector_outside_a_lattice_of_index_two_is_rejected():
+    # L0, the even sublattice of D12_plus, is integral of index 2 in L.  Every
+    # coset rep of L0*/L0 passes the dual criterion B v = 0 (mod s), yet none
+    # lies in L0: that criterion decides membership only when L = L*.
+    parts = even_sublattice_and_shadow(catalog.build("D12_plus"))
+    for l0, scale in ((parts.l0_refined, None), (parts.l0, parts.scale)):
+        assert l0.is_integral() and not l0.is_unimodular()
+        for rep in (parts.rep_l1, parts.rep_l2, parts.rep_l3):
+            assert not np.any(parts.l0_refined.basis @ rep % parts.scale)
+            assert not l0.contains(rep, scale)
+        assert l0.contains(parts.l0_refined.basis[0] - 3 * parts.l0_refined.basis[5], parts.scale)
+        assert l0._hnf is not None
+
+
+@pytest.mark.parametrize("lid", ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"])
+def test_every_explicit_frame_passes_contains_frame(lid, monkeypatch):
+    model = catalog.build(lid)
+    reports = [catalog.frame_report(lid, k) for k in range(1, 51)]
+    frames = [v.frame for v in reports if v.frame is not None]
+    # permuting the columns keeps F F^T and mostly leaves the lattice
+    swapped = [Frame(f.np_vectors()[:, ::-1], f.scale, f.norm_k) for f in frames]
+    oracle = Lattice(model.basis, model.scale)
+
+    def hnf_verdict(f):
+        return all(oracle._hnf_member(list(row)) for row in f.vectors)
+
+    assert frames and all(f.scale == model.scale and hnf_verdict(f) for f in frames)
+    want = [hnf_verdict(f) for f in swapped]
+    assert not all(want)
+
+    def no_hnf(*args):
+        raise AssertionError("a unimodular lattice took the HNF path")
+
+    monkeypatch.setattr(zklat.lattice, "hnf", no_hnf)
+    monkeypatch.setattr(Lattice, "_hnf_member", no_hnf)
+    for lat in (model, Lattice(model.basis, model.scale)):  # cached and fresh unimodularity
+        assert all(contains_frame(lat, f) for f in frames)
+        assert [contains_frame(lat, f) for f in swapped] == want
 
 
 def test_contains_rank_deficient_basis():

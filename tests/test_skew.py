@@ -1,13 +1,13 @@
 import time
-from itertools import islice, product
-from math import isqrt
+from itertools import islice, product, takewhile
+from math import isqrt, prod
 
 import numpy as np
 import pytest
 
 from zklat.arith import REPRESENTATION_CASES
 from zklat.codes import build_four_negacirculant, is_self_dual, negacirculant
-from zklat.errors import CongruenceViolation, PreconditionViolation, SkewViolation
+from zklat.errors import CongruenceViolation, OutOfRange, PreconditionViolation, SkewViolation
 from zklat.skew import (
     FrameQuadruple,
     SkewSeed,
@@ -15,6 +15,7 @@ from zklat.skew import (
     build_frame,
     build_paley_skew,
     build_skew_negacirculant,
+    factorize,
     frame_constant,
     is_prime,
     search_quadruple,
@@ -190,3 +191,41 @@ def test_unequal_negacirculant_rows_are_rejected():
 def test_is_prime():
     assert [p for p in range(-3, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(1000000007) and not is_prime(1000000007 * 3)
+
+
+def _trial_division_primes(limit: int) -> list[int]:
+    primes = []
+    for n in range(2, limit):
+        if all(n % p for p in takewhile(lambda p: p * p <= n, primes)):
+            primes.append(n)
+    return primes
+
+
+def test_is_prime_agrees_with_trial_division_below_2e5():
+    limit = 200_000
+    want = set(_trial_division_primes(limit))
+    assert {n for n in range(limit) if is_prime(n)} == want
+
+
+def test_is_prime_rejects_pseudoprimes_and_carmichael_numbers():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 (and 2 to 37 for the last),
+    # then Carmichael numbers; all composite
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              561, 1105, 1729, 2465, 2821, 6601, 8911, 9746347772161):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(1000000000000037)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert is_prime(3317044064679887385961813)  # the largest prime below the exact range's end
+    with pytest.raises(OutOfRange, match="prime test supports"):
+        is_prime(3317044064679887385961981)
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    p = 1000000000000037  # a trial division to its root takes seconds
+    start = time.perf_counter()
+    assert factorize(p) == {p: 1}
+    assert factorize(3 * p) == {3: 1, p: 1} and factorize(2**10 * p) == {2: 10, p: 1}
+    assert time.perf_counter() - start < 1.0
+    for n in range(1, 3000):
+        f = factorize(n)
+        assert all(is_prime(q) for q in f) and prod(q**e for q, e in f.items()) == n
