@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BadDimension, PreconditionViolation
 from .lattice import Frame
+from .shortvec import check_bound
 from .skew import FrameQuadruple, factorize, is_prime, search_quadruple
 
 __all__ = [
@@ -97,16 +98,17 @@ def quaternion_matrix(m: int) -> np.ndarray:
 
 
 def scale_frame(frame: Frame, m: int) -> Frame:
-    """Turn a k-frame into a km-frame (dimension divisible by 4)."""
-    v = frame.np_vectors()
+    """Turn a k-frame into a km-frame (dimension divisible by 4); the new row
+    norm k m s is checked below 2^62 first, so no product below can wrap."""
+    v = frame.vectors
     n = v.shape[0]
     if n % 4 != 0:
         raise BadDimension("frame scaling needs dimension divisible by 4")
     if m < 1:
         raise PreconditionViolation("m must be positive")
+    check_bound(frame.norm_k * m * frame.scale)
     q = quaternion_matrix(m)
-    blocks = [q @ v[i : i + 4] for i in range(0, n, 4)]
-    out = np.vstack(blocks)
+    out = np.vstack([q @ v[i : i + 4] for i in range(0, n, 4)])
     return Frame(out, frame.scale, frame.norm_k * m)
 
 

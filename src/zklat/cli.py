@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import bounds, catalog, fileio
@@ -238,27 +239,9 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-_REPRODUCE_TABLES = {
-    "table1": ("skew seeds validate", "seeds"),
-    "table2": ("model lattice minimum norms", "minnorms"),
-    "table3": ("length-20 codes", 20),
-    "table4": ("length-28 codes", 28),
-    "table5": ("length-32 codes", 32),
-    "table6": ("length-36 codes", 36),
-    "table7": ("length-40 codes", 40),
-    "table8": ("length-44 codes", 44),
-    "table9": ("length-48 codes", 48),
-    "fig1": ("block code of length 20", ["Cp_4_20"]),
-    "fig2": ("block codes of length 28", ["C_4_28", "Cp_4_28"]),
-    "fig3": ("block code of length 36", ["C_4_36"]),
-}
-
-
 def _checked(what: str, compute, expected) -> tuple[str, int]:
-    """The row text for `what`, compute() against `expected`, and the row's exit code.
-
-    A budget overrun makes the row unknown; the table goes on.
-    """
+    """The row text for `what`, compute() against `expected`, and the row's exit code;
+    a budget overrun makes the row unknown, and the table goes on."""
     try:
         got = compute()
     except BudgetExceeded as e:
@@ -269,48 +252,72 @@ def _checked(what: str, compute, expected) -> tuple[str, int]:
     )
 
 
-def cmd_reproduce(args) -> int:
-    title, what = _REPRODUCE_TABLES[args.table]
-    print(f"reproducing: {title}")
-    statuses = []  # one exit code per checked row
-    if what == "seeds":
-        for sid in catalog.catalog_list("skew_seed"):
-            catalog.build(sid)  # constructor enforces the skew identities
-            print(f"  {sid}: ok")
-    elif what == "minnorms":
-        for lid in catalog.catalog_list("lattice"):
-            info = catalog.lattice_info(lid)
-            lat = catalog.build(lid)
-            if lat.dim > 28 and not args.slow:
-                print(f"  {lid}: skipped (dim {lat.dim}; use --slow)")
-                continue
+def _seed_rows(args) -> list[int]:
+    for sid in catalog.catalog_list("skew_seed"):
+        catalog.build(sid)  # constructor enforces the skew identities
+        print(f"  {sid}: ok")
+    return []
+
+
+def _min_norm_rows(args) -> list[int]:
+    statuses = []
+    for lid in catalog.catalog_list("lattice"):
+        info = catalog.lattice_info(lid)
+        lat = catalog.build(lid)
+        if lat.dim > 28 and not args.slow:
+            print(f"  {lid}: skipped (dim {lat.dim}; use --slow)")
+            continue
+        text, status = _checked(
+            "min norm", lambda: min_norm(lat, budget=args.budget), info.min_norm
+        )
+        statuses.append(status)
+        print(f"  {lid}: {text}")
+    return statuses
+
+
+def _code_rows(ids, args) -> list[int]:
+    """Self-duality of each code, then its d_E against the catalog when n <= 28 or --slow."""
+    statuses = []
+    for cid in ids:
+        code = catalog.build(cid)
+        ok = is_self_dual(code)
+        statuses.append(EXIT_OK if ok else EXIT_REFUTED)
+        line = f"  {cid}: self-dual {ok}"
+        exp = catalog.catalog_get(cid).expected.get("d_E")
+        if exp is not None and (code.n <= 28 or args.slow):
             text, status = _checked(
-                "min norm", lambda: min_norm(lat, budget=args.budget), info.min_norm
+                "d_E", lambda: min_euclidean_weight(code, budget=args.budget), exp
             )
             statuses.append(status)
-            print(f"  {lid}: {text}")
-    elif isinstance(what, int):
-        for cid in catalog.catalog_list("code"):
-            code = catalog.build(cid)
-            if code.n != what:
-                continue
-            ok = is_self_dual(code)
-            statuses.append(EXIT_OK if ok else EXIT_REFUTED)
-            line = f"  {cid}: self-dual {ok}"
-            exp = catalog.catalog_get(cid).expected.get("d_E")
-            if exp is not None and (code.n <= 28 or args.slow):
-                text, status = _checked(
-                    "d_E", lambda: min_euclidean_weight(code, budget=args.budget), exp
-                )
-                statuses.append(status)
-                line += f", {text}"
-            print(line)
-    else:
-        for cid in what:
-            code = catalog.build(cid)
-            ok = is_self_dual(code)
-            statuses.append(EXIT_OK if ok else EXIT_REFUTED)
-            print(f"  {cid}: self-dual {ok}")
+            line += f", {text}"
+        print(line)
+    return statuses
+
+
+def _length_rows(n: int, args) -> list[int]:
+    """`_code_rows` over the catalog codes of length n."""
+    return _code_rows([c for c in catalog.catalog_list("code") if catalog.build(c).n == n], args)
+
+
+# table -> (title, its rows: a function of the parsed args that prints them
+# and returns their exit codes)
+_REPRODUCE_TABLES = {
+    "table1": ("skew seeds validate", _seed_rows),
+    "table2": ("model lattice minimum norms", _min_norm_rows),
+    **{
+        f"table{i}": (f"length-{n} codes", partial(_length_rows, n))
+        for i, n in enumerate((20, 28, 32, 36, 40, 44, 48), start=3)
+    },
+    "fig1": ("block code of length 20", partial(_code_rows, ["Cp_4_20"])),
+    "fig2": ("block codes of length 28", partial(_code_rows, ["C_4_28", "Cp_4_28"])),
+    "fig3": ("block code of length 36", partial(_code_rows, ["C_4_36"])),
+}
+
+
+def cmd_reproduce(args) -> int:
+    title, rows = _REPRODUCE_TABLES[args.table]
+    print(f"reproducing: {title}")
+    statuses = rows(args)  # one exit code per checked row
     if EXIT_REFUTED in statuses:
         return EXIT_REFUTED
     return EXIT_UNKNOWN if EXIT_UNKNOWN in statuses else EXIT_OK

@@ -68,11 +68,10 @@ class ZkCode:
         return [list(r) for r in self._lift]
 
     def reduced_lift(self) -> np.ndarray:
-        """The lift's basis after `block_reduce`, computed on the first call (read-only)."""
+        """The lift's basis after `block_reduce`, computed on the first call (read-only);
+        `block_reduce` rejects a lift row of norm >= 2^62 (k near 2^31 or above)."""
         if self._reduced is None:
-            b = block_reduce(np.array(self._lift, dtype=np.int64))
-            b.flags.writeable = False
-            object.__setattr__(self, "_reduced", b)
+            object.__setattr__(self, "_reduced", block_reduce(self._lift))
         return self._reduced
 
 
@@ -141,7 +140,7 @@ def build_z4_two_block(a: int, b: int, top_right, bottom_right) -> ZkCode:
     gen[:a, :a] = np.eye(a, dtype=np.int64)
     gen[:a, a:] = top
     gen[a:, a:] = bot
-    return ZkCode(4, tuple(map(tuple, gen.tolist())))
+    return ZkCode(4, gen)
 
 
 def build_bordered_circulant(k: int, first_row) -> ZkCode:

@@ -44,10 +44,13 @@ def _rows(lines: list[str], count: int, width: int) -> tuple[tuple[int, ...], ..
     return rows
 
 
+def _text(header: str, rows, *tail: str) -> str:
+    """The header line, one line of space-separated entries per row, then `tail`."""
+    return "\n".join([header, *(" ".join(map(str, row)) for row in rows), *tail]) + "\n"
+
+
 def dump_code(code: ZkCode) -> str:
-    lines = [f"zkcode {code.k} {code.n}"]
-    lines += [" ".join(str(x) for x in row) for row in code.generators]
-    return "\n".join(lines) + "\n"
+    return _text(f"zkcode {code.k} {code.n}", code.generators)
 
 
 def load_code(text: str) -> ZkCode:
@@ -57,9 +60,7 @@ def load_code(text: str) -> ZkCode:
 
 
 def dump_seed(seed: SkewSeed) -> str:
-    lines = [f"skewseed {seed.k} {seed.m} {seed.ell} {seed.order}"]
-    lines += [" ".join(str(x) for x in row) for row in seed.matrix]
-    return "\n".join(lines) + "\n"
+    return _text(f"skewseed {seed.k} {seed.m} {seed.ell} {seed.order}", seed.matrix.tolist())
 
 
 def load_seed(text: str) -> SkewSeed:
@@ -69,9 +70,7 @@ def load_seed(text: str) -> SkewSeed:
 
 
 def dump_lattice(lat: Lattice) -> str:
-    lines = [f"lattice {lat.dim} {lat.scale}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in lat.basis]
-    return "\n".join(lines) + "\n"
+    return _text(f"lattice {lat.dim} {lat.scale}", lat.basis.tolist())
 
 
 def load_lattice(text: str) -> Lattice:
@@ -82,11 +81,11 @@ def load_lattice(text: str) -> Lattice:
 
 def dump_frame(frame: Frame) -> str:
     """Frame certificate: the vectors plus the (re-verified) Gram fact."""
-    n = len(frame.vectors)
-    lines = [f"frame {frame.norm_k} {n} {frame.scale}"]
-    lines += [" ".join(str(x) for x in row) for row in frame.vectors]
-    lines.append(f"# gram = {frame.norm_k} * scale * I, verified on construction")
-    return "\n".join(lines) + "\n"
+    return _text(
+        f"frame {frame.norm_k} {len(frame.vectors)} {frame.scale}",
+        frame.vectors.tolist(),
+        f"# gram = {frame.norm_k} * scale * I, verified on construction",
+    )
 
 
 def load_frame(text: str) -> Frame:
@@ -115,10 +114,7 @@ def load(text: str) -> ZkCode | SkewSeed | Lattice | Frame:
 
 
 def dump_theta(theta: ThetaPrefix) -> str:
-    lines = [f"# theta prefix up to norm {theta.bound}"]
-    for q, c in theta.as_pairs():
-        lines.append(f"{q} {c}")
-    return "\n".join(lines) + "\n"
+    return _text(f"# theta prefix up to norm {theta.bound}", theta.as_pairs())
 
 
 def load_theta(text: str) -> dict[Fraction, int]:

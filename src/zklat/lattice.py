@@ -5,13 +5,15 @@ A lattice is stored as an integer basis with a global scale s: the true
 lattice is spanned by the rows divided by sqrt(s).  Construction A
 lattices carry s = k so every vector has integer coordinates; shadow
 machinery refines the scale to 4s.  All correctness-critical arithmetic
-is exact.
+is exact.  A basis and a frame hold their rows as the read-only int64
+array of `shortvec.int64_rows`, the one checked conversion: every row
+has norm below 2^62, so no int64 product of them wraps.
 
 Membership (`Lattice.contains`, `contains_frame`) is decided against the
 dual lattice when the lattice is unimodular, as every lattice of the
 paper is: then L = L*, so v lies in L iff B v = 0 (mod s), one integer
-product for a whole batch of rows, in int64 below the norm cap of
-`_checked_rows`.  Any other basis (not integral, of index > 1 in its
+product for a whole batch of rows, in int64 when every row passes
+`shortvec.int64_rows`.  Any other basis (not integral, of index > 1 in its
 dual, or rank-deficient) takes an exact back-substitution against its
 HNF, one row at a time.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
@@ -36,51 +39,29 @@ from .errors import (
 from .intmat import det, hnf, solve_rows
 from .shortvec import (
     DEFAULT_NODE_BUDGET,
+    NORM_CAP,
     block_reduce,
     check_bound,
     enumerate_ball,
     enumerate_shell,
+    int64_rows,
     shortest_norm,
 )
 
 
-ROW_NORM_CAP = 2**62  # every basis or frame row's scaled norm stays below this
-
-
-def _checked_rows(rows, what: str) -> list[list[int]]:
-    """The rows as Python ints, each of scaled norm below ROW_NORM_CAP.
-
-    The check runs in exact ints, before any int64 conversion.  It also
-    keeps every entry inside int64, and by Cauchy-Schwarz no Gram entry
-    <u, v> (nor any partial sum of one) can reach 2^62, so int64 Gram
-    products never wrap.
-    """
-    arr = np.asarray(rows)  # object dtype for entries beyond int64
-    if arr.ndim != 2:
-        raise PreconditionViolation(f"{what} rows must form a matrix")
-    exact = [[int(x) for x in row] for row in arr.tolist()]
-    for row in exact:
-        if sum(x * x for x in row) >= ROW_NORM_CAP:
-            raise PreconditionViolation(
-                f"{what} row of norm >= 2^62 would overflow the int64 Gram matrix"
-            )
-    return exact
-
-
 @dataclass(eq=False)  # identity equality: == on ndarray fields has no single truth value
 class Lattice:
-    basis: np.ndarray  # n x n int64 rows; true vectors are rows / sqrt(scale)
+    basis: np.ndarray  # n x n read-only int64 rows; true vectors are rows / sqrt(scale)
     scale: int
 
     def __post_init__(self):
         if self.scale < 1:
             raise PreconditionViolation(f"lattice scale {self.scale} is not a positive integer")
-        self.basis = np.array(_checked_rows(self.basis, "basis"), dtype=np.int64)
+        # read-only: catalog.build hands one cached Lattice to every caller
+        self.basis = int64_rows(self.basis, "basis")
         n = self.basis.shape[0]
         if self.basis.shape != (n, n):
             raise PreconditionViolation("basis must be square")
-        # catalog.build hands one cached Lattice to every caller
-        self.basis.flags.writeable = False
         self._reduced = None
         self._code = None  # set by construction_a: the code that holds the reduction
         self._unimodular = None
@@ -114,9 +95,9 @@ class Lattice:
     def reduced_basis(self) -> np.ndarray:
         """The `block_reduce`d basis, computed on the first call (read-only)."""
         if self._reduced is None:
-            b = block_reduce(self.basis) if self._code is None else self._code.reduced_lift()
-            b.flags.writeable = False
-            self._reduced = b
+            self._reduced = (
+                block_reduce(self.basis) if self._code is None else self._code.reduced_lift()
+            )
         return self._reduced
 
     def contains(self, coords, scale: int | None = None) -> bool:
@@ -135,15 +116,14 @@ class Lattice:
         The rows are rescaled to the lattice's scale s once, as a matrix.
         A unimodular lattice equals its dual, so v is a member iff every
         <v, b_i> / s is an integer: one product of the rows with B^T,
-        reduced mod s.  That product runs in int64 when every row has
-        norm below ROW_NORM_CAP; the basis rows do too, so by
-        Cauchy-Schwarz no partial sum can wrap (see `_checked_rows`).
+        reduced mod s.  That product runs in int64 when the rows pass
+        `int64_rows`, as the basis rows do, so no partial sum can wrap.
         A longer row keeps it in Python ints.  For any other lattice
         v in L* does not give v in L, and each row takes the exact
         back-substitution of `_hnf_member`.
 
-        Int64 rows must already have norms below ROW_NORM_CAP, as a
-        Frame's do; other rows come as an object array of Python ints.
+        Int64 rows must already have passed `int64_rows`, as a Frame's
+        have; other rows come as an object array of Python ints.
         """
         if scale < 1:
             raise PreconditionViolation(f"vector scale {scale} is not a positive integer")
@@ -152,8 +132,11 @@ class Lattice:
             return False
         if not self.is_unimodular():
             return all(self._hnf_member(row) for row in v.tolist())
-        if v.dtype == object and all(sum(x * x for x in r) < ROW_NORM_CAP for r in v.tolist()):
-            v = v.astype(np.int64)
+        if v.dtype == object:
+            try:
+                v = int64_rows(v, "vector")
+            except PreconditionViolation:
+                pass  # a row of norm >= 2^62: the product stays in Python ints
         return not np.any(v @ self.basis.T % self.scale)
 
     def _hnf_member(self, v: list[int]) -> bool:
@@ -178,9 +161,9 @@ class Lattice:
         return not any(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as for Lattice
 class Frame:
-    vectors: tuple[tuple[int, ...], ...]  # scaled coordinates; any integer array
+    vectors: np.ndarray  # read-only int64 rows in scaled coordinates; any integer array
     scale: int
     norm_k: int
 
@@ -189,18 +172,12 @@ class Frame:
             raise PreconditionViolation(
                 f"frame scale {self.scale} and norm {self.norm_k} must be positive integers"
             )
-        rows = tuple(map(tuple, _checked_rows(self.vectors, "frame")))
-        object.__setattr__(self, "vectors", rows)
-        v = self.np_vectors()
-        gram = v @ v.T
-        n = v.shape[0]
-        # no checked row reaches ROW_NORM_CAP, and a larger target would overflow the eye
+        v = int64_rows(self.vectors, "frame")
+        object.__setattr__(self, "vectors", v)
+        # no row reaches NORM_CAP, and a larger target would overflow the eye
         target = self.norm_k * self.scale
-        if target >= ROW_NORM_CAP or np.any(gram != target * np.eye(n, dtype=np.int64)):
+        if target >= NORM_CAP or np.any(v @ v.T != target * np.eye(len(v), dtype=np.int64)):
             raise PreconditionViolation("frame Gram is not k*I")
-
-    def np_vectors(self) -> np.ndarray:
-        return np.array(self.vectors, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -242,7 +219,7 @@ def construction_a(code: ZkCode) -> Lattice:
     """
     if not is_self_dual(code):
         raise NotSelfDual("Construction A requires a self-dual code")
-    lat = Lattice(np.array(code.lift_basis(), dtype=np.int64), code.k)
+    lat = Lattice(code.lift_basis(), code.k)
     lat._code = code
     if not lat.is_unimodular():
         raise NotSelfDual("Construction A output failed the unimodularity check")
@@ -321,44 +298,31 @@ def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
     # the rows of G0^-1 B0 span L0*; doubling them lands in L.  G0 is
     # symmetric, so column j of G0^-1 B0 is the x with x G0 = column j of B0
     cols = solve_rows(g0.tolist(), l0.basis.T.tolist())
-    dual_basis = np.array([[int(2 * c[i]) for c in cols] for i in range(n)], dtype=np.int64)
     scale = 4 * lattice.scale
-    l0_dual = Lattice(dual_basis, scale)
+    l0_dual = Lattice([[int(2 * c[i]) for c in cols] for i in range(n)], scale)
+    dual_basis = l0_dual.basis
     l0_ref = Lattice(2 * l0.basis, scale)
 
     # coordinates of L0 in the dual basis equal the Gram matrix of L0
     h = hnf(g0.tolist())
-    diag = [h[i][i] for i in range(n)]
-    reps = []
-    for r in _box_reps(diag):
-        v = np.array(r, dtype=np.int64) @ dual_basis
-        if v.any():
-            reps.append(v)
+    box = np.array(list(product(*(range(h[i][i]) for i in range(n)))), dtype=np.int64)
+    reps = [v for v in box @ dual_basis if v.any()]
     assert len(reps) == 3, "L0*/L0 must have order 4"
     in_l = [lattice.contains(v, scale) for v in reps]
     assert sum(in_l) == 1, "exactly one nontrivial coset lies in L"
     rep_l2 = reps[in_l.index(True)]
-    shadow_reps = sorted(
-        (v for v, f in zip(reps, in_l) if not f), key=lambda v: v.tolist()
-    )
+    shadow_reps = sorted((v for v, f in zip(reps, in_l) if not f), key=lambda v: v.tolist())
     return ShadowParts(l0, l0_ref, l0_dual, shadow_reps[0], rep_l2, shadow_reps[1])
 
 
-def _parity_kernel(b: np.ndarray, parity: np.ndarray) -> np.ndarray:
+def _parity_kernel(b: np.ndarray, parity: np.ndarray) -> list[list[int]]:
     """HNF basis of the index-2 sublattice {x B : x . parity even}.
 
     With i0 the first odd basis vector, the rows b_j + parity_j b_i0 span
     it; row i0 itself becomes 2 b_i0.
     """
     i0 = int(np.argmax(parity))
-    return np.array(hnf((b + np.outer(parity, b[i0])).tolist()), dtype=np.int64)
-
-
-def _box_reps(diag):
-    out = [[]]
-    for d in diag:
-        out = [r + [v] for r in out for v in range(d)]
-    return out
+    return hnf((b + np.outer(parity, b[i0])).tolist())
 
 
 def even_neighbors(lattice: Lattice) -> tuple[Lattice, Lattice]:
@@ -369,7 +333,7 @@ def even_neighbors(lattice: Lattice) -> tuple[Lattice, Lattice]:
     out = []
     for rep in (parts.rep_l1, parts.rep_l3):
         rows = parts.l0_refined.basis.tolist() + [rep.tolist()]
-        nb = simplify_scale(Lattice(np.array(hnf(rows), dtype=np.int64), parts.scale))
+        nb = simplify_scale(Lattice(hnf(rows), parts.scale))
         if not (nb.is_unimodular() and nb.is_even()):
             raise MembershipViolation("neighbor failed the even/unimodular check")
         out.append(nb)
@@ -387,12 +351,13 @@ def two_neighbor_at_vector(lattice: Lattice, x, y) -> Lattice:
     """Odd unimodular neighbor glued at x/2 + y, for even unimodular input.
 
     x must be a lattice vector of norm 8 with x/2 outside the lattice,
-    and y a lattice vector with (x, y) odd.  Scaled coordinates.
+    and y a lattice vector with (x, y) odd.  Scaled coordinates; both
+    pass `int64_rows`.
     """
     if not (lattice.is_unimodular() and lattice.is_even()):
         raise PreconditionViolation("input must be even unimodular")
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    x = int64_rows([x], "x")[0]
+    y = int64_rows([y], "y")[0]
     s = lattice.scale
     if not lattice.contains(x):
         raise PreconditionViolation("x is not a lattice vector")
@@ -411,8 +376,8 @@ def two_neighbor_at_vector(lattice: Lattice, x, y) -> Lattice:
         raise PreconditionViolation("(x, v) is even for every v (no odd pairing)")
     plus = _parity_kernel(b, parity)
     glue = x + 2 * y  # coordinates of x/2 + y in scale 4s
-    stacked = (2 * plus).tolist() + [glue.tolist()]
-    out = simplify_scale(Lattice(np.array(hnf(stacked), dtype=np.int64), 4 * s))
+    stacked = [[2 * a for a in row] for row in plus] + [glue.tolist()]
+    out = simplify_scale(Lattice(hnf(stacked), 4 * s))
     if not out.is_unimodular() or out.is_even():
         raise MembershipViolation("two-neighbor output is not odd unimodular")
     return out
@@ -425,9 +390,9 @@ def contains_frame(lattice: Lattice, frame: Frame) -> bool:
     unimodular lattice one int64 product F B^T mod s, with no loop over
     the rows and no HNF.
     """
-    if len(frame.vectors) != lattice.dim or len(frame.vectors[0]) != lattice.dim:
+    if frame.vectors.shape != lattice.basis.shape:
         return False
-    return lattice._contains_rows(frame.np_vectors(), frame.scale)
+    return lattice._contains_rows(frame.vectors, frame.scale)
 
 
 def norm_shell(

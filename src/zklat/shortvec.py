@@ -26,8 +26,14 @@ raises PreconditionViolation otherwise, so no vector of the ball is
 ever pruned.  The walk reads its limit from a one-entry array that
 `shortest_norm` lowers between blocks, keeping the slack of the
 starting bound.  A smaller ball has a smaller coefficient bound c, so
-the check made at the start still covers every lowered bound.  Bounds
-lie in [0, 2^62), so every norm the walk's consumers form fits in int64.
+the check made at the start still covers every lowered bound.
+
+One cap, NORM_CAP = 2^62, keeps int64 exact: bounds lie below it
+(`check_bound`), and `int64_rows`, the one way an integer matrix becomes
+int64, checks exactly that every row's norm does.  By Cauchy-Schwarz no
+inner product of such rows, nor a partial sum of one, then reaches 2^62.
+`Lattice`, `Frame`, `SkewSeed`, `two_neighbor_at_vector` and
+`block_reduce` (so every basis a walk runs on) take their rows through it.
 
 `block_reduce` prepares the bases the walks run on.  It checks the rank
 exactly, as the row count of the basis's HNF, then runs float LLL that
@@ -52,7 +58,7 @@ from .intmat import hnf, solve_fraction
 CHUNK = 1024  # frontier rows created per numpy step
 DEFAULT_NODE_BUDGET = 2_000_000_000
 SLACK_MARGIN = 1e-3  # float error allowed, as a share of the pruning slack
-BOUND_CAP = 2**62  # every norm bound lies in [0, BOUND_CAP)
+NORM_CAP = 2**62  # every norm bound, and every row norm held in int64, lies in [0, NORM_CAP)
 
 LLL_DELTA = 0.999
 ETA = 0.505  # size-reduce only above this |mu|: ties +-1/2 stay, drift cannot flip them
@@ -66,9 +72,32 @@ def check_bound(bound: int) -> int:
 
     Callers check it before any costly step, such as reducing the basis.
     """
-    if not 0 <= bound < BOUND_CAP:
+    if not 0 <= bound < NORM_CAP:
         raise PreconditionViolation(f"norm bound {bound} is outside [0, 2^62)")
     return bound
+
+
+def int64_rows(rows, what: str = "basis") -> np.ndarray:
+    """A fresh read-only int64 copy of the rows, once each has norm below 2^62.
+
+    Exact: an integer array passes at once if max|entry|^2 * ncols < 2^62
+    in Python ints; otherwise (or for lists and object arrays) each row's
+    norm is summed in Python ints before any conversion.
+    """
+    arr = np.asarray(rows)  # object dtype for entries beyond int64
+    if arr.ndim != 2:
+        raise PreconditionViolation(f"{what} rows must form a matrix")
+    top = NORM_CAP  # any other dtype takes the row sums
+    if arr.dtype.kind in "iu":
+        top = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    if top * top * arr.shape[1] >= NORM_CAP:
+        exact = [[int(x) for x in row] for row in arr.tolist()]
+        if any(sum(x * x for x in row) >= NORM_CAP for row in exact):
+            raise PreconditionViolation(f"{what} row of norm >= 2^62 would overflow int64 products")
+        arr = np.array(exact, dtype=np.int64).reshape(arr.shape)
+    out = arr.astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _factor(basis: np.ndarray, bound: int):
@@ -298,9 +327,10 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
 
     Accepts any integer basis of independent rows, reduced or not, and
     raises PreconditionViolation on dependent ones: the rank is the row
-    count of the exact HNF.  Every transformation applied is unimodular,
-    so the output spans the same lattice; quality only affects
-    downstream enumeration speed, never correctness.
+    count of the exact HNF.  Input and output pass `int64_rows`.  Every
+    transformation applied is unimodular, so the output spans the same
+    lattice; quality only affects downstream enumeration speed, never
+    correctness.
 
     A basis of at most BKZ_BLOCK rows gets LLL alone: its first block is
     the whole basis, so a BKZ search would be the exact walk its caller
@@ -313,13 +343,13 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     BKZ_TOURS tours run, a bound on run time, since in floats nothing
     proves that the tours end.
     """
-    b = np.array(basis, dtype=np.int64)
+    b = int64_rows(basis).copy()
     if len(hnf(b.tolist())) < b.shape[0]:
         raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
     n = b.shape[0]
     _lll_core(b)
     if n <= BKZ_BLOCK:
-        return b
+        return int64_rows(b)
     ends = np.minimum(np.arange(n - 1) + BKZ_BLOCK, n)
     # proved[i]: block i held no shorter vector, and b[:ends[i]] is unchanged since
     proved = np.zeros(n - 1, dtype=bool)
@@ -340,7 +370,7 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
             proved[ends > moved.min(initial=n)] = False
         if proved.all():
             break
-    return b
+    return int64_rows(b)
 
 
 def _ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_BUDGET):

@@ -2,7 +2,9 @@
 
 The seeds live over the plain integers; reduction mod k happens only
 when the associated code is built, because MM^T = mI is an integer
-identity that reduction would destroy.  Seeds and their codes use the
+identity that reduction would destroy.  A seed holds its matrix as the
+read-only int64 array of `shortvec.int64_rows`, so every row has norm
+below 2^62 and MM^T is exact in int64.  Seeds and their codes use the
 builders of `codes` (`four_negacirculant`, `bordered`, `systematic`).
 The prime test (`is_prime`, deterministic Miller-Rabin) and trial
 division (`factorize`) live here, below `arith`.
@@ -18,6 +20,7 @@ import numpy as np
 from .codes import ZkCode, bordered, circulant, four_negacirculant, systematic
 from .errors import CongruenceViolation, OutOfRange, PreconditionViolation, SkewViolation
 from .lattice import Frame
+from .shortvec import NORM_CAP, check_bound, int64_rows
 
 
 # below _MR_LIMIT, Miller-Rabin to the first 13 prime bases decides
@@ -73,20 +76,21 @@ def factorize(k: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as for Frame
 class SkewSeed:
-    matrix: tuple[tuple[int, ...], ...]  # any integer array
+    matrix: np.ndarray  # read-only int64; any integer array
     k: int
     m: int
     ell: int
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix))
-        mat = self.np_matrix()
-        if np.any(mat.T != -mat):
+        mat = int64_rows(self.matrix, "seed")
+        object.__setattr__(self, "matrix", mat)
+        if mat.shape != mat.T.shape or np.any(mat.T != -mat):
             raise SkewViolation("M^T != -M")
-        prod = mat @ mat.T
-        if np.any(prod != self.m * np.eye(mat.shape[0], dtype=np.int64)):
+        eye = np.eye(len(mat), dtype=np.int64)
+        # MM^T's diagonal holds row norms below NORM_CAP, so a larger m never matches
+        if not 0 <= self.m < NORM_CAP or np.any(mat @ mat.T != self.m * eye):
             raise SkewViolation("MM^T != mI")
         if not 0 <= self.ell <= self.k - 1:
             raise PreconditionViolation("ell must satisfy 0 <= ell <= k-1")
@@ -96,9 +100,6 @@ class SkewSeed:
     @property
     def order(self) -> int:
         return len(self.matrix)
-
-    def np_matrix(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ build_skew_negacirculant = four_negacirculant
 
 def build_code_from_skew(seed: SkewSeed) -> ZkCode:
     """Self-dual code of length 2n with generator (I_n | M + ell*I_n)."""
-    return systematic(seed.k, seed.np_matrix() + seed.ell * np.eye(seed.order, dtype=np.int64))
+    return systematic(seed.k, seed.matrix + np.diag([seed.ell] * seed.order))  # ell may pass int64
 
 
 def frame_constant(seed: SkewSeed, q: FrameQuadruple) -> int:
@@ -144,18 +145,17 @@ def build_frame(seed: SkewSeed, q: FrameQuadruple) -> Frame:
     """The N-frame F(M) of a seed and a quadruple, N = frame_constant.
 
     Its 2n rows are in scaled (multiplied by sqrt(k)) coordinates at scale
-    k; the Frame constructor checks F F^T = N k I exactly.
+    k, each of norm N k, which must lie below 2^62: then no entry below
+    can wrap.  The Frame constructor checks F F^T = N k I exactly.
     """
-    n = seed.order
-    mat = seed.np_matrix()
-    eye = np.eye(n, dtype=np.int64)
-    rows = np.block(
-        [
-            [q.a * eye + q.b * mat, q.c * eye + q.d * mat],
-            [-q.c * eye + q.d * mat, q.a * eye - q.b * mat],
-        ]
-    )
-    return Frame(rows, seed.k, frame_constant(seed, q))
+    norm_k = frame_constant(seed, q)
+    check_bound(norm_k * seed.k)
+    eye, mat = np.eye(seed.order, dtype=np.int64), seed.matrix
+    rows = np.block([
+        [q.a * eye + q.b * mat, q.c * eye + q.d * mat],
+        [-q.c * eye + q.d * mat, q.a * eye - q.b * mat],
+    ])
+    return Frame(rows, seed.k, norm_k)
 
 
 def _signed(limit: int, residue: int = 0, modulus: int = 1):

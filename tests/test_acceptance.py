@@ -42,7 +42,7 @@ def test_all_seeds_satisfy_skew_identities():
     assert len(seeds) == 12
     for sid in seeds:
         seed = catalog.build(sid)  # the constructor enforces the identities
-        m = seed.np_matrix()
+        m = seed.matrix
         assert np.array_equal(m.T, -m)
         assert np.array_equal(m @ m.T, seed.m * np.eye(m.shape[0], dtype=np.int64))
         assert (seed.m + seed.ell**2 + 1) % seed.k == 0
@@ -131,7 +131,7 @@ def test_frame_rows_from_each_seed(sid):
         frame = build_frame(seed, quad)  # Frame verifies F F^T = N k I exactly
         assert isinstance(frame, Frame)
         assert frame.scale == seed.k and frame.norm_k == frame_constant(seed, quad)
-        rows = frame.np_vectors()
+        rows = frame.vectors
         assert np.array_equal(rows @ rows.T, frame.norm_k * seed.k * np.eye(len(rows), dtype=np.int64))
         assert contains_frame(lat, frame)
 

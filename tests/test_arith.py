@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zklat.arith
 from zklat.arith import (
     REPRESENTATION_CASES,
     factorize,
@@ -89,6 +90,17 @@ def test_scale_frame_and_composition():
     assert f2.norm_k == 2 and contains_frame(z4, f2)
     f6 = scale_frame(f2, 3)
     assert f6.norm_k == 6 and contains_frame(z4, f6)
+
+
+def test_scale_frame_checks_its_norm_bound_before_the_four_squares(monkeypatch):
+    frame = find_frame(Lattice(np.eye(4, dtype=np.int64), 1), 1)
+
+    def no_split(m):
+        raise AssertionError("four squares of an m past the norm cap")
+
+    monkeypatch.setattr(zklat.arith, "four_square_decomposition", no_split)
+    with pytest.raises(PreconditionViolation, match=r"outside \[0, 2\^62\)"):
+        scale_frame(frame, 2**127)
 
 
 def test_scale_frame_rejects_bad_dimension():

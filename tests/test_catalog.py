@@ -25,7 +25,7 @@ def test_every_seed_entry_validates():
     for sid in catalog.catalog_list("skew_seed"):
         seed = catalog.build(sid)
         assert isinstance(seed, SkewSeed)
-        m = seed.np_matrix()
+        m = seed.matrix
         assert np.array_equal(m.T, -m)
         assert np.array_equal(m @ m.T, seed.m * np.eye(m.shape[0], dtype=np.int64))
 

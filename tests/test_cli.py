@@ -92,6 +92,54 @@ def test_minnorm_rejects_an_entry_outside_int64(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    # k/2 = 2^32 + 1 as the one generator: d_E = (2^32 + 1)^2 is beyond int64
+    ("dmin", "zkcode 8589934594 1\n4294967297\n"),
+    # the lift row (0, k) has norm k^2 > 2^62, so an int64 Gram wraps
+    ("dmin", "zkcode 3037000507 2\n1 0\n"),
+    ("dmin", "zkcode 18446744073709551629 2\n1 0\n"),  # k beyond int64
+    # MM^T = 2^64 I, which an int64 product reads as 0 = m I
+    ("lattice", f"skewseed 2 0 1 2\n0 {2**32}\n{-2**32} 0\n"),
+    ("lattice", f"skewseed 2 0 1 2\n0 {2**64}\n{-2**64} 0\n"),
+    # ell = 2^63 with k = ell^2 + 2: the code's lift holds k on its diagonal
+    ("lattice", f"skewseed {2**126 + 2} 1 {2**63} 2\n0 1\n-1 0\n"),
+])
+def test_a_row_beyond_the_norm_cap_is_an_error_line(command, text, tmp_path, capsys):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    assert main([command, str(p)]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "row of norm >= 2^62" in captured.err
+
+
+def test_two_neighbor_with_a_vector_beyond_int64_is_an_error_line(tmp_path, capsys):
+    # nb.1 is an even neighbor of D8_2, in dimension 16
+    assert main(["neighbors", "D8_2", "--out", str(tmp_path / "nb")]) == EXIT_OK
+    capsys.readouterr()
+    x, y = " ".join([str(2**70)] + ["0"] * 15), " ".join(["1"] + ["0"] * 15)
+    assert main(["two-neighbor", str(tmp_path / "nb.1"), "--x", x, "--y", y]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: x row of norm >= 2^62")
+
+
+def test_frame_build_past_the_norm_cap_is_an_error_line(capsys):
+    # a = 3 * 2^62 meets D6_seed's congruences; its rows would have norm a^2
+    assert main(["frame-build", "D6_seed", "--abcd", f"{3 * 2**62},0,0,0"]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: norm bound")
+
+
+def test_frame_scale_past_the_norm_cap_is_an_error_line(tmp_path, capsys):
+    lat, fr = tmp_path / "z4.txt", tmp_path / "frame.txt"
+    lat.write_text("lattice 4 1\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    assert main(["frame-find", str(lat), "--k", "1", "--out", str(fr)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["frame-scale", str(fr), "--m", str(2**127)]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: norm bound")
+
+
 def test_theta_output(tmp_path, capsys):
     out = tmp_path / "theta.txt"
     assert main(["theta", "D12_plus", "--max-norm", "2", "--out", str(out)]) == EXIT_OK
@@ -207,7 +255,7 @@ def test_bound(capsys):
 
 def test_reproduce_fig1(capsys):
     assert main(["reproduce", "fig1"]) == EXIT_OK
-    assert "Cp_4_20: self-dual True" in capsys.readouterr().out
+    assert "  Cp_4_20: self-dual True, d_E 8 (expected 8) ok\n" in capsys.readouterr().out
 
 
 def test_reproduce_table1(capsys):

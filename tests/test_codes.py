@@ -133,6 +133,16 @@ def test_lift_is_computed_once_at_construction(monkeypatch):
     assert min_euclidean_weight(code) == 26
 
 
+@pytest.mark.parametrize("k, gens", [
+    (2**33 + 2, ((2**32 + 1,),)),  # d_E = (2^32 + 1)^2, beyond int64
+    (3037000507, ((1, 0),)),  # the lift row (0, k) has norm k^2 > 2^62: its Gram wraps
+    (2**64 + 13, ((1, 0),)),  # k itself is beyond int64
+])
+def test_min_euclidean_weight_rejects_a_lift_beyond_the_norm_cap(k, gens):
+    with pytest.raises(PreconditionViolation, match=r"basis row of norm >= 2\^62"):
+        min_euclidean_weight(ZkCode(k, gens))
+
+
 def test_min_euclidean_weight_budget():
     code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
     with pytest.raises(BudgetExceeded):
@@ -267,7 +277,7 @@ def test_frames_read_off_as_selfdual_codes():
             if frame is None:
                 continue
             assert frame.scale == lat.scale
-            prod = lat.basis.astype(object) @ frame.np_vectors().astype(object).T
+            prod = lat.basis.astype(object) @ frame.vectors.astype(object).T
             assert not np.any(prod % lat.scale)
             m = prod // lat.scale
             code = ZkCode(k, (m % k).tolist())

@@ -39,7 +39,8 @@ def test_code_header_validation():
 def test_seed_roundtrip():
     seed = catalog.build("D6_seed")
     again = load_seed(dump_seed(seed))
-    assert again == seed
+    assert (again.k, again.m, again.ell) == (seed.k, seed.m, seed.ell)
+    assert np.array_equal(again.matrix, seed.matrix)
 
 
 def test_lattice_roundtrip():
@@ -64,7 +65,7 @@ def test_frame_roundtrip_reverifies_gram():
     frame = find_frame(z4, 1)
     text = dump_frame(frame)
     again = load_frame(text)
-    assert again == frame
+    assert dump_frame(again) == text
     broken = text.replace("1 0 0 0", "1 1 0 0", 1)
     with pytest.raises(PreconditionViolation):
         load_frame(broken)
@@ -119,7 +120,7 @@ def test_load_dispatches_on_the_header_tag():
         (catalog.build("D6_seed"), dump_seed),
         (find_frame(Lattice(np.eye(4, dtype=np.int64), 1), 1), dump_frame),
     ]:
-        assert load(dump(obj)) == obj
+        assert dump(load(dump(obj))) == dump(obj)
     lat = load(dump_lattice(catalog.build("D12_plus")))
     assert np.array_equal(lat.basis, catalog.build("D12_plus").basis)
     with pytest.raises(UnknownId):

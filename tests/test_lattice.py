@@ -167,11 +167,19 @@ def test_two_neighbor_precondition_errors():
         two_neighbor_at_vector(e8, [2, 2, 0, 0, 0, 0, 0, 0], np.ones(8, dtype=np.int64))
 
 
+def test_two_neighbor_rejects_a_vector_beyond_the_norm_cap():
+    # an even neighbor of D8_2, and x with an entry of 2^70, beyond int64
+    even = even_neighbors(catalog.build("D8_2"))[0]
+    y = [0] * even.dim
+    with pytest.raises(PreconditionViolation, match=r"x row of norm >= 2\^62"):
+        two_neighbor_at_vector(even, [2**70] + [0] * (even.dim - 1), y)
+
+
 def test_contains_frame_and_find_frame():
     lat = Lattice(np.eye(4, dtype=np.int64), 1)
     frame = find_frame(lat, 1)
     assert frame is not None
-    assert sorted(frame.vectors) == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    assert sorted(frame.vectors.tolist()) == [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
     assert contains_frame(lat, frame)
 
 
@@ -218,7 +226,7 @@ def test_frame_membership_rejects_perturbed():
     lat = d6_lattice()
     frame = build_frame(D6_SEED, FrameQuadruple(0, 0, 3, 0))
     assert contains_frame(lat, frame)
-    bad = frame.np_vectors()
+    bad = frame.vectors.copy()  # the frame's own array is read-only
     bad[0, 0] += 1
     with pytest.raises(PreconditionViolation):
         Frame(bad, 3, 3)  # Gram check fires
@@ -228,6 +236,14 @@ def test_frame_rejects_rows_whose_gram_wraps():
     # each row has norm 2^64 + 1, yet the int64 Gram of these rows reads I
     with pytest.raises(PreconditionViolation):
         Frame(((2**32, 1), (-1, 2**32)), 1, 1)
+
+
+def test_frames_and_seeds_hold_read_only_int64_and_compare_by_identity():
+    frame = find_frame(Lattice(np.eye(4, dtype=np.int64), 1), 1)
+    for rows in (frame.vectors, D6_SEED.matrix):
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert frame == frame and frame != Frame(frame.vectors, frame.scale, frame.norm_k)
+    assert D6_SEED == D6_SEED and D6_SEED != SkewSeed(D6_SEED.matrix, k=3, m=25, ell=1)
 
 
 def test_lattices_and_shadow_parts_compare_by_identity():
@@ -336,11 +352,11 @@ def test_every_explicit_frame_passes_contains_frame(lid, monkeypatch):
     reports = [catalog.frame_report(lid, k) for k in range(1, 51)]
     frames = [v.frame for v in reports if v.frame is not None]
     # permuting the columns keeps F F^T and mostly leaves the lattice
-    swapped = [Frame(f.np_vectors()[:, ::-1], f.scale, f.norm_k) for f in frames]
+    swapped = [Frame(f.vectors[:, ::-1], f.scale, f.norm_k) for f in frames]
     oracle = Lattice(model.basis, model.scale)
 
     def hnf_verdict(f):
-        return all(oracle._hnf_member(list(row)) for row in f.vectors)
+        return all(oracle._hnf_member(row) for row in f.vectors.tolist())
 
     assert frames and all(f.scale == model.scale and hnf_verdict(f) for f in frames)
     want = [hnf_verdict(f) for f in swapped]

@@ -379,8 +379,11 @@ def test_dependent_rows_are_rejected_before_reduction():
 
 def test_rank_check_is_exact():
     # singular mod the prime 2^31 - 1, but not over the integers
-    for basis in ([[2**31 - 1, 0], [0, 1]], [[1, 1], [1, 2**31]]):
+    for basis in ([[2**31 - 1, 0], [0, 1]], [[1, 1], [-(2**30) + 1, 2**30]]):
         assert block_reduce(np.array(basis)).shape == (2, 2)
+    # a row of norm 2^62 + 1 is refused before any int64 product
+    with pytest.raises(PreconditionViolation, match=r"norm >= 2\^62"):
+        block_reduce(np.array([[1, 1], [1, 2**31]]))
     with pytest.raises(PreconditionViolation, match="linearly dependent"):
         block_reduce(np.array([[2, 4], [3, 6]]))
     # nonsingular however close to parallel: the float-check test's basis

@@ -35,7 +35,7 @@ def test_paley_q3():
 def test_paley_p7_p19():
     for p, k, ell in [(7, 4, 2), (19, 4, 0)]:
         seed = SkewSeed(build_paley_skew(p), k=k, m=p, ell=ell)
-        m = seed.np_matrix()
+        m = seed.matrix
         assert np.array_equal(m @ m.T, p * np.eye(p + 1, dtype=np.int64))
         assert np.array_equal(m.T, -m)
 
@@ -57,6 +57,20 @@ def test_skew_negacirculant_rejects_nonskew():
     with pytest.raises(SkewViolation):
         # nonzero diagonal
         SkewSeed(build_skew_negacirculant((1, 0, 0), (0, 0, 0)), k=3, m=1, ell=1)
+
+
+@pytest.mark.parametrize("entry", [2**32, 2**64])
+def test_a_seed_row_beyond_the_norm_cap_is_rejected(entry):
+    # at 2^32, MM^T = 2^64 I reads as 0 = m I in int64; 2^64 is beyond int64
+    with pytest.raises(PreconditionViolation, match=r"seed row of norm >= 2\^62"):
+        SkewSeed(((0, entry), (-entry, 0)), k=2, m=0, ell=1)
+
+
+def test_a_seed_with_m_past_int64_or_a_non_square_matrix_is_a_skew_violation():
+    with pytest.raises(SkewViolation, match="MM\\^T != mI"):
+        SkewSeed(((0, 1), (-1, 0)), k=2, m=2**64, ell=1)
+    with pytest.raises(SkewViolation, match="M\\^T != -M"):
+        SkewSeed(np.ones((2, 3), dtype=np.int64), k=3, m=1, ell=1)
 
 
 def test_seed_congruence_validation():
@@ -91,7 +105,7 @@ def test_frame_constant_and_congruences():
 
 def test_frame_rows_gram():
     seed = D6_SEED
-    rows = build_frame(seed, FrameQuadruple(1, 0, 1, 1)).np_vectors()
+    rows = build_frame(seed, FrameQuadruple(1, 0, 1, 1)).vectors
     assert np.array_equal(rows @ rows.T, 9 * 3 * np.eye(12, dtype=np.int64))
 
 
