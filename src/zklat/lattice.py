@@ -16,6 +16,17 @@ product for a whole batch of rows, in int64 when every row passes
 `shortvec.int64_rows`.  Any other basis (not integral, of index > 1 in its
 dual, or rank-deficient) takes an exact back-substitution against its
 HNF, one row at a time.
+
+Theta prefixes count the vectors of each norm.  A coset, and any lattice
+that is not unimodular, walks its whole ball (`shortvec.enumerate_ball`).
+A unimodular lattice of dimension n walks it only to norm J = n // 8:
+its theta series is sum_{j <= J} a_j theta_3^(n-8j) Delta_8^j (Hecke;
+Conway and Sloane, SPLAG ch. 7, Thm. 7), a form of which the leading
+J + 1 coefficients fix the rest, so every count above J is read off the
+series (`_unimodular_theta`).  The counts stay exact: the theorem holds
+for every integral unimodular lattice, `is_unimodular()` is an exact
+determinant, N_0..N_J come from the exact walk, and the a_j and the
+series are Python ints.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .codes import ZkCode, is_self_dual
 from .cliques import find_orthogonal_set
 from .errors import (
     BadDimension,
+    BudgetExceeded,
     MembershipViolation,
     NotOdd,
     NotSelfDual,
@@ -237,7 +249,18 @@ def _norm_value(q_scaled: int, scale: int):
 
 
 def theta_prefix(lattice: Lattice, max_norm, budget: int = DEFAULT_NODE_BUDGET) -> ThetaPrefix:
-    """Exact vector counts for every norm <= max_norm."""
+    """Exact vector counts for every norm <= max_norm.
+
+    A unimodular lattice of dimension n walks its ball only to norm
+    J = n // 8 and reads the counts above J off its theta series
+    (`_unimodular_theta`): the series of an integral unimodular lattice is
+    sum_{j <= J} a_j theta_3^(n - 8j) Delta_8^j (Hecke; Conway and Sloane,
+    SPLAG ch. 7, Thm. 7), so the exact counts N_0..N_J fix every later
+    one.  The lattice's own `is_unimodular()`, an exact determinant, picks
+    this path; any other lattice walks its whole ball.  Both paths give
+    exact counts.  The walk and the series arithmetic are each held to
+    `budget` and raise BudgetExceeded past it: no prefix is truncated.
+    """
     return _theta(lattice, None, max_norm, budget)
 
 
@@ -254,9 +277,62 @@ def _theta(lattice: Lattice, shift, max_norm, budget: int) -> ThetaPrefix:
     if bound.denominator != 1:
         raise PreconditionViolation("max_norm * scale must be an integer")
     bound = check_bound(int(bound))  # before paying for the reduction
+    top, fixed = bound // lattice.scale, lattice.dim // 8  # floor(max_norm), J
+    derive = (shift is None or not np.any(shift)) and top > fixed and lattice.is_unimodular()
+    if derive:
+        bound = fixed * lattice.scale
     counts, norms = enumerate_ball(lattice.reduced_basis(), bound, shift=shift, budget=budget)
     theta = {Fraction(q, lattice.scale): c for q, c in zip(norms.tolist(), counts.tolist())}
+    if derive:
+        low = [theta.get(j, 0) for j in range(fixed + 1)]
+        series = _unimodular_theta(lattice.dim, low, top, budget)
+        theta.update((Fraction(m), c) for m, c in enumerate(series) if m > fixed and c)
     return ThetaPrefix(theta, Fraction(max_norm))
+
+
+def _unimodular_theta(n: int, low: list[int], top: int, budget: int) -> list[int]:
+    """Coefficients to q^top of the dimension-n unimodular theta series
+    whose first J + 1 = len(low) coefficients are `low`.
+
+    With q^m counting norm m, theta_3 = sum_m q^(m^2), theta_4(q) =
+    theta_3(-q), and Delta_8 = theta_2^4 theta_4^4 / 16 = q tau^4 theta_4^4
+    for tau = sum_{m >= 0} q^(m(m+1)), since theta_2 = 2 q^(1/4) tau.  So
+    f_j = theta_3^(n-8j) Delta_8^j is q^j times n sparse factors, and its
+    leading term is q^j: the system sum_j a_j f_j[m] = low[m], m <= J, is
+    unit lower triangular, and every a_j is an integer.  All arithmetic
+    is in Python ints.  The (J + 1) n products of a series with a factor
+    form at most (J + 1) n (isqrt(top) + 1) (top + 1) coefficient
+    products.  That bound is charged to `budget` before any list is
+    built, so a series the budget admits also has short lists.
+    """
+    fixed, roots = len(low) - 1, isqrt(top) + 1
+    cost = (fixed + 1) * n * roots * (top + 1)
+    if cost > budget:
+        raise BudgetExceeded("theta series coefficient products", cost, budget)
+    theta3 = [(m * m, 2 if m else 1) for m in range(roots)]
+    theta4 = [(e, -c if e % 2 else c) for e, c in theta3]
+    tau = [(m * (m + 1), 1) for m in range(roots)]
+
+    def times(series: list[int], factor) -> list[int]:
+        out = [0] * (top + 1)
+        for i, x in enumerate(series):
+            if x:
+                for e, c in factor:
+                    if i + e > top:
+                        break
+                    out[i + e] += x * c
+        return out
+
+    basis = []
+    for j in range(fixed + 1):
+        f = [int(m == j) for m in range(top + 1)]
+        for factor in [theta3] * (n - 8 * j) + [tau, theta4] * (4 * j):
+            f = times(f, factor)
+        basis.append(f)
+    a = []
+    for j in range(fixed + 1):  # f_j[j] = 1 and f_i[j] = 0 for i > j
+        a.append(low[j] - sum(ai * f[j] for ai, f in zip(a, basis)))
+    return [sum(aj * f[m] for aj, f in zip(a, basis)) for m in range(top + 1)]
 
 
 @dataclass(eq=False)

@@ -32,8 +32,9 @@ One cap, NORM_CAP = 2^62, keeps int64 exact: bounds lie below it
 (`check_bound`), and `int64_rows`, the one way an integer matrix becomes
 int64, checks exactly that every row's norm does.  By Cauchy-Schwarz no
 inner product of such rows, nor a partial sum of one, then reaches 2^62.
-`Lattice`, `Frame`, `SkewSeed`, `two_neighbor_at_vector` and
-`block_reduce` (so every basis a walk runs on) take their rows through it.
+`Lattice`, `Frame`, `SkewSeed`, `two_neighbor_at_vector`, `block_reduce`
+and the public walkers (so every basis a walk runs on, however it is
+passed) take their rows through it.
 
 `block_reduce` prepares the bases the walks run on.  It checks the rank
 exactly, as the row count of the basis's HNF, then runs float LLL that
@@ -381,9 +382,9 @@ def _ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_
     between blocks.  A shift in the basis's rational span describes a
     lattice coset; its exact coefficients against the basis centre the
     walk.  Without a shift (or with a zero one) the walk holds 0 and one
-    vector of each +-pair.
+    vector of each +-pair.  The basis is `int64_rows` output: each public
+    walker checks the basis it is given once, before its walk.
     """
-    basis = np.asarray(basis, dtype=np.int64)
     R, limit = _factor(basis, bound)
     t = np.zeros(basis.shape[0])
     sv = 0
@@ -411,7 +412,8 @@ def enumerate_ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFA
     """
     empty = np.zeros(0, dtype=np.int64)
     # each block's distinct norms and their counts, merged once at the end
-    blocks = [np.unique(q, return_counts=True) for _, q, _ in _ball(basis, bound, shift, budget)]
+    walk = _ball(int64_rows(basis), bound, shift, budget)
+    blocks = [np.unique(q, return_counts=True) for _, q, _ in walk]
     seen, tallies = (np.concatenate(a) for a in zip((empty, empty), *blocks))
     norms, at = np.unique(seen, return_inverse=True)
     counts = np.zeros(norms.size, dtype=np.int64)
@@ -423,8 +425,9 @@ def enumerate_ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFA
 
 def enumerate_shell(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """The vectors x * basis of norm exactly bound, one of each +-pair, as rows."""
+    basis = int64_rows(basis)
     rows = [v[q == bound] for v, q, _ in _ball(basis, bound, budget=budget)]
-    return np.concatenate([np.zeros((0, np.shape(basis)[1]), dtype=np.int64)] + rows)
+    return np.concatenate([np.zeros((0, basis.shape[1]), dtype=np.int64)] + rows)
 
 
 def shortest_norm(basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET, keep=None) -> int:
@@ -437,7 +440,7 @@ def shortest_norm(basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET, keep=Non
     (plus the starting slack) whenever a shorter kept vector turns up;
     the walk's end is an exhaustive proof that none is shorter than best.
     """
-    basis = np.asarray(basis, dtype=np.int64)
+    basis = int64_rows(basis)
     if keep is None:
         keep = lambda v: v.any(axis=1)
     best = int(_norms(basis)[keep(basis)].min())

@@ -21,6 +21,7 @@ from zklat.codes import is_self_dual, min_euclidean_weight
 from zklat.lattice import (
     Frame,
     Lattice,
+    _unimodular_theta,
     construction_a,
     contains_frame,
     coset_theta,
@@ -163,22 +164,25 @@ def test_representation_cases_below_200(label):
 # -- 6. theta-series prefixes -----------------------------------------------
 
 def test_theta_prefix_dim20():
+    # D20 walks to norm J = 20 // 8 = 2; N_3..N_5 are read off the series
     th = theta_prefix(catalog.build("D20"), 5)
-    assert th.coefficient(0) == 1
-    assert th.coefficient(1) == 0 and th.coefficient(3) == 0
-    assert th.coefficient(2) == 760
-    assert th.coefficient(4) == 77560
-    assert th.coefficient(5) == 524288
+    assert [th.coefficient(q) for q in range(6)] == [1, 0, 760, 0, 77560, 524288]
+
+
+def test_transcribed_theta_prefixes_follow_from_the_first_coefficients():
+    # N_0..N_J (J = n // 8), zero below the minimum norm, fix the rest
+    for lid, low in (("D20", [1, 0, 760]), ("L36", [1, 0, 0, 0, 42840])):
+        n = catalog.build(lid).dim
+        series = _unimodular_theta(n, low, 5, budget=10**6)
+        for q, c in catalog.catalog_get(lid).expected["theta"].items():
+            assert series[q] == c, (lid, q)
 
 
 @pytest.mark.slow
 def test_theta_prefix_dim36():
+    # walks to norm J = 36 // 8 = 4 and derives N_5 from N_0..N_4
     th = theta_prefix(catalog.build("L36"), 5, budget=SLOW_NODE_BUDGET)
-    assert th.coefficient(0) == 1
-    for q in (1, 2, 3):
-        assert th.coefficient(q) == 0
-    assert th.coefficient(4) == 42840
-    assert th.coefficient(5) == 1916928
+    assert [th.coefficient(q) for q in range(6)] == [1, 0, 0, 0, 42840, 1916928]
 
 
 # -- 7. frame existence, positive and negative ------------------------------

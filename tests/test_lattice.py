@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 import zklat.lattice
 from zklat import catalog
 from zklat.codes import ZkCode, build_four_negacirculant, min_euclidean_weight
-from zklat.errors import BadDimension, NotOdd, NotSelfDual, PreconditionViolation
+from zklat.errors import (
+    BadDimension,
+    BudgetExceeded,
+    NotOdd,
+    NotSelfDual,
+    PreconditionViolation,
+)
 from zklat.intmat import det, hnf, solve_fraction
 from zklat.lattice import (
     Frame,
@@ -23,6 +30,7 @@ from zklat.lattice import (
     theta_prefix,
     two_neighbor_at_vector,
 )
+from zklat.shortvec import enumerate_ball
 from zklat.skew import (
     FrameQuadruple,
     SkewSeed,
@@ -97,6 +105,65 @@ def test_shadow_partition_theta_additive():
             sums[q] = sums.get(q, 0) + c
     for q, c in whole.as_pairs():
         assert sums.get(q, 0) == c
+
+
+def walked(lat, max_norm):
+    """The theta pairs of one walk of the whole ball, by `enumerate_ball` itself."""
+    counts, norms = enumerate_ball(lat.reduced_basis(), int(max_norm * lat.scale))
+    return [(Fraction(q, lat.scale), c) for q, c in zip(norms.tolist(), counts.tolist()) if c]
+
+
+# J = n // 8 is the last norm a unimodular theta_prefix walks to
+@pytest.mark.parametrize("lid", ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"])
+def test_derived_theta_matches_the_walk_two_norms_past_j(lid):
+    lat = catalog.build(lid)
+    top = lat.dim // 8 + 2
+    assert theta_prefix(lat, top).as_pairs() == walked(lat, top)
+
+
+def test_fractional_max_norm_gives_the_walk_s_pairs():
+    for lid, max_norm in (("D12_plus", Fraction(10, 3)), ("D8_2", Fraction(7, 2))):
+        lat = catalog.build(lid)
+        th = theta_prefix(lat, max_norm)
+        assert th.bound == max_norm and th.as_pairs() == walked(lat, max_norm)
+
+
+def root_lattice_d6():
+    """{x in Z^6 : sum x even}: integral, determinant 4, not unimodular."""
+    return Lattice([[1, -1, 0, 0, 0, 0], [0, 1, -1, 0, 0, 0], [0, 0, 1, -1, 0, 0],
+                    [0, 0, 0, 1, -1, 0], [0, 0, 0, 0, 1, -1], [0, 0, 0, 0, 1, 1]], 1)
+
+
+def test_only_a_unimodular_theta_stops_its_walk_at_j(monkeypatch):
+    bounds = []
+
+    def spy(basis, bound, **kw):
+        bounds.append(bound)
+        return enumerate_ball(basis, bound, **kw)
+
+    monkeypatch.setattr(zklat.lattice, "enumerate_ball", spy)
+    for lid in ("D12_plus", "D8_2", "D20"):
+        lat = catalog.build(lid)
+        theta_prefix(lat, 6)
+        assert bounds.pop() == lat.dim // 8 * lat.scale, lid
+    d6 = root_lattice_d6()
+    # norm 4: the 12 vectors +-2e_i and the 2^4 C(6, 4) with four entries +-1
+    assert theta_prefix(d6, 4).coefficient(4) == 12 + 16 * 15
+    assert bounds.pop() == 4
+    parts = even_sublattice_and_shadow(catalog.build("D12_plus"))
+    theta_prefix(parts.l0_dual, 3)
+    assert bounds.pop() == 3 * parts.scale
+    coset_theta(parts.l0_refined, parts.rep_l1, 3)
+    assert bounds.pop() == 3 * parts.scale
+
+
+def test_a_series_past_its_budget_raises_at_once():
+    lat = catalog.build("D12_plus")
+    theta_prefix(lat, 2)  # the reduction is made outside the timed call
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="theta series coefficient products"):
+        theta_prefix(lat, 10**6, budget=10**6)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("lid", catalog.catalog_list("lattice"))

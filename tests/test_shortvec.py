@@ -250,8 +250,9 @@ def test_near_singular_basis_trips_the_float_check():
 
 
 def test_a_gram_that_is_not_positive_definite_in_floats_is_rejected():
-    # the float check's basis at e = 9: its float Gram has no Cholesky factor
-    basis = np.array([[3, 1], [3 * 10**9 + 1, 10**9]], dtype=np.int64)
+    # [[F_i, F_(i-1)], [F_(i+1), F_i]] spans Z^2 (Cassini), its rows lie below
+    # the 2^62 cap, and its float Gram has no Cholesky factor
+    basis = np.array([[701408733, 433494437], [1134903170, 701408733]], dtype=np.int64)
     with pytest.raises(PreconditionViolation, match="not numerically positive definite"):
         enumerate_ball(basis, 4)
     with pytest.raises(PreconditionViolation, match="not numerically positive definite"):
@@ -388,6 +389,18 @@ def test_rank_check_is_exact():
         block_reduce(np.array([[2, 4], [3, 6]]))
     # nonsingular however close to parallel: the float-check test's basis
     assert block_reduce(np.array([[3, 1], [3 * 10**8 + 1, 10**8]])).shape == (2, 2)
+
+
+def test_the_public_walkers_reject_a_row_past_the_norm_cap():
+    # row 0 has norm (2^32 + 1)^2: unchecked, its int64 square wraps to 2^33 + 1
+    basis = [[2**32 + 1, 0], [0, 1]]
+    for walk in (
+        lambda: enumerate_ball(basis, 2**33 + 1),
+        lambda: enumerate_shell(basis, 2**33 + 1),
+        lambda: shortest_norm(basis),
+    ):
+        with pytest.raises(PreconditionViolation, match="norm >= 2\\^62"):
+            walk()
 
 
 @pytest.mark.parametrize("bound", [-1, 2**62, 2**70])
