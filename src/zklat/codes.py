@@ -8,6 +8,8 @@ the product of the pivots), `construction_a` and d_E.  The minimum
 Euclidean weight d_E is the shortest vector of the lift that lies
 outside k Z^n.  The code block-reduces its lift at most once, when
 first asked, and `lattice.construction_a` reads the same reduced basis.
+The reduction starts from the centred lift (`_centred`), whose short
+rows k e_j LLL need not swap up one by one.
 The paper's generator shapes are written once, here: `systematic`
 (I | M), `four_negacirculant` and `bordered`; `skew` builds its seeds
 and codes from the same three.
@@ -68,11 +70,36 @@ class ZkCode:
         return [list(r) for r in self._lift]
 
     def reduced_lift(self) -> np.ndarray:
-        """The lift's basis after `block_reduce`, computed on the first call (read-only);
-        `block_reduce` rejects a lift row of norm >= 2^62 (k near 2^31 or above)."""
+        """The lift's basis after `block_reduce`, computed on the first call (read-only).
+
+        LLL starts from the centred lift (`_centred`), not the HNF itself:
+        the HNF (I | A ; 0 | k I) keeps A in [0, k), and LLL would bubble
+        each short row k e_j up past the long rows one swap at a time.
+        `block_reduce` rejects a lift row of norm >= 2^62 (k near 2^31 or
+        above).
+        """
         if self._reduced is None:
-            object.__setattr__(self, "_reduced", block_reduce(self._lift))
+            object.__setattr__(self, "_reduced", block_reduce(_centred(self._lift)))
         return self._reduced
+
+
+def _centred(h) -> list[list[int]]:
+    """The HNF h with each entry above a pivot p moved into [-p/2, p/2).
+
+    For each pivot row j in increasing order, every row i < j loses
+    round(h[i][c] / p) times row j, c and p the column and value of its
+    pivot.  Row j is zero left of c, so a later step never moves a column
+    already centred.  Exact, in Python ints; the rows span the same lattice.
+    """
+    rows = [list(r) for r in h]
+    for j, row in enumerate(rows):
+        c = next(t for t, a in enumerate(row) if a)
+        p = row[c]
+        for i in range(j):
+            q = (2 * rows[i][c] + p) // (2 * p)  # rows[i][c] - q p lies in [-p/2, p/2)
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
+    return rows
 
 
 def negacirculant(first_row) -> np.ndarray:

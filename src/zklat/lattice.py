@@ -25,8 +25,8 @@ Conway and Sloane, SPLAG ch. 7, Thm. 7), a form of which the leading
 J + 1 coefficients fix the rest, so every count above J is read off the
 series (`_unimodular_theta`).  The counts stay exact: the theorem holds
 for every integral unimodular lattice, `is_unimodular()` is an exact
-determinant, N_0..N_J come from the exact walk, and the a_j and the
-series are Python ints.
+determinant of the basis, N_0..N_J come from the exact walk, and the a_j
+and the series are Python ints.
 """
 
 from __future__ import annotations
@@ -96,9 +96,16 @@ class Lattice:
         return not np.any(self.gram_scaled() % self.scale != 0)
 
     def is_unimodular(self) -> bool:
-        """Integral with Gram determinant +-1, computed on the first call."""
+        """Integral with Gram determinant +-1, computed on the first call.
+
+        The Gram determinant is det(B)^2 / s^n for the n x n basis B, never
+        negative, so it is +-1 exactly when det(B)^2 = s^n: one exact
+        determinant of the basis, not of its (larger-entried) Gram matrix.
+        """
         if self._unimodular is None:
-            self._unimodular = self.is_integral() and abs(det(self.gram_true().tolist())) == 1
+            self._unimodular = (
+                self.is_integral() and det(self.basis.tolist()) ** 2 == self.scale**self.dim
+            )
         return self._unimodular
 
     def is_even(self) -> bool:
@@ -256,9 +263,9 @@ def theta_prefix(lattice: Lattice, max_norm, budget: int = DEFAULT_NODE_BUDGET) 
     (`_unimodular_theta`): the series of an integral unimodular lattice is
     sum_{j <= J} a_j theta_3^(n - 8j) Delta_8^j (Hecke; Conway and Sloane,
     SPLAG ch. 7, Thm. 7), so the exact counts N_0..N_J fix every later
-    one.  The lattice's own `is_unimodular()`, an exact determinant, picks
-    this path; any other lattice walks its whole ball.  Both paths give
-    exact counts.  The walk and the series arithmetic are each held to
+    one.  The lattice's own `is_unimodular()`, an exact determinant of the
+    basis, picks this path; any other lattice walks its whole ball.  Both
+    paths give exact counts.  The walk and the series arithmetic are each held to
     `budget` and raise BudgetExceeded past it: no prefix is truncated.
     """
     return _theta(lattice, None, max_norm, budget)

@@ -270,8 +270,9 @@ def test_reproduce_table3_checks_every_d_e(capsys):
     assert "FAIL" not in out
 
 
-# a budget the D12_plus proof (165 nodes) meets and D20's (385) does not
-TABLE2_BUDGET = "250"
+# a budget the D12_plus proof (330 nodes on its reduced centred lift) meets
+# and D20's (385) does not
+TABLE2_BUDGET = "350"
 
 
 def test_reproduce_table2_reports_every_row_under_a_budget(capsys):

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -55,6 +56,67 @@ def test_construction_a_tiny():
 def test_construction_a_requires_selfdual():
     with pytest.raises(NotSelfDual):
         construction_a(ZkCode(2, ((1, 0),)))
+
+
+def unimodular_by_gram(lat) -> bool:
+    """The definition: integral, with Gram determinant +-1."""
+    return lat.is_integral() and abs(det(lat.gram_true().tolist())) == 1
+
+
+def assert_unimodular_as_defined(lat, want):
+    fresh = Lattice(lat.basis, lat.scale)  # nothing cached
+    assert fresh.is_unimodular() == unimodular_by_gram(lat) == want
+
+
+@pytest.mark.parametrize("lid", catalog.catalog_list("lattice"))
+def test_is_unimodular_is_the_gram_determinant_test_catalog(lid):
+    assert_unimodular_as_defined(catalog.build(lid), True)
+
+
+@pytest.mark.parametrize("lid", ["D12_plus", "D8_2"])
+def test_is_unimodular_is_the_gram_determinant_test_shadow_parts(lid):
+    # L0 has index 2 in L and L in L0*: each has Gram determinant 4 or 1/4
+    parts = even_sublattice_and_shadow(catalog.build(lid))
+    for lat in (parts.l0, parts.l0_refined, parts.l0_dual):
+        assert_unimodular_as_defined(lat, False)
+
+
+def test_is_unimodular_is_the_gram_determinant_test_small():
+    assert_unimodular_as_defined(Lattice(2 * np.eye(4, dtype=np.int64), 4), True)
+    d4 = [[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]
+    assert_unimodular_as_defined(Lattice(d4, 1), False)  # index 2 in Z^4
+    # det(B)^2 = s^n, but the Gram matrix diag(1/2, 2) is not integral
+    assert_unimodular_as_defined(Lattice([[1, 0], [0, 2]], 2), False)
+
+
+def random_unimodular(rng, n, steps=8):
+    u = np.eye(n, dtype=np.int64)
+    for _ in range(steps):
+        i, j = rng.choice(n, 2, replace=False)
+        u[i] += int(rng.integers(-2, 3)) * u[j]
+    return u
+
+
+@pytest.mark.parametrize("scale", [1, 2, 4, 9])
+def test_is_unimodular_is_the_gram_determinant_test_random(scale):
+    # U Z^n at the scale's root (at scale 2, U times blocks (1 1; 1 -1)),
+    # the same with a row doubled, and an arbitrary basis
+    rng = np.random.default_rng(900 + scale)
+    seen = set()
+    for _ in range(12):
+        n = 2 * int(rng.integers(1, 4))
+        if scale == 2:
+            root = np.kron(np.eye(n // 2, dtype=np.int64), [[1, 1], [1, -1]])
+        else:
+            root = isqrt(scale) * np.eye(n, dtype=np.int64)
+        b = random_unimodular(rng, n) @ root
+        doubled = b.copy()
+        doubled[int(rng.integers(n))] *= 2
+        for basis in (b, doubled, rng.integers(-3, 4, size=(n, n))):
+            lat = Lattice(basis, scale)
+            seen.add(unimodular_by_gram(lat))
+            assert_unimodular_as_defined(lat, unimodular_by_gram(lat))
+    assert seen == {True, False}
 
 
 def test_d6_model_lattice():

@@ -10,6 +10,7 @@ import pytest
 
 import zklat.shortvec
 from zklat import catalog
+from zklat.codes import ZkCode
 from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
 from zklat.lattice import Lattice, even_sublattice_and_shadow, find_frame
@@ -342,11 +343,17 @@ def test_hnf_of_large_inputs(case):
     assert hnf(h + rows) == h
 
 
+def patch_hypot(monkeypatch, hypot):
+    """Give `zklat.shortvec` a math module whose hypot is `hypot`: `_lll_core`
+    calls it once per swap, and nowhere else."""
+    fake = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    fake.hypot = hypot
+    monkeypatch.setattr(zklat.shortvec, "math", fake)
+
+
 def test_a_cycling_lll_raises_at_its_step_bound(monkeypatch):
     # a reflection whose new diagonal entry is twice too long swaps forever
-    fake = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
-    fake.hypot = lambda x, y: 2 * math.hypot(x, y)
-    monkeypatch.setattr(zklat.shortvec, "math", fake)
+    patch_hypot(monkeypatch, lambda x, y: 2 * math.hypot(x, y))
     basis = random_basis(np.random.default_rng(1), 6, spread=30)
     with pytest.raises(PreconditionViolation, match="bound of .* swaps"):
         _lll_core(basis)
@@ -474,6 +481,32 @@ def test_block_reduce_matches_block_by_block_tours(kind, name):
         assert red.tobytes() == _lll_core(basis.copy()).tobytes()
     else:
         assert all(x is None for x in block_searches(red))
+
+
+@pytest.mark.parametrize("kind, name", CATALOG_BASES)
+def test_the_bases_the_walks_run_on_are_lll_reduced_block_reduce_fixed_points(kind, name):
+    # the production path: a lattice's reduced_basis() (for a Construction A
+    # lattice, its code's reduced_lift()) and a code's reduced_lift(), which
+    # reduces the centred lift rather than the HNF
+    obj = catalog.build(name)
+    red = obj.reduced_basis() if kind == "lattice" else obj.reduced_lift()
+    assert hnf(red.tolist()) == hnf(basis_of(kind, name).tolist())
+    assert_lll_reduced(red)
+    assert block_reduce(red).tobytes() == red.tobytes()
+
+
+@pytest.mark.parametrize("cid", ["C_13_20", "C_5_20"])
+def test_lll_from_the_centred_lift_swaps_a_quarter_as_often(monkeypatch, cid):
+    # the HNF (I | A ; 0 | kI) has A in [0, k): LLL bubbles each k e_j up
+    # one swap at a time, while the centred lift is size-reduced already
+    swaps = []
+    patch_hypot(monkeypatch, lambda x, y: swaps.append(1) or math.hypot(x, y))
+    code = catalog.build(cid)
+    _lll_core(np.array(code.lift_basis(), dtype=np.int64))
+    raw = len(swaps)
+    swaps.clear()
+    ZkCode(code.k, code.generators).reduced_lift()  # a fresh code: nothing cached
+    assert raw and 4 * len(swaps) <= raw, (raw, len(swaps))
 
 
 # C_19_40's lift needs 7 BKZ tours before every block is proved
