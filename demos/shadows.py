@@ -1,18 +1,10 @@
-"""Shadows and neighbors of odd unimodular lattices.
+"""Shadows of odd unimodular lattices.
 
-Run with: python3 demos/shadows_and_neighbors.py
+Run with: python3 demos/shadows.py
 """
 
-import numpy as np
-
 from zklat.catalog import build as catalog_build
-from zklat import (
-    Lattice,
-    coset_theta,
-    even_neighbors,
-    even_sublattice_and_shadow,
-    theta_prefix,
-)
+from zklat import coset_theta, even_sublattice_and_shadow, theta_prefix
 
 lat = catalog_build("D12_plus")
 print(f"lattice: dim {lat.dim}, odd unimodular, min-norm vectors:",
@@ -29,13 +21,3 @@ for name, rep in [("L1", parts.rep_l1), ("L2", parts.rep_l2), ("L3", parts.rep_l
     print(f"theta of {name}  :", {str(q): c for q, c in th.as_pairs()})
 # The coset thetas sum exactly to the theta of L0^*; shadow norms sit in
 # n/4 + Z, which is why fractional norms appear above.
-
-# For 8 | n, gluing L0 with L1 or L3 gives the two even unimodular
-# neighbors of L.
-z8 = Lattice(np.eye(8, dtype=np.int64), 1)
-n1, n2 = even_neighbors(z8)
-for i, nb in enumerate((n1, n2), 1):
-    print(f"neighbor {i} of Z^8: even = {nb.is_even()},"
-          f" unimodular = {nb.is_unimodular()},"
-          f" kissing = {theta_prefix(nb, 2).coefficient(2)}")
-# Both neighbors of Z^8 are isometric to E8 (240 minimal vectors each).

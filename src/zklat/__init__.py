@@ -42,12 +42,10 @@ from .lattice import (
     construction_a,
     contains_frame,
     coset_theta,
-    even_neighbors,
     even_sublattice_and_shadow,
     find_frame,
     min_norm,
     theta_prefix,
-    two_neighbor_at_vector,
 )
 from .skew import (
     FrameQuadruple,

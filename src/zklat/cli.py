@@ -21,12 +21,10 @@ from .lattice import (
     Lattice,
     construction_a,
     contains_frame,
-    even_neighbors,
     even_sublattice_and_shadow,
     find_frame,
     min_norm,
     theta_prefix,
-    two_neighbor_at_vector,
 )
 from .shortvec import DEFAULT_NODE_BUDGET
 from .skew import FrameQuadruple, SkewSeed, build_code_from_skew, build_frame
@@ -148,29 +146,6 @@ def cmd_shadow(args) -> int:
     print(f"even sublattice: dim {parts.l0.dim}, refined scale {parts.scale}")
     for name, rep in (("l1", parts.rep_l1), ("l2", parts.rep_l2), ("l3", parts.rep_l3)):
         print(name, " ".join(str(int(x)) for x in rep))
-    return EXIT_OK
-
-
-def cmd_neighbors(args) -> int:
-    lat = _as_lattice(args.id)
-    n1, n2 = even_neighbors(lat)
-    ok = True
-    for i, nb in enumerate((n1, n2), 1):
-        good = nb.is_unimodular() and nb.is_even()
-        ok &= good
-        print(f"neighbor {i}: even unimodular = {good}")
-        if getattr(args, "out", None):
-            fileio.write_text(f"{args.out}.{i}", fileio.dump_lattice(nb))
-    return EXIT_OK if ok else EXIT_REFUTED
-
-
-def cmd_two_neighbor(args) -> int:
-    lat = _as_lattice(args.id)
-    x = _ints(args.x, lat.dim, "--x")
-    y = _ints(args.y, lat.dim, "--y")
-    out = two_neighbor_at_vector(lat, x, y)
-    print(f"odd unimodular neighbor: dim {out.dim}, scale {out.scale}")
-    _write_out(args, fileio.dump_lattice(out))
     return EXIT_OK
 
 
@@ -349,10 +324,6 @@ def main(argv=None) -> int:
     budget(p)
     p.add_argument("--out")
     p = add("shadow", cmd_shadow); p.add_argument("id")
-    p = add("neighbors", cmd_neighbors); p.add_argument("id"); p.add_argument("--out")
-    p = add("two-neighbor", cmd_two_neighbor); p.add_argument("id")
-    p.add_argument("--x", required=True); p.add_argument("--y", required=True)
-    p.add_argument("--out")
     p = add("frame-build", cmd_frame_build); p.add_argument("seed")
     p.add_argument("--abcd", required=True); p.add_argument("--out")
     p = add("frame-find", cmd_frame_find); p.add_argument("id")

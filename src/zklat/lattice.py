@@ -1,5 +1,5 @@
-"""Unimodular lattices: Construction A, norms, theta series, shadows,
-neighbors, and frame search.
+"""Unimodular lattices: Construction A, norms, theta series, shadows
+and frame search.
 
 A lattice is stored as an integer basis with a global scale s: the true
 lattice is spanned by the rows divided by sqrt(s).  Construction A
@@ -41,7 +41,6 @@ import numpy as np
 from .codes import ZkCode, is_self_dual
 from .cliques import find_orthogonal_set
 from .errors import (
-    BadDimension,
     BudgetExceeded,
     MembershipViolation,
     NotOdd,
@@ -406,64 +405,6 @@ def _parity_kernel(b: np.ndarray, parity: np.ndarray) -> list[list[int]]:
     """
     i0 = int(np.argmax(parity))
     return hnf((b + np.outer(parity, b[i0])).tolist())
-
-
-def even_neighbors(lattice: Lattice) -> tuple[Lattice, Lattice]:
-    """The two even unimodular neighbors of an odd unimodular lattice, 8 | n."""
-    if lattice.dim % 8 != 0:
-        raise BadDimension("even unimodular neighbors need dimension 0 mod 8")
-    parts = even_sublattice_and_shadow(lattice)
-    out = []
-    for rep in (parts.rep_l1, parts.rep_l3):
-        rows = parts.l0_refined.basis.tolist() + [rep.tolist()]
-        nb = simplify_scale(Lattice(hnf(rows), parts.scale))
-        if not (nb.is_unimodular() and nb.is_even()):
-            raise MembershipViolation("neighbor failed the even/unimodular check")
-        out.append(nb)
-    return out[0], out[1]
-
-
-def simplify_scale(lattice: Lattice) -> Lattice:
-    b, s = lattice.basis, lattice.scale
-    while s % 4 == 0 and not np.any(b % 2):
-        b, s = b // 2, s // 4
-    return Lattice(b, s)
-
-
-def two_neighbor_at_vector(lattice: Lattice, x, y) -> Lattice:
-    """Odd unimodular neighbor glued at x/2 + y, for even unimodular input.
-
-    x must be a lattice vector of norm 8 with x/2 outside the lattice,
-    and y a lattice vector with (x, y) odd.  Scaled coordinates; both
-    pass `int64_rows`.
-    """
-    if not (lattice.is_unimodular() and lattice.is_even()):
-        raise PreconditionViolation("input must be even unimodular")
-    x = int64_rows([x], "x")[0]
-    y = int64_rows([y], "y")[0]
-    s = lattice.scale
-    if not lattice.contains(x):
-        raise PreconditionViolation("x is not a lattice vector")
-    if int(x @ x) != 8 * s:
-        raise PreconditionViolation("x must have norm 8")
-    if all(v % 2 == 0 for v in x) and lattice.contains(x // 2):
-        raise PreconditionViolation("x/2 lies in the lattice (degenerate)")
-    if not lattice.contains(y):
-        raise PreconditionViolation("y is not a lattice vector")
-    if int(x @ y) % (2 * s) == 0 or int(x @ y) % s != 0:
-        raise PreconditionViolation("(x, y) must be an odd integer")
-
-    b = lattice.basis
-    parity = (b @ x // s) % 2
-    if not parity.any():
-        raise PreconditionViolation("(x, v) is even for every v (no odd pairing)")
-    plus = _parity_kernel(b, parity)
-    glue = x + 2 * y  # coordinates of x/2 + y in scale 4s
-    stacked = [[2 * a for a in row] for row in plus] + [glue.tolist()]
-    out = simplify_scale(Lattice(hnf(stacked), 4 * s))
-    if not out.is_unimodular() or out.is_even():
-        raise MembershipViolation("two-neighbor output is not odd unimodular")
-    return out
 
 
 def contains_frame(lattice: Lattice, frame: Frame) -> bool:

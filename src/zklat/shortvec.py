@@ -32,9 +32,9 @@ One cap, NORM_CAP = 2^62, keeps int64 exact: bounds lie below it
 (`check_bound`), and `int64_rows`, the one way an integer matrix becomes
 int64, checks exactly that every row's norm does.  By Cauchy-Schwarz no
 inner product of such rows, nor a partial sum of one, then reaches 2^62.
-`Lattice`, `Frame`, `SkewSeed`, `two_neighbor_at_vector`, `block_reduce`
-and the public walkers (so every basis a walk runs on, however it is
-passed) take their rows through it.
+`Lattice`, `Frame`, `SkewSeed`, `block_reduce` and the public walkers
+(so every basis a walk runs on, however it is passed) take their rows
+through it.
 
 `block_reduce` prepares the bases the walks run on.  It checks the rank
 exactly, as the row count of the basis's HNF, then runs float LLL that

@@ -25,7 +25,6 @@ from zklat.lattice import (
     construction_a,
     contains_frame,
     coset_theta,
-    even_neighbors,
     even_sublattice_and_shadow,
     find_frame,
     min_norm,
@@ -244,10 +243,3 @@ def test_pruned_matches_naive_weight():
                 continue
             assert is_self_dual(code)
             assert min_euclidean_weight(code) == min_euclidean_weight_naive(code)
-
-
-def test_neighbor_parity_properties():
-    for lat in [Lattice(np.eye(8, dtype=np.int64), 1), catalog.build("D8_2")]:
-        assert lat.is_unimodular() and not lat.is_even()
-        for nb in even_neighbors(lat):
-            assert nb.is_unimodular() and nb.is_even()

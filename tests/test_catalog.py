@@ -190,6 +190,29 @@ def test_frame_report_unknown_out_of_reach():
     assert v.status == "unknown"
 
 
+def test_frame_report_table_for_k_up_to_50():
+    # the 12 model lattices x k = 1..50: a lost or a new verdict shows up here
+    tally, unknown = {"frame": 0, "code": 0, "no": 0, "unknown": 0}, {}
+    for lid in catalog.catalog_list("lattice"):
+        model = catalog.build(lid)
+        for k in range(1, 51):
+            v = catalog.frame_report(lid, k)
+            if v.status == "yes":
+                tally["frame" if v.frame is not None else "code"] += 1
+                assert v.frame is None or contains_frame(model, v.frame), (lid, k)
+            else:
+                tally[v.status] += 1
+            if v.status == "unknown":
+                unknown.setdefault(lid, []).append(k)
+    assert tally == {"frame": 490, "code": 60, "no": 27, "unknown": 23}
+    assert unknown == {
+        "R28_15": [3],
+        "L40": [6, 13, 19, 26, 38],
+        "L44": [4, 8, 16, 17, 32],
+        "L48": [6, 7, 9, 12, 14, 17, 18, 21, 27, 34, 36, 42],
+    }
+
+
 def test_every_model_seed_has_its_case_row():
     labels = set()
     for lid in catalog.catalog_list("lattice"):

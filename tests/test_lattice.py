@@ -9,7 +9,6 @@ import zklat.lattice
 from zklat import catalog
 from zklat.codes import ZkCode, build_four_negacirculant, min_euclidean_weight
 from zklat.errors import (
-    BadDimension,
     BudgetExceeded,
     NotOdd,
     NotSelfDual,
@@ -22,14 +21,12 @@ from zklat.lattice import (
     construction_a,
     contains_frame,
     coset_theta,
-    even_neighbors,
     even_sublattice_and_shadow,
     find_frame,
     frame_in_shell,
     min_norm,
     norm_shell,
     theta_prefix,
-    two_neighbor_at_vector,
 )
 from zklat.shortvec import enumerate_ball
 from zklat.skew import (
@@ -246,6 +243,7 @@ def test_shadow_of_every_catalog_lattice(lid):
 
 def test_shadow_rejects_even():
     e8 = _e8()
+    assert e8.is_unimodular() and e8.is_even()
     with pytest.raises(NotOdd):
         even_sublattice_and_shadow(e8)
 
@@ -267,43 +265,6 @@ def _e8():
     return Lattice(rows, 4)
 
 
-def test_even_neighbors_z8():
-    lat = Lattice(np.eye(8, dtype=np.int64), 1)
-    n1, n2 = even_neighbors(lat)
-    for nb in (n1, n2):
-        assert nb.is_unimodular() and nb.is_even()
-        assert min_norm(nb) == 2  # both neighbors are E8-like
-
-
-def test_even_neighbors_bad_dimension():
-    with pytest.raises(BadDimension):
-        even_neighbors(d6_lattice())
-
-
-def test_two_neighbor_e8():
-    e8 = _e8()
-    assert e8.is_unimodular() and e8.is_even()
-    x = np.array([1, 1, 1, 1, 1, 1, 1, -1], dtype=np.int64) * 2  # norm 8, scale 4
-    y = np.ones(8, dtype=np.int64)  # the glue vector, (x, y) = 3
-    out = two_neighbor_at_vector(e8, x, y)
-    assert out.is_unimodular() and not out.is_even()
-    assert min_norm(out) == 1
-
-
-def test_two_neighbor_precondition_errors():
-    e8 = _e8()
-    with pytest.raises(PreconditionViolation):
-        two_neighbor_at_vector(e8, [2, 2, 0, 0, 0, 0, 0, 0], np.ones(8, dtype=np.int64))
-
-
-def test_two_neighbor_rejects_a_vector_beyond_the_norm_cap():
-    # an even neighbor of D8_2, and x with an entry of 2^70, beyond int64
-    even = even_neighbors(catalog.build("D8_2"))[0]
-    y = [0] * even.dim
-    with pytest.raises(PreconditionViolation, match=r"x row of norm >= 2\^62"):
-        two_neighbor_at_vector(even, [2**70] + [0] * (even.dim - 1), y)
-
-
 def test_contains_frame_and_find_frame():
     lat = Lattice(np.eye(4, dtype=np.int64), 1)
     frame = find_frame(lat, 1)
@@ -321,11 +282,9 @@ def test_find_frame_rejects_a_norm_below_one():
 
 
 def test_contains_rejects_a_vector_of_the_wrong_length():
-    nb = even_neighbors(catalog.build("D8_2"))[0]  # even unimodular, dimension 16
+    lat = catalog.build("D8_2")  # dimension 16
     with pytest.raises(PreconditionViolation, match="length 3 for a lattice in dimension 16"):
-        nb.contains([1, 2, 3])
-    with pytest.raises(PreconditionViolation, match="length 3 for a lattice in dimension 16"):
-        two_neighbor_at_vector(nb, [1, 2, 3], [1, 0, 0])
+        lat.contains([1, 2, 3])
 
 
 def test_frame_in_shell_at_large_scale():
