@@ -1,3 +1,4 @@
+import functools
 import time
 
 import numpy as np
@@ -190,13 +191,21 @@ def test_frame_report_unknown_out_of_reach():
     assert v.status == "unknown"
 
 
+@functools.cache
+def _frame_report_table():
+    # the 12 model lattices x k = 1..50, one Verdict per cell
+    return {
+        lid: [catalog.frame_report(lid, k) for k in range(1, 51)]
+        for lid in catalog.catalog_list("lattice")
+    }
+
+
 def test_frame_report_table_for_k_up_to_50():
-    # the 12 model lattices x k = 1..50: a lost or a new verdict shows up here
+    # a lost or a new verdict anywhere in the table shows up here
     tally, unknown = {"frame": 0, "code": 0, "no": 0, "unknown": 0}, {}
-    for lid in catalog.catalog_list("lattice"):
+    for lid, row in _frame_report_table().items():
         model = catalog.build(lid)
-        for k in range(1, 51):
-            v = catalog.frame_report(lid, k)
+        for k, v in enumerate(row, start=1):
             if v.status == "yes":
                 tally["frame" if v.frame is not None else "code"] += 1
                 assert v.frame is None or contains_frame(model, v.frame), (lid, k)
@@ -211,6 +220,38 @@ def test_frame_report_table_for_k_up_to_50():
         "L44": [4, 8, 16, 17, 32],
         "L48": [6, 7, 9, 12, 14, 17, 18, 21, 27, 34, 36, 42],
     }
+
+
+# per model lattice, k = 1..50: (yes with a frame, yes on a code certificate, the "no" k's)
+FRAME_REPORT_ROWS = {
+    "D12_plus": (47, 2, [1]),
+    "D8_2": (46, 3, [1]),
+    "D4_5": (45, 4, [1]),
+    "A5_4": (40, 8, [1, 2]),
+    "D20": (37, 11, [1, 3]),
+    "R28_32": (40, 8, [1, 2]),
+    "R28_15": (42, 5, [1, 2]),
+    "L32_82": (43, 4, [1, 2, 3]),
+    "L36": (32, 15, [1, 2, 3]),
+    "L40": (42, 0, [1, 2, 3]),
+    "L44": (42, 0, [1, 2, 3]),
+    "L48": (34, 0, [1, 2, 3, 4]),
+}
+
+
+def test_frame_report_rows_cover_the_catalog():
+    assert sorted(FRAME_REPORT_ROWS) == sorted(catalog.catalog_list("lattice"))
+
+
+@pytest.mark.parametrize("lid", list(FRAME_REPORT_ROWS))
+def test_frame_report_row_for_k_up_to_50(lid):
+    # which k's of one lattice's row are frames, code certificates or "no"
+    frames, codes, no = FRAME_REPORT_ROWS[lid]
+    row = _frame_report_table()[lid]
+    yes = [v for v in row if v.status == "yes"]
+    assert sum(v.frame is not None for v in yes) == frames
+    assert len(yes) - frames == codes
+    assert [k for k, v in enumerate(row, start=1) if v.status == "no"] == no
 
 
 def test_every_model_seed_has_its_case_row():
