@@ -454,7 +454,8 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
     """Yes / no / unknown: does the model lattice contain a k-frame?
 
     A d-frame for a divisor d of k gives a k-frame by quaternion scaling
-    when 4 | n, so every divisor d >= 2 with d == k or 4 | n is usable.
+    when 4 | n, as it is for every catalog lattice, so every divisor d >= 2
+    is usable.
     Code and quadruple certificates are tried first, largest d first;
     then direct search, smallest d first, one enumeration per divisor.
     A search miss at d == k is exhaustive, hence a "no"; for k below the
@@ -474,7 +475,7 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
             f"no vectors of norm {k} at all"
         ])
 
-    usable = [d for d in _divisors(k) if d == k or n % 4 == 0]
+    usable = _divisors(k)
 
     def yes(d: int, chain: list[str], frame: Frame | None) -> FrameVerdict:
         chain = list(chain)

@@ -143,7 +143,7 @@ def cmd_theta(args) -> int:
 def cmd_shadow(args) -> int:
     lat = _as_lattice(args.id)
     parts = even_sublattice_and_shadow(lat)
-    print(f"even sublattice: dim {parts.l0.dim}, refined scale {parts.scale}")
+    print(f"even sublattice: dim {parts.l0_refined.dim}, refined scale {parts.scale}")
     for name, rep in (("l1", parts.rep_l1), ("l2", parts.rep_l2), ("l3", parts.rep_l3)):
         print(name, " ".join(str(int(x)) for x in rep))
     return EXIT_OK

@@ -9,13 +9,13 @@ is exact.  A basis and a frame hold their rows as the read-only int64
 array of `shortvec.int64_rows`, the one checked conversion: every row
 has norm below 2^62, so no int64 product of them wraps.
 
-Membership (`Lattice.contains`, `contains_frame`) is decided against the
-dual lattice when the lattice is unimodular, as every lattice of the
-paper is: then L = L*, so v lies in L iff B v = 0 (mod s), one integer
-product for a whole batch of rows, in int64 when every row passes
-`shortvec.int64_rows`.  Any other basis (not integral, of index > 1 in its
-dual, or rank-deficient) takes an exact back-substitution against its
-HNF, one row at a time.
+Membership (`Lattice.contains`, `contains_frame`) takes rows at the
+lattice's own scale.  It is decided against the dual lattice when the
+lattice is unimodular, as every lattice of the paper is: then L = L*, so
+v lies in L iff B v = 0 (mod s), one integer product for a whole batch
+of rows, in int64 when every row passes `shortvec.int64_rows`.  Any other
+basis solves x B = v exactly (`intmat.solve_rows`) and asks for an
+integral x; a singular basis is an error.
 
 Theta prefixes count the vectors of each norm.  A coset, and any lattice
 that is not unimodular, walks its whole ball (`shortvec.enumerate_ball`).
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class Lattice:
         self._reduced = None
         self._code = None  # set by construction_a: the code that holds the reduction
         self._unimodular = None
-        self._hnf = None
 
     @property
     def dim(self) -> int:
@@ -118,65 +117,34 @@ class Lattice:
             )
         return self._reduced
 
-    def contains(self, coords, scale: int | None = None) -> bool:
-        """Membership of a vector given in scaled coordinates at `scale`
-        (by default the lattice's own); the test is `_contains_rows`."""
-        if len(coords) != self.dim:
-            raise PreconditionViolation(
-                f"vector of length {len(coords)} for a lattice in dimension {self.dim}"
-            )
-        row = np.array([[int(x) for x in coords]], dtype=object)
-        return self._contains_rows(row, self.scale if scale is None else scale)
+    def contains(self, rows) -> bool:
+        """Whether a vector, or every row of a matrix, lies in the lattice.
 
-    def _contains_rows(self, rows: np.ndarray, scale: int) -> bool:
-        """Whether every row, in scaled coordinates at `scale`, is a member.
-
-        The rows are rescaled to the lattice's scale s once, as a matrix.
+        The rows are in scaled coordinates at the lattice's own scale s.
         A unimodular lattice equals its dual, so v is a member iff every
         <v, b_i> / s is an integer: one product of the rows with B^T,
-        reduced mod s.  That product runs in int64 when the rows pass
-        `int64_rows`, as the basis rows do, so no partial sum can wrap.
-        A longer row keeps it in Python ints.  For any other lattice
-        v in L* does not give v in L, and each row takes the exact
-        back-substitution of `_hnf_member`.
-
-        Int64 rows must already have passed `int64_rows`, as a Frame's
-        have; other rows come as an object array of Python ints.
+        reduced mod s.  It runs in int64 when the rows pass `int64_rows`,
+        as the basis rows do, so no partial sum can wrap; a longer row
+        keeps it in Python ints.  Any other basis solves x B = v exactly
+        (`intmat.solve_rows`), and v is a member iff x is integral.
         """
-        if scale < 1:
-            raise PreconditionViolation(f"vector scale {scale} is not a positive integer")
-        v = _rescale_rows(rows, scale, self.scale)
-        if v is None:
-            return False
+        # a list stays in Python ints: numpy would read an entry in [2^63, 2^64) as a float
+        v = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+        v = v.reshape(1, -1) if v.ndim < 2 else v
+        if v.ndim != 2 or v.shape[1] != self.dim:
+            raise PreconditionViolation(
+                f"vector of length {v.shape[-1]} for a lattice in dimension {self.dim}"
+            )
         if not self.is_unimodular():
-            return all(self._hnf_member(row) for row in v.tolist())
-        if v.dtype == object:
-            try:
-                v = int64_rows(v, "vector")
-            except PreconditionViolation:
-                pass  # a row of norm >= 2^62: the product stays in Python ints
+            x = solve_rows(self.basis.tolist(), v.tolist())
+            if x is None:
+                raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
+            return all(c.denominator == 1 for row in x for c in row)
+        try:
+            v = int64_rows(v, "vector")
+        except PreconditionViolation:  # a row of norm >= 2^62: the product stays in Python ints
+            v = v.astype(object)
         return not np.any(v @ self.basis.T % self.scale)
-
-    def _hnf_member(self, v: list[int]) -> bool:
-        """Membership of v (at the lattice's scale; overwritten) by HNF.
-
-        Exact back-substitution in Python ints against the row HNF H of
-        the basis, built on the first call: each pivot fixes one
-        coefficient of x, and v is a member iff every division is exact
-        and the residual v - x H is zero.  The residual also covers the
-        non-pivot columns of a rank-deficient H.
-        """
-        if self._hnf is None:
-            self._hnf = [
-                (next(j for j, a in enumerate(row) if a), row) for row in hnf(self.basis.tolist())
-            ]
-        for p, row in self._hnf:
-            q, r = divmod(v[p], row[p])
-            if r:
-                return False
-            if q:
-                v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
-        return not any(v)
 
 
 @dataclass(frozen=True, eq=False)  # identity equality, as for Lattice
@@ -208,25 +176,6 @@ class ThetaPrefix:
 
     def as_pairs(self) -> list[tuple[Fraction, int]]:
         return sorted((q, c) for q, c in self.counts.items() if c)
-
-
-def _rescale_rows(rows: np.ndarray, from_scale: int, to_scale: int) -> np.ndarray | None:
-    """The rows at to_scale of vectors given at from_scale.
-
-    They are rows * sqrt(to_scale / from_scale); None unless every entry
-    is an integer.  With the ratio a^2 / b^2 in lowest terms they are
-    rows * a / b, in Python ints, so the divisions by b must be exact.  A
-    ratio that is not such a square has an irrational root, which leaves
-    only zero rows.
-    """
-    if from_scale == to_scale:  # the common case: the rows as given
-        return rows
-    g = gcd(to_scale, from_scale)
-    a, b = isqrt(to_scale // g), isqrt(from_scale // g)
-    if a * a * g != to_scale or b * b * g != from_scale:
-        return None if rows.any() else rows
-    v = rows.astype(object) * a
-    return None if np.any(v % b) else v // b
 
 
 def construction_a(code: ZkCode) -> Lattice:
@@ -349,8 +298,7 @@ class ShadowParts:
     coset with L = L0 + l2, while l1 and l3 make up the shadow.
     """
 
-    l0: Lattice
-    l0_refined: Lattice  # same lattice, written in the refined scale
+    l0_refined: Lattice  # L0, written in the refined scale
     l0_dual: Lattice
     rep_l1: np.ndarray
     rep_l2: np.ndarray
@@ -373,28 +321,28 @@ def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
     parity = gt.diagonal() % 2
     if not parity.any():
         raise NotOdd("lattice has no odd-norm basis vector (even lattice)")
-    l0 = Lattice(_parity_kernel(lattice.basis, parity), lattice.scale)
+    scale = 4 * lattice.scale
+    l0_ref = Lattice(2 * np.array(_parity_kernel(lattice.basis, parity)), scale)
 
     n = lattice.dim
-    g0 = l0.gram_true()
-    # the rows of G0^-1 B0 span L0*; doubling them lands in L.  G0 is
+    g0 = l0_ref.gram_true()
+    # with B0 the refined basis, the rows of G0^-1 B0 span L0*.  G0 is
     # symmetric, so column j of G0^-1 B0 is the x with x G0 = column j of B0
-    cols = solve_rows(g0.tolist(), l0.basis.T.tolist())
-    scale = 4 * lattice.scale
-    l0_dual = Lattice([[int(2 * c[i]) for c in cols] for i in range(n)], scale)
+    cols = solve_rows(g0.tolist(), l0_ref.basis.T.tolist())
+    l0_dual = Lattice([[int(c[i]) for c in cols] for i in range(n)], scale)
     dual_basis = l0_dual.basis
-    l0_ref = Lattice(2 * l0.basis, scale)
 
     # coordinates of L0 in the dual basis equal the Gram matrix of L0
     h = hnf(g0.tolist())
     box = np.array(list(product(*(range(h[i][i]) for i in range(n)))), dtype=np.int64)
     reps = [v for v in box @ dual_basis if v.any()]
     assert len(reps) == 3, "L0*/L0 must have order 4"
-    in_l = [lattice.contains(v, scale) for v in reps]
+    # v / sqrt(4s) lies in L iff v is even and v / 2, at scale s, is a member
+    in_l = [not np.any(v % 2) and lattice.contains(v // 2) for v in reps]
     assert sum(in_l) == 1, "exactly one nontrivial coset lies in L"
     rep_l2 = reps[in_l.index(True)]
     shadow_reps = sorted((v for v, f in zip(reps, in_l) if not f), key=lambda v: v.tolist())
-    return ShadowParts(l0, l0_ref, l0_dual, shadow_reps[0], rep_l2, shadow_reps[1])
+    return ShadowParts(l0_ref, l0_dual, shadow_reps[0], rep_l2, shadow_reps[1])
 
 
 def _parity_kernel(b: np.ndarray, parity: np.ndarray) -> list[list[int]]:
@@ -410,13 +358,17 @@ def _parity_kernel(b: np.ndarray, parity: np.ndarray) -> list[list[int]]:
 def contains_frame(lattice: Lattice, frame: Frame) -> bool:
     """All n frame vectors lie in the lattice (Frame has checked their Gram).
 
-    The n x n matrix is tested as one batch (`Lattice._contains_rows`): on a
-    unimodular lattice one int64 product F B^T mod s, with no loop over
-    the rows and no HNF.
+    The frame must be written at the lattice's scale.  Its n x n matrix is
+    one batch for `Lattice.contains`: on a unimodular lattice one int64
+    product F B^T mod s, with no loop over the rows.
     """
     if frame.vectors.shape != lattice.basis.shape:
         return False
-    return lattice._contains_rows(frame.vectors, frame.scale)
+    if frame.scale != lattice.scale:
+        raise PreconditionViolation(
+            f"frame at scale {frame.scale} for a lattice at scale {lattice.scale}"
+        )
+    return lattice.contains(frame.vectors)
 
 
 def norm_shell(

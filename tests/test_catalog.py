@@ -76,6 +76,13 @@ def test_lattice_info_fields():
     assert 5 in info.direct_codes
 
 
+def test_every_lattice_dimension_is_divisible_by_four():
+    # frame_report scales a d-frame to every multiple of d by quaternions,
+    # which needs 4 | n; scale_frame raises BadDimension otherwise
+    for lid in catalog.catalog_list("lattice"):
+        assert catalog.build(lid).dim % 4 == 0, lid
+
+
 def test_frame_report_yes_via_direct_code():
     v = catalog.frame_report("D4_5", 5)
     assert v.status == "yes" and any("C_5_20" in line for line in v.chain)

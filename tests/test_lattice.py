@@ -74,7 +74,7 @@ def test_is_unimodular_is_the_gram_determinant_test_catalog(lid):
 def test_is_unimodular_is_the_gram_determinant_test_shadow_parts(lid):
     # L0 has index 2 in L and L in L0*: each has Gram determinant 4 or 1/4
     parts = even_sublattice_and_shadow(catalog.build(lid))
-    for lat in (parts.l0, parts.l0_refined, parts.l0_dual):
+    for lat in (parts.l0_refined, parts.l0_dual):
         assert_unimodular_as_defined(lat, False)
 
 
@@ -233,12 +233,41 @@ def test_shadow_of_every_catalog_lattice(lid):
     # L0* is dual to L0: their bases pair to the identity, exactly
     pairing = parts.l0_dual.basis.astype(object) @ parts.l0_refined.basis.T.astype(object)
     assert (pairing == parts.scale * np.eye(n, dtype=object)).all()
-    assert hnf((2 * parts.l0.basis).tolist()) == hnf(parts.l0_refined.basis.tolist())
-    # L0 has index 2 in L; the shadow cosets lie outside L, l2 inside
-    assert abs(det(parts.l0.gram_true().tolist())) == 4
-    assert lat.contains(parts.rep_l2, parts.scale)
-    assert not lat.contains(parts.rep_l1, parts.scale)
-    assert not lat.contains(parts.rep_l3, parts.scale)
+    # L0 is an even sublattice of index 2 in L; the shadow cosets lie outside L, l2 inside
+    assert _in_lattice(lat, parts.l0_refined.basis)
+    assert not np.any(parts.l0_refined.gram_true().diagonal() % 2)
+    assert abs(det(parts.l0_refined.gram_true().tolist())) == 4
+    assert _in_lattice(lat, parts.rep_l2)
+    assert not _in_lattice(lat, parts.rep_l1)
+    assert not _in_lattice(lat, parts.rep_l3)
+
+
+def _in_lattice(lat, rows) -> bool:
+    """Membership in L of rows written at the refined scale 4s: even, and half of them in L."""
+    return not np.any(rows % 2) and lat.contains(rows // 2)
+
+
+# coset reps of D12_plus and D8_2 at the refined scale; bench/reference.json
+# pins the coset thetas of l1, l2 and l3 in this order
+SHADOW_REPS = {
+    "D12_plus": (
+        [-1, 1, 1, -1, 1, -1, -1, -1, -1, -1, 1, 1],
+        [-2, 0, -2, -2, -2, -4, 0, 0, 0, 0, 2, 0],
+        [1, 1, 3, 1, 3, 3, -1, -1, -1, -1, -1, 1],
+    ),
+    "D8_2": (
+        [-8, -8, -4, -4, -4, 0, -6, -2, 0, 0, 0, 0, 0, 0, 2, 2],
+        [-2, -2, 2, -2, 2, 2, -4, -2, 0, 0, 0, 0, 0, 0, 2, 0],
+        [-6, -6, -6, -2, -6, -2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("lid", sorted(SHADOW_REPS))
+def test_shadow_reps_are_pinned(lid):
+    parts = even_sublattice_and_shadow(catalog.build(lid))
+    got = tuple(r.tolist() for r in (parts.rep_l1, parts.rep_l2, parts.rep_l3))
+    assert got == SHADOW_REPS[lid]
 
 
 def test_shadow_rejects_even():
@@ -353,63 +382,90 @@ def _perturbed(v, rng):
     return w
 
 
-def _agrees_with_solve_member(target, rng):
-    """contains against the rational oracle: members, perturbed vectors, scales 4s and 9s.
+def _agrees_with_solve_member(target, rng, monkeypatch):
+    """contains against the rational oracle: members, perturbed vectors, and batches.
 
-    Every target is unimodular, so every answer must be the dual test's: no HNF is built.
+    Every target is unimodular, so every answer must be the dual test's: `solve_rows` is
+    never called.
     """
+    calls = []
+    monkeypatch.setattr(zklat.lattice, "solve_rows", lambda *args: calls.append(args))
     b = target.basis
-    outside = 0
+    members, outside = [], []
     for _ in range(30):
         v = rng.integers(-3, 4, size=target.dim) @ b
         assert target.contains(v) and _solve_member(b, v)
         w = _perturbed(v, rng)
         assert target.contains(w) == _solve_member(b, w)
-        outside += not _solve_member(b, w)
-        # the same vectors given in the scales 4s and 9s
-        for r in (2, 3):
-            s = r * r * target.scale
-            assert target.contains(r * v, s)
-            assert target.contains(r * w, s) == _solve_member(b, w)
-            assert not target.contains(r * v + 1, s)  # not divisible by r
-        assert not target.contains(v, 2 * target.scale)  # ratio not a square
-    assert outside > 0
-    assert target.is_unimodular() and target._hnf is None
+        members.append(v)
+        if not _solve_member(b, w):
+            outside.append(w)
+    assert outside
+    assert target.contains(np.array(members))
+    assert not target.contains(np.array(members + outside[:1]))
+    assert target.is_unimodular() and not calls
 
 
-def test_contains_agrees_with_solve_fraction():
+def test_contains_agrees_with_solve_fraction(monkeypatch):
     lat = catalog.build("D12_plus")
     red = Lattice(lat.reduced_basis(), lat.scale)
     assert hnf(red.basis.tolist()) != red.basis.tolist()  # not in HNF
     rng = np.random.default_rng(12)
     for target in (lat, red):
-        _agrees_with_solve_member(target, rng)
+        _agrees_with_solve_member(target, rng, monkeypatch)
 
 
 @pytest.mark.parametrize("lid", ["D8_2", "D4_5", "A5_4", "D20", "R28_32", "R28_15"])
-def test_dual_test_agrees_with_solve_fraction(lid):
+def test_dual_test_agrees_with_solve_fraction(lid, monkeypatch):
     # the other catalog lattices up to dimension 28 (D12_plus: the test above)
     lat = catalog.build(lid)
     rng = np.random.default_rng(22)
     for target in (lat, Lattice(lat.reduced_basis(), lat.scale)):
-        _agrees_with_solve_member(target, rng)
+        _agrees_with_solve_member(target, rng, monkeypatch)
 
 
-def test_contains_across_scales_that_do_not_divide():
-    # 3 I at scale 9 is Z^2; at scale 4, (2, 0) is (1, 0) and (1, 0) is (1/2, 0)
+def _hnf_oracle(basis, v) -> bool:
+    """Reference membership with no solve: v joins the span iff the HNF does not change."""
+    h = hnf(basis.tolist())
+    return hnf(h + [[int(a) for a in v]]) == h
+
+
+def _not_unimodular(name):
+    """A lattice that is not unimodular, and vectors outside it: L0 of a
+    catalog lattice at the refined scale, or D4."""
+    if name == "D4":
+        d4 = Lattice([[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]], 1)
+        return d4, [[1, 0, 0, 0], [1, 1, 1, 0], [3, -2, 0, 0]]
+    lat = catalog.build(name)
+    parts = even_sublattice_and_shadow(lat)
+    l0 = parts.l0_refined
+    # an odd-norm basis vector of L, at the refined scale, lies in L but not in L0
+    odd = 2 * lat.basis[int(np.argmax(lat.gram_true().diagonal() % 2))]
+    return l0, [parts.rep_l1, parts.rep_l2, parts.rep_l3] + [odd + row for row in l0.basis[:4]]
+
+
+@pytest.mark.parametrize("name", ["D12_plus", "D8_2", "D4"])
+def test_contains_on_lattices_that_are_not_unimodular(name):
+    lat, outside = _not_unimodular(name)
+    assert lat.is_integral() and not lat.is_unimodular()
+    rng = np.random.default_rng(27)
+    members = [rng.integers(-3, 4, size=lat.dim) @ lat.basis for _ in range(20)]
+    for v in members:
+        assert lat.contains(v) and _hnf_oracle(lat.basis, v)
+    for v in outside:
+        assert not lat.contains(v) and not _hnf_oracle(lat.basis, v)
+    assert lat.contains(np.array(members))
+    assert not lat.contains(np.array(members + [outside[0]]))
+
+
+def test_contains_frame_rejects_a_frame_at_another_scale():
+    # 3 I at scale 9 is Z^2, and so is 2 I at scale 4: the frame is in the
+    # lattice, but written at another scale
     lat = Lattice(3 * np.eye(2, dtype=np.int64), 9)
-    assert lat.contains([2, 0], 4) and lat.contains([-2, 4], 4)
-    assert not lat.contains([1, 0], 4) and not lat.contains([2, 1], 4)
-    assert lat.contains([0, 0], 2) and not lat.contains([1, 0], 2)  # ratio not a square
-    assert contains_frame(lat, Frame(2 * np.eye(2, dtype=np.int64), 4, 1))
-    assert not contains_frame(lat, Frame(((1, 1), (1, -1)), 2, 1))  # (1, 1) / sqrt(2)
-
-
-def test_contains_rejects_a_scale_below_one():
-    lat = Lattice(np.eye(2, dtype=np.int64), 1)
-    for scale in (0, -3):
-        with pytest.raises(PreconditionViolation, match=f"scale {scale} is not a positive integer"):
-            lat.contains([1, 0], scale)
+    for frame in (Frame(2 * np.eye(2, dtype=np.int64), 4, 1), Frame(((1, 1), (1, -1)), 2, 1)):
+        with pytest.raises(PreconditionViolation, match=f"frame at scale {frame.scale}"):
+            contains_frame(lat, frame)
+    assert contains_frame(lat, Frame(3 * np.eye(2, dtype=np.int64), 9, 1))
 
 
 def test_contains_keeps_rows_beyond_the_int64_cap_exact():
@@ -417,7 +473,10 @@ def test_contains_keeps_rows_beyond_the_int64_cap_exact():
     # product with the basis row (3, 0) would wrap in int64
     lat = Lattice(3 * np.eye(2, dtype=np.int64), 9)
     assert lat.contains([3 * 2**61, 3]) and not lat.contains([3 * 2**61, 1])
-    assert lat.contains([2**62, 2], 4) and not lat.contains([2**62 + 2, 1], 4)
+    # entries in [2^63, 2^64), which numpy would read as floats, and beyond 2^64
+    assert lat.contains([3 * 2**62, 0]) and not lat.contains([3 * 2**62 + 1, 0])
+    assert lat.contains([[3 * 2**70, -3], [3, 0]])
+    assert not lat.contains([[3 * 2**70 + 1, 0], [3, 0]])
 
 
 def test_a_dual_vector_outside_a_lattice_of_index_two_is_rejected():
@@ -425,13 +484,12 @@ def test_a_dual_vector_outside_a_lattice_of_index_two_is_rejected():
     # coset rep of L0*/L0 passes the dual criterion B v = 0 (mod s), yet none
     # lies in L0: that criterion decides membership only when L = L*.
     parts = even_sublattice_and_shadow(catalog.build("D12_plus"))
-    for l0, scale in ((parts.l0_refined, None), (parts.l0, parts.scale)):
-        assert l0.is_integral() and not l0.is_unimodular()
-        for rep in (parts.rep_l1, parts.rep_l2, parts.rep_l3):
-            assert not np.any(parts.l0_refined.basis @ rep % parts.scale)
-            assert not l0.contains(rep, scale)
-        assert l0.contains(parts.l0_refined.basis[0] - 3 * parts.l0_refined.basis[5], parts.scale)
-        assert l0._hnf is not None
+    l0 = parts.l0_refined
+    assert l0.is_integral() and not l0.is_unimodular()
+    for rep in (parts.rep_l1, parts.rep_l2, parts.rep_l3):
+        assert not np.any(l0.basis @ rep % parts.scale)
+        assert not l0.contains(rep)
+    assert l0.contains(l0.basis[0] - 3 * l0.basis[5])
 
 
 @pytest.mark.parametrize("lid", ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"])
@@ -441,20 +499,18 @@ def test_every_explicit_frame_passes_contains_frame(lid, monkeypatch):
     frames = [v.frame for v in reports if v.frame is not None]
     # permuting the columns keeps F F^T and mostly leaves the lattice
     swapped = [Frame(f.vectors[:, ::-1], f.scale, f.norm_k) for f in frames]
-    oracle = Lattice(model.basis, model.scale)
 
-    def hnf_verdict(f):
-        return all(oracle._hnf_member(row) for row in f.vectors.tolist())
+    def oracle(f):
+        return all(_solve_member(model.basis, row) for row in f.vectors)
 
-    assert frames and all(f.scale == model.scale and hnf_verdict(f) for f in frames)
-    want = [hnf_verdict(f) for f in swapped]
+    assert frames and all(f.scale == model.scale and oracle(f) for f in frames)
+    want = [oracle(f) for f in swapped]
     assert not all(want)
 
-    def no_hnf(*args):
-        raise AssertionError("a unimodular lattice took the HNF path")
+    def no_solve(*args):
+        raise AssertionError("a unimodular lattice took the solve path")
 
-    monkeypatch.setattr(zklat.lattice, "hnf", no_hnf)
-    monkeypatch.setattr(Lattice, "_hnf_member", no_hnf)
+    monkeypatch.setattr(zklat.lattice, "solve_rows", no_solve)
     for lat in (model, Lattice(model.basis, model.scale)):  # cached and fresh unimodularity
         assert all(contains_frame(lat, f) for f in frames)
         assert [contains_frame(lat, f) for f in swapped] == want
@@ -463,29 +519,18 @@ def test_every_explicit_frame_passes_contains_frame(lid, monkeypatch):
 def test_contains_rank_deficient_basis():
     full = catalog.build("D12_plus").reduced_basis()
     b = full.copy()
-    b[-1] = b[0] + b[1]  # rank 11: the lattice spanned by rows 0..10 of full
+    b[-1] = b[0] + b[1]  # rank 11: no lattice basis
     lat = Lattice(b, 3)
-
-    def reference(v):
-        # in lat iff integral in the full basis with no component on row 11
-        sol = solve_fraction(full.tolist(), [int(a) for a in v])
-        return all(x.denominator == 1 for x in sol) and sol[-1] == 0
-
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        v = rng.integers(-3, 4, size=12) @ b
-        assert lat.contains(v) and reference(v)
-        w = _perturbed(v, rng)
-        assert lat.contains(w) == reference(w)
-        u = v + full[-1]  # in the full lattice, outside lat
-        assert _solve_member(full, u) and not reference(u)
-        assert not lat.contains(u)
+    v = np.arange(1, 13) @ b  # in the span of the rows, yet no verdict is given
+    for rows in (v, full[-1], np.array([v, full[-1]])):
+        with pytest.raises(PreconditionViolation, match="linearly dependent"):
+            lat.contains(rows)
 
 
 def test_a_rank_deficient_basis_has_no_reduced_basis():
     b = np.array([[2, 1, 0], [0, 1, 1], [2, 2, 1]])  # row 2 = row 0 + row 1
-    lat = Lattice(b, 1)  # accepted: contains works on it
-    assert lat.contains([2, 2, 1]) and not lat.contains([1, 0, 0])
-    for verdict in (lambda: min_norm(lat), lambda: theta_prefix(lat, 2)):
+    lat = Lattice(b, 1)  # accepted, but every verdict on it raises
+    verdicts = (lambda: lat.contains([2, 2, 1]), lambda: min_norm(lat), lambda: theta_prefix(lat, 2))
+    for verdict in verdicts:
         with pytest.raises(PreconditionViolation, match="linearly dependent"):
             verdict()

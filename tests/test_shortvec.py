@@ -334,7 +334,7 @@ def test_hnf_of_large_inputs(case):
     if case == "scrambled 30":
         rows = scrambled_basis(np.random.default_rng(530), 30).tolist()
     else:
-        l0 = even_sublattice_and_shadow(catalog.build("L36")).l0
+        l0 = even_sublattice_and_shadow(catalog.build("L36")).l0_refined
         rows = l0.gram_true().tolist()
     h = hnf(rows)
     assert_hnf(h)
