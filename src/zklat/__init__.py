@@ -2,17 +2,8 @@
 k-frames, with exact-arithmetic verification throughout.
 """
 
-from .arith import (
-    REPRESENTATION_CASES,
-    FrameVerdict,
-    RepresentationCase,
-    four_square_decomposition,
-    representation_search,
-    scale_frame,
-    star_condition_check,
-)
 from .bounds import BoundProfile, classify, d_E_upper_bound, unimodular_min_norm_bound
-from .catalog import CatalogEntry, build, catalog_get, catalog_list, frame_report
+from .catalog import CatalogEntry, FrameVerdict, build, catalog_get, catalog_list, frame_report
 from .codes import (
     ZkCode,
     build_bordered_circulant,
@@ -48,14 +39,19 @@ from .lattice import (
     theta_prefix,
 )
 from .skew import (
+    REPRESENTATION_CASES,
     FrameQuadruple,
+    RepresentationCase,
     SkewSeed,
     build_code_from_skew,
     build_frame,
     build_paley_skew,
-    build_skew_negacirculant,
+    four_square_decomposition,
     frame_constant,
+    representation_search,
+    scale_frame,
     search_quadruple,
+    star_condition_check,
 )
 
 __version__ = "0.1.0"

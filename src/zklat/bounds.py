@@ -62,7 +62,12 @@ def classify(n: int, k: int, d_e: int) -> str:
 
 
 def unimodular_min_norm_bound(n: int) -> int:
-    """Largest possible minimum norm of an odd unimodular lattice."""
+    """Upper bound on the minimum norm of a unimodular lattice of dimension n.
+
+    Rains and Sloane's 2 floor(n/24) + 2, or 3 at n = 23.  At n = 47 their
+    bound is 5, so this 4 is not proven there.  An odd lattice need not
+    reach it: the catalog's L48 has minimum norm 5 against 6.
+    """
     if n < 1:
         raise PreconditionViolation("dimension must be positive")
     if n > 48:

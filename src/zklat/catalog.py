@@ -16,13 +16,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .arith import REPRESENTATION_CASES, FrameVerdict, RepresentationCase, factorize, scale_frame
 from .cliques import components
 from .codes import (
     ZkCode,
     build_bordered_circulant,
     build_four_negacirculant,
     build_z4_two_block,
+    four_negacirculant,
 )
 from .errors import BudgetExceeded, MembershipViolation, UnknownId
 from .lattice import (
@@ -36,11 +36,14 @@ from .lattice import (
     norm_shell,
 )
 from .skew import (
+    REPRESENTATION_CASES,
+    RepresentationCase,
     SkewSeed,
     build_code_from_skew,
     build_frame,
     build_paley_skew,
-    build_skew_negacirculant,
+    factorize,
+    scale_frame,
     search_quadruple,
 )
 
@@ -78,7 +81,7 @@ def catalog_list(kind: str | None = None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 # Each seed names its representation case; the case row of
-# arith.REPRESENTATION_CASES supplies (k, m, ell), and the seed's
+# skew.REPRESENTATION_CASES supplies (k, m, ell), and the seed's
 # constructor checks MM^T = mI against the transcribed rows.
 
 _SEEDS = {
@@ -107,7 +110,7 @@ _SEEDS = {
 
 def _seed(case: str, rows: tuple[tuple[int, ...], tuple[int, ...]] | None) -> SkewSeed:
     c = REPRESENTATION_CASES[case]
-    mat = build_paley_skew(c.m) if rows is None else build_skew_negacirculant(*rows)
+    mat = build_paley_skew(c.m) if rows is None else four_negacirculant(*rows)
     return SkewSeed(mat, k=c.k, m=c.m, ell=c.ell)
 
 
@@ -450,6 +453,13 @@ def _base_cert(lattice_id: str, d: int) -> tuple[list[str], Frame | None] | None
     ], frame)
 
 
+@dataclass
+class FrameVerdict:
+    status: str  # yes | no | unknown
+    chain: list[str] = field(default_factory=list)
+    frame: Frame | None = None
+
+
 def frame_report(lattice_id: str, k: int) -> FrameVerdict:
     """Yes / no / unknown: does the model lattice contain a k-frame?
 
@@ -462,7 +472,7 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
     minimum norm the norm-k shell is empty.  Above _SEARCH_DIM_CAP that
     case rests on the catalog's minimum norm.  A "yes" carries its
     explicit frame, membership-checked in the model, unless it rests on
-    a code certificate.
+    a code certificate.  An "unknown" names the first budget overrun.
     """
     info = lattice_info(lattice_id)  # raises UnknownId for anything but a catalog lattice
     check_frame_norm(k)
@@ -495,12 +505,14 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
         if cert is not None:
             return yes(d, *cert)
 
+    overrun: list[str] = []  # the first budget that stopped a direct search
     if n <= _SEARCH_DIM_CAP:
         for d in usable:
             try:
                 shell = norm_shell(model, d)
                 frame = frame_in_shell(model, shell, d)
-            except BudgetExceeded:
+            except BudgetExceeded as e:
+                overrun = overrun or [f"the direct search for a {d}-frame ran out of budget: {e}"]
                 continue
             if frame is not None:
                 return yes(d, [f"direct search found a {d}-frame in {lattice_id}"], frame)
@@ -517,4 +529,4 @@ def frame_report(lattice_id: str, k: int) -> FrameVerdict:
 
     return FrameVerdict("unknown", [
         f"no certificate found for a {k}-frame in {lattice_id} within desk-scale budgets"
-    ])
+    ] + overrun)

@@ -13,7 +13,6 @@ from functools import partial
 from pathlib import Path
 
 from . import bounds, catalog, fileio
-from .arith import REPRESENTATION_CASES, representation_search, scale_frame, star_condition_check
 from .codes import ZkCode, is_self_dual, min_euclidean_weight
 from .errors import BudgetExceeded, PreconditionViolation, UnknownId, ZklatError
 from .lattice import (
@@ -27,7 +26,16 @@ from .lattice import (
     theta_prefix,
 )
 from .shortvec import DEFAULT_NODE_BUDGET
-from .skew import FrameQuadruple, SkewSeed, build_code_from_skew, build_frame
+from .skew import (
+    REPRESENTATION_CASES,
+    FrameQuadruple,
+    SkewSeed,
+    build_code_from_skew,
+    build_frame,
+    representation_search,
+    scale_frame,
+    star_condition_check,
+)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1

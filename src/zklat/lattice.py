@@ -358,12 +358,14 @@ def _parity_kernel(b: np.ndarray, parity: np.ndarray) -> list[list[int]]:
 def contains_frame(lattice: Lattice, frame: Frame) -> bool:
     """All n frame vectors lie in the lattice (Frame has checked their Gram).
 
-    The frame must be written at the lattice's scale.  Its n x n matrix is
-    one batch for `Lattice.contains`: on a unimodular lattice one int64
-    product F B^T mod s, with no loop over the rows.
+    The frame must have the basis's shape and be written at the lattice's
+    scale.  Its n x n matrix is one batch for `Lattice.contains`: on a
+    unimodular lattice one int64 product F B^T mod s, with no loop over the rows.
     """
     if frame.vectors.shape != lattice.basis.shape:
-        return False
+        raise PreconditionViolation(
+            f"frame of shape {frame.vectors.shape} for a basis of shape {lattice.basis.shape}"
+        )
     if frame.scale != lattice.scale:
         raise PreconditionViolation(
             f"frame at scale {frame.scale} for a lattice at scale {lattice.scale}"

@@ -16,7 +16,6 @@ import pytest
 from code_oracle import min_euclidean_weight_naive, random_selfdual_code
 
 from zklat import catalog
-from zklat.arith import REPRESENTATION_CASES, representation_search, scale_frame
 from zklat.codes import is_self_dual, min_euclidean_weight
 from zklat.lattice import (
     Frame,
@@ -30,7 +29,15 @@ from zklat.lattice import (
     min_norm,
     theta_prefix,
 )
-from zklat.skew import FrameQuadruple, build_code_from_skew, build_frame, frame_constant
+from zklat.skew import (
+    REPRESENTATION_CASES,
+    FrameQuadruple,
+    build_code_from_skew,
+    build_frame,
+    frame_constant,
+    representation_search,
+    scale_frame,
+)
 
 SLOW_NODE_BUDGET = 2 * 10**11
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import zklat.arith
-from zklat.arith import (
+import zklat.skew
+from zklat.skew import (
     REPRESENTATION_CASES,
     factorize,
     four_square_decomposition,
@@ -98,7 +98,7 @@ def test_scale_frame_checks_its_norm_bound_before_the_four_squares(monkeypatch):
     def no_split(m):
         raise AssertionError("four squares of an m past the norm cap")
 
-    monkeypatch.setattr(zklat.arith, "four_square_decomposition", no_split)
+    monkeypatch.setattr(zklat.skew, "four_square_decomposition", no_split)
     with pytest.raises(PreconditionViolation, match=r"outside \[0, 2\^62\)"):
         scale_frame(frame, 2**127)
 

@@ -1,6 +1,7 @@
 import pytest
 
 from zklat.bounds import BoundProfile, classify, d_E_upper_bound, unimodular_min_norm_bound
+from zklat.catalog import build, catalog_list, lattice_info
 from zklat.errors import OutOfRange, PreconditionViolation
 
 
@@ -61,6 +62,12 @@ def test_classify():
     assert classify(28, 2, 6) == "near_extremal"
     with pytest.raises(PreconditionViolation):
         classify(20, 5, 15)
+
+
+@pytest.mark.parametrize("lid", catalog_list("lattice"))
+def test_catalog_min_norms_respect_the_unimodular_bound(lid):
+    info = lattice_info(lid)
+    assert info.min_norm <= unimodular_min_norm_bound(build(lid).dim)
 
 
 def test_unimodular_min_norm_bound():

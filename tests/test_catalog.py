@@ -9,7 +9,7 @@ import zklat.lattice
 import zklat.shortvec
 from zklat import catalog
 from zklat.codes import ZkCode, is_self_dual, min_euclidean_weight
-from zklat.errors import PreconditionViolation, SkewViolation, UnknownId
+from zklat.errors import BudgetExceeded, PreconditionViolation, SkewViolation, UnknownId
 from zklat.intmat import hnf
 from zklat.lattice import Lattice, contains_frame
 from zklat.skew import SkewSeed
@@ -191,6 +191,17 @@ def test_direct_search_decides_every_small_k_at_small_norms(lid, monkeypatch):
         assert catalog.frame_report(lid, k).status in ("yes", "no"), k
     norms = {b // model.scale for basis, b in calls if basis is model.reduced_basis()}
     assert norms and max(norms) <= 7, sorted(norms)
+
+
+def test_frame_report_unknown_names_the_budget_that_stopped_it(monkeypatch):
+    # an overrun is an "unknown", never a "no", and says which budget ran out
+    def overrun(*args):
+        raise BudgetExceeded("clique search nodes", 11, 10)
+
+    monkeypatch.setattr(catalog, "frame_in_shell", overrun)
+    v = catalog.frame_report("A5_4", 2)
+    assert v.status == "unknown"
+    assert any("clique search nodes: 11 used, budget 10" in line for line in v.chain), v.chain
 
 
 def test_frame_report_unknown_out_of_reach():

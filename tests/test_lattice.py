@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from math import isqrt
@@ -7,7 +8,7 @@ import pytest
 
 import zklat.lattice
 from zklat import catalog
-from zklat.codes import ZkCode, build_four_negacirculant, min_euclidean_weight
+from zklat.codes import ZkCode, build_four_negacirculant, four_negacirculant, min_euclidean_weight
 from zklat.errors import (
     BudgetExceeded,
     NotOdd,
@@ -34,10 +35,9 @@ from zklat.skew import (
     SkewSeed,
     build_code_from_skew,
     build_frame,
-    build_skew_negacirculant,
 )
 
-D6_SEED = SkewSeed(build_skew_negacirculant((0, 2, 2), (0, 1, -4)), k=3, m=25, ell=1)
+D6_SEED = SkewSeed(four_negacirculant((0, 2, 2), (0, 1, -4)), k=3, m=25, ell=1)
 
 
 def d6_lattice():
@@ -466,6 +466,15 @@ def test_contains_frame_rejects_a_frame_at_another_scale():
         with pytest.raises(PreconditionViolation, match=f"frame at scale {frame.scale}"):
             contains_frame(lat, frame)
     assert contains_frame(lat, Frame(3 * np.eye(2, dtype=np.int64), 9, 1))
+
+
+def test_contains_frame_rejects_a_frame_of_another_shape():
+    # both rows of the 2-row frame lie in Z^4, yet it is no 4-frame of Z^4
+    lat = Lattice(np.eye(4, dtype=np.int64), 1)
+    for frame in (Frame(np.eye(4, dtype=np.int64)[:2], 1, 1), Frame(np.eye(3, dtype=np.int64), 1, 1)):
+        want = f"frame of shape {frame.vectors.shape} for a basis of shape (4, 4)"
+        with pytest.raises(PreconditionViolation, match=re.escape(want)):
+            contains_frame(lat, frame)
 
 
 def test_contains_keeps_rows_beyond_the_int64_cap_exact():

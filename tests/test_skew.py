@@ -5,16 +5,15 @@ from math import isqrt, prod
 import numpy as np
 import pytest
 
-from zklat.arith import REPRESENTATION_CASES
-from zklat.codes import build_four_negacirculant, is_self_dual, negacirculant
+from zklat.codes import build_four_negacirculant, four_negacirculant, is_self_dual, negacirculant
 from zklat.errors import CongruenceViolation, OutOfRange, PreconditionViolation, SkewViolation
 from zklat.skew import (
+    REPRESENTATION_CASES,
     FrameQuadruple,
     SkewSeed,
     build_code_from_skew,
     build_frame,
     build_paley_skew,
-    build_skew_negacirculant,
     factorize,
     frame_constant,
     is_prime,
@@ -23,7 +22,7 @@ from zklat.skew import (
 from zklat.skew import _signed
 
 D6 = ((0, 2, 2), (0, 1, -4))
-D6_SEED = SkewSeed(build_skew_negacirculant(*D6), k=3, m=25, ell=1)
+D6_SEED = SkewSeed(four_negacirculant(*D6), k=3, m=25, ell=1)
 
 
 def test_paley_q3():
@@ -48,7 +47,7 @@ def test_paley_rejects_bad_p():
 
 
 def test_skew_negacirculant_d6():
-    mat = build_skew_negacirculant(*D6)
+    mat = four_negacirculant(*D6)
     assert np.array_equal(mat.T, -mat)
     assert np.array_equal(mat @ mat.T, 25 * np.eye(6, dtype=np.int64))
 
@@ -56,7 +55,7 @@ def test_skew_negacirculant_d6():
 def test_skew_negacirculant_rejects_nonskew():
     with pytest.raises(SkewViolation):
         # nonzero diagonal
-        SkewSeed(build_skew_negacirculant((1, 0, 0), (0, 0, 0)), k=3, m=1, ell=1)
+        SkewSeed(four_negacirculant((1, 0, 0), (0, 0, 0)), k=3, m=1, ell=1)
 
 
 @pytest.mark.parametrize("entry", [2**32, 2**64])
@@ -75,7 +74,7 @@ def test_a_seed_with_m_past_int64_or_a_non_square_matrix_is_a_skew_violation():
 
 def test_seed_congruence_validation():
     with pytest.raises(SkewViolation):
-        SkewSeed(build_skew_negacirculant(*D6), k=4, m=25, ell=1)  # 27 != 0 mod 4
+        SkewSeed(four_negacirculant(*D6), k=4, m=25, ell=1)  # 27 != 0 mod 4
 
 
 def test_blocks_commute():
@@ -197,7 +196,7 @@ def test_paley_is_the_quadratic_residue_definition():
 
 def test_unequal_negacirculant_rows_are_rejected():
     with pytest.raises(PreconditionViolation):
-        build_skew_negacirculant((0, 1, 1), (1, 0))
+        four_negacirculant((0, 1, 1), (1, 0))
     with pytest.raises(PreconditionViolation):
         build_four_negacirculant(3, (0, 1, 1), (1, 0))
 
