@@ -64,12 +64,12 @@ def classify(n: int, k: int, d_e: int) -> str:
 def unimodular_min_norm_bound(n: int) -> int:
     """Upper bound on the minimum norm of a unimodular lattice of dimension n.
 
-    Rains and Sloane's 2 floor(n/24) + 2, or 3 at n = 23.  At n = 47 their
-    bound is 5, so this 4 is not proven there.  An odd lattice need not
+    Rains and Sloane's 2 floor(n/24) + 2, or 2 floor(n/24) + 3 when
+    n = 23 (mod 24): 3 at n = 23 and 5 at n = 47.  An odd lattice need not
     reach it: the catalog's L48 has minimum norm 5 against 6.
     """
     if n < 1:
         raise PreconditionViolation("dimension must be positive")
     if n > 48:
         raise OutOfRange("bound table covers dimensions up to 48")
-    return 3 if n == 23 else 2 * (n // 24) + 2
+    return 2 * (n // 24) + 2 + (n % 24 == 23)

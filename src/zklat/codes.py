@@ -8,6 +8,8 @@ the product of the pivots), `construction_a` and d_E.  The minimum
 Euclidean weight d_E is the shortest vector of the lift that lies
 outside k Z^n.  The code block-reduces its lift at most once, when
 first asked, and `lattice.construction_a` reads the same reduced basis.
+It proves its lift's minimum at most once too, shared the same way
+with `lattice.min_norm` (`ZkCode.lift_minimum`, `min_euclidean_weight`).
 The reduction starts from the centred lift (`_centred`), whose short
 rows k e_j LLL need not swap up one by one.
 The paper's generator shapes are written once, here: `systematic`
@@ -39,11 +41,24 @@ def euclidean_weight(x, k: int) -> int:
 
 @dataclass(frozen=True)
 class ZkCode:
+    """A code over Z_k, with its lift's reduction and minimum proofs cached.
+
+    The lift C + k Z^n is reduced once (`reduced_lift`) and its minimum
+    proved once: `lift_minimum` and `min_euclidean_weight` share one
+    walk, and `lattice.min_norm` of the code's Construction A lattice
+    reads `lift_minimum`.  A value is cached only once its walk has
+    finished, so a walk that overruns its budget caches nothing; a node
+    budget therefore bounds only the first proof of each value.
+    """
+
     k: int
     generators: tuple[tuple[int, ...], ...]
     cardinality: int = field(init=False)
     _lift: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _reduced: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # proven minima: of the lift's nonzero vectors, and d_E
+    _lift_min: int | None = field(default=None, init=False, repr=False, compare=False)
+    _d_e: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -81,6 +96,18 @@ class ZkCode:
         if self._reduced is None:
             object.__setattr__(self, "_reduced", block_reduce(_centred(self._lift)))
         return self._reduced
+
+    def lift_minimum(self, budget: int = DEFAULT_NODE_BUDGET) -> int:
+        """Exact minimum norm of the lift's nonzero vectors, proved on the first call.
+
+        One shrinking walk (`shortest_norm`) on `reduced_lift`, unless a
+        finished d_E proof already gives it: k Z^n holds the norm k^2 and
+        no shorter nonzero vector, the rest of the lift holds d_E, so the
+        minimum is min(k^2, d_E).  `budget` is the walk's node budget.
+        """
+        if self._lift_min is None:
+            object.__setattr__(self, "_lift_min", shortest_norm(self.reduced_lift(), budget))
+        return self._lift_min
 
 
 def _centred(h) -> list[list[int]]:
@@ -188,12 +215,23 @@ def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int
 
     The coset c + k Z^n of a codeword c has shortest squared length
     euclidean_weight(c), so d_E is the shortest vector of the lift
-    C + k Z^n whose entries are not all divisible by k.  One shrinking
-    walk (`shortest_norm`) on the reduced lift (`reduced_lift`) finds
-    it; `budget` is its node budget.
+    C + k Z^n whose entries are not all divisible by k.  It shares the
+    code's one minimum proof: a proven lift minimum below k^2 is d_E
+    itself, since no nonzero vector of k Z^n is that short.  Otherwise
+    one shrinking walk (`shortest_norm`) on the reduced lift
+    (`reduced_lift`) finds d_E, and its end also proves the lift
+    minimum, min(k^2, d_E).  `budget` is the walk's node budget; a value
+    already proved is returned without a walk, so it bounds only the
+    code's first proof.
     """
     if code.cardinality == 1:
         raise PreconditionViolation("the zero code has no nonzero codeword, so no d_E")
     k = code.k
-    return shortest_norm(code.reduced_lift(), budget, keep=lambda v: (v % k).any(axis=1))
+    if code._d_e is None:
+        low = code._lift_min
+        if low is None or low >= k * k:
+            low = shortest_norm(code.reduced_lift(), budget, keep=lambda v: (v % k).any(axis=1))
+            object.__setattr__(code, "_lift_min", min(k * k, low))
+        object.__setattr__(code, "_d_e", low)
+    return code._d_e
 

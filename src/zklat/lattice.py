@@ -194,7 +194,13 @@ def construction_a(code: ZkCode) -> Lattice:
 
 
 def min_norm(lattice: Lattice, budget: int = DEFAULT_NODE_BUDGET):
-    """Exact minimum norm: one shrinking walk on `reduced_basis()`."""
+    """Exact minimum norm: one shrinking walk on `reduced_basis()`.
+
+    A Construction A lattice reads its code's `lift_minimum`, so the
+    code and its lattice share one proof, as they share one reduction.
+    """
+    if lattice._code is not None:
+        return _norm_value(lattice._code.lift_minimum(budget), lattice.scale)
     return _norm_value(shortest_norm(lattice.reduced_basis(), budget), lattice.scale)
 
 

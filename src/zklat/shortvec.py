@@ -12,7 +12,11 @@ every reported count and norm is exact, and serves three consumers: `enumerate_b
 the norms that occur, `enumerate_shell` keeps the vectors of one norm,
 and `shortest_norm` is the one exact shortest-vector search, a single
 walk whose bound shrinks each time a shorter vector turns up (Schnorr
-and Euchner, Math. Programming 66, 1994).
+and Euchner, Math. Programming 66, 1994).  Its bound stays one norm step
+below the best norm found: the norm of x * B is sum x_i^2 G_ii +
+2 sum_{i<j} x_i x_j G_ij, so every norm is a multiple of
+g = gcd(G_ii, 2 G_ij), and no norm lies strictly between best - g and
+best.  On the lift of a self-dual code over Z_k, g = k.
 
 Pruning uses a float Cholesky factor R of the Gram matrix G and the
 bound padded by a slack of 1e-4 (bound + 1).  `_factor` checks once per
@@ -430,21 +434,38 @@ def enumerate_shell(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BU
     return np.concatenate([np.zeros((0, basis.shape[1]), dtype=np.int64)] + rows)
 
 
+def _norm_step(basis: np.ndarray) -> int:
+    """The largest g dividing every norm of the lattice: gcd(G_ii, 2 G_ij).
+
+    The norm of x * basis is sum_i x_i^2 G_ii + 2 sum_{i<j} x_i x_j G_ij,
+    a multiple of g; no larger g divides the norms G_ii and
+    G_ii + G_jj + 2 G_ij.  The Gram entries fit int64 (the rows pass
+    `int64_rows`), and 2 G_ij is taken in Python ints, where it cannot wrap.
+    """
+    gram = basis @ basis.T
+    diag = int(np.gcd.reduce(gram.diagonal()))
+    off = int(np.gcd.reduce(gram[np.triu_indices(gram.shape[0], 1)], initial=0))
+    return math.gcd(diag, 2 * off)
+
+
 def shortest_norm(basis: np.ndarray, budget: int = DEFAULT_NODE_BUDGET, keep=None) -> int:
     """Exact minimum squared length of a lattice vector that `keep` accepts.
 
     `keep` maps an array of vectors (rows) to a boolean mask; it must be
     symmetric under v -> -v and accept some basis row.  By default it
-    accepts the nonzero vectors.  One walk starts at the bound best - 1,
-    best the shortest kept basis row, and lowers its limit to best - 1
-    (plus the starting slack) whenever a shorter kept vector turns up;
-    the walk's end is an exhaustive proof that none is shorter than best.
+    accepts the nonzero vectors.  Every norm of the lattice is a multiple
+    of its norm step g (`_norm_step`; g = k on the lift of a self-dual
+    code over Z_k), so a vector shorter than best has norm at most
+    best - g.  One walk starts at the bound best - g, best the shortest
+    kept basis row, and lowers its limit to best - g (plus the starting
+    slack) whenever a shorter kept vector turns up; the walk's end is an
+    exhaustive proof that none is shorter than best.
     """
     basis = int64_rows(basis)
     if keep is None:
         keep = lambda v: v.any(axis=1)
     best = int(_norms(basis)[keep(basis)].min())
-    for v, q, limit in _ball(basis, best - 1, budget=budget):
+    for v, q, limit in _ball(basis, best - _norm_step(basis), budget=budget):
         short = q < best  # keep runs only on the few rows that could improve
         low = int(q[short][keep(v[short])].min(initial=best))
         limit -= best - low  # the slack stays

@@ -109,7 +109,9 @@ def test_catalog_d_e(cid):
     assert min_euclidean_weight(catalog.build(cid)) == catalog.catalog_get(cid).expected["d_E"]
 
 
-# length 48 is left out: its lattice proofs run at L48 scale (about an hour)
+# length 48 is left out: its proofs run at L48 scale, 4-5 minutes each on 2
+# vCPUs (C_7_48 258 s, C_9_48 236 s), and C_4_48 as built has d_E 24, not its
+# expected 20 (its lift's Gram matrix has diagonal in 8Z and the rest in 4Z)
 @pytest.mark.slow
 @pytest.mark.parametrize("cid", _codes_with_d_e(29, 47))
 def test_catalog_d_e_large(cid):

@@ -75,6 +75,8 @@ def test_unimodular_min_norm_bound():
     assert unimodular_min_norm_bound(23) == 3
     assert unimodular_min_norm_bound(24) == 4
     assert unimodular_min_norm_bound(36) == 4
+    assert unimodular_min_norm_bound(46) == 4
+    assert unimodular_min_norm_bound(47) == 5  # 2 floor(n/24) + 3 at n = 23 (mod 24)
     assert unimodular_min_norm_bound(48) == 6
     with pytest.raises(OutOfRange):
         unimodular_min_norm_bound(49)

@@ -144,9 +144,10 @@ def test_min_euclidean_weight_rejects_a_lift_beyond_the_norm_cap(k, gens):
 
 
 def test_min_euclidean_weight_budget():
+    # the proof takes 62 nodes
     code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
     with pytest.raises(BudgetExceeded):
-        min_euclidean_weight(code, budget=100)
+        min_euclidean_weight(code, budget=50)
 
 
 EXTENDED_HAMMING = ZkCode(2, (
@@ -173,6 +174,60 @@ def test_binary_codes_at_or_above_k_squared(code, d_e):
     # (at norm 8, 2 Z^24 alone has 1104 vectors)
     assert is_self_dual(code)
     assert min_euclidean_weight(code) == min_euclidean_weight_naive(code) == d_e
+
+
+def count_walks(monkeypatch):
+    """A list that gains one entry per exact walk (`shortvec._ball` call) from now on."""
+    calls = []
+    ball = zklat.shortvec._ball
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ball(*args, **kwargs)
+
+    monkeypatch.setattr(zklat.shortvec, "_ball", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lattice_first", [True, False], ids=["min_norm_first", "d_e_first"])
+@pytest.mark.parametrize(
+    "code, d_e, lift_min, walks",
+    [
+        # d_E = 26 < k^2: either proof gives the other
+        (build_four_negacirculant(13, (0, 1, 6), (2, 3, 1)), 26, 26, (1, 1)),
+        # d_E = k^2 and d_E > k^2: a lift minimum of k^2 may lie in k Z^n, so
+        # d_E still walks after it; a finished d_E proof gives min(k^2, d_E)
+        (EXTENDED_HAMMING, 4, 4, (2, 1)),
+        (_extended_golay(), 8, 4, (2, 1)),
+    ],
+    ids=["C_13_12", "hamming_8_4_4", "golay_24_12_8"],
+)
+def test_a_code_and_its_lattice_share_one_minimum_proof(
+    monkeypatch, code, d_e, lift_min, walks, lattice_first
+):
+    code = ZkCode(code.k, code.generators)  # fresh: no proof cached by another test
+    lat = construction_a(code)
+    calls = count_walks(monkeypatch)
+    proofs = [lambda: min_norm(lat) * code.k, lambda: min_euclidean_weight(code)]
+    want = [lift_min, d_e]
+    if not lattice_first:
+        proofs, want = proofs[::-1], want[::-1]
+    assert [f() for f in proofs] == want
+    assert len(calls) == walks[0 if lattice_first else 1]
+    assert [f() for f in proofs] == want  # cached: no further walk
+    assert len(calls) == walks[0 if lattice_first else 1]
+
+
+def test_a_proof_that_overruns_its_budget_caches_nothing(monkeypatch):
+    code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
+    lat = construction_a(code)
+    for overrun in (lambda: min_euclidean_weight(code, budget=10), lambda: min_norm(lat, budget=10)):
+        with pytest.raises(BudgetExceeded):
+            overrun()
+        assert code._lift_min is None and code._d_e is None
+    calls = count_walks(monkeypatch)
+    assert min_norm(lat) == 2 and min_euclidean_weight(code) == 26
+    assert len(calls) == 1
 
 
 @settings(deadline=None, max_examples=40)

@@ -24,6 +24,7 @@ from zklat.shortvec import (
     _fincke_pohst,
     _gso,
     _lll_core,
+    _norm_step,
     _norms,
     _shortest,
     block_reduce,
@@ -153,6 +154,94 @@ def test_shortest_norm_matches_bruteforce(seed):
     # keep = outside 2Z^n; the ball holds every basis row, one of them kept
     outside = (v % 2).any(axis=1)
     assert shortest_norm(basis, keep=lambda w: (w % 2).any(axis=1)) == q[outside].min()
+
+
+def shortest_norm_unit_step(basis, keep=None):
+    """The shrinking walk with its bound one below the best norm, not one norm step."""
+    keep = keep or (lambda v: v.any(axis=1))
+    best = int(_norms(basis)[keep(basis)].min())
+    for v, q, limit in _ball(basis, best - 1):
+        short = q < best
+        low = int(q[short][keep(v[short])].min(initial=best))
+        limit -= best - low
+        best = low
+    return best
+
+
+def assert_shortest_norm_exact(basis, m):
+    """shortest_norm against brute force and the unit-step walk, unfiltered and outside m Z^n."""
+    v, q = brute_ball(basis, int((basis * basis).sum(axis=1).max()))
+    keep = lambda w: (w % m).any(axis=1)
+    assert keep(basis).any()
+    for f, want in ((None, q[q > 0].min()), (keep, q[keep(v)].min())):
+        assert shortest_norm(basis, keep=f) == shortest_norm_unit_step(basis, f) == want
+
+
+@pytest.mark.parametrize("scale", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_shortest_norm_on_scaled_bases(scale, seed):
+    # every norm of a basis scaled by s is a multiple of s^2, so the walk starts s^2 below best
+    rng = np.random.default_rng(700 + 10 * scale + seed)
+    while True:
+        basis = scale * random_basis(rng, int(rng.integers(2, 5)))
+        if (basis % (2 * scale)).any():
+            break
+    assert _norm_step(basis) % scale**2 == 0
+    assert_shortest_norm_exact(basis, 2 * scale)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shortest_norm_when_the_step_comes_from_twice_the_off_diagonal(seed):
+    # D_4 under a random unimodular change of basis: even diagonal, some odd
+    # off-diagonal entries, so the step is 2 = gcd(G_ii, 2 G_ij) while gcd(G_ij) is 1
+    d4 = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
+    rng = np.random.default_rng(800 + seed)
+    basis = _complete_unimodular(np.append(1, rng.integers(-2, 3, size=3))) @ d4
+    gram = basis @ basis.T
+    assert not (gram.diagonal() % 2).any() and (gram % 2).any()
+    assert _norm_step(basis) == 2
+    assert_shortest_norm_exact(basis, 2)
+
+
+def test_a_step_shared_by_the_diagonal_alone_is_not_the_norm_step():
+    # row norms 9, 9, 9 but G_01 = 8: (1, 2, 2) - (2, 2, 1) has norm 2
+    basis = np.array([[1, 2, 2], [2, 2, 1], [0, 0, 3]])
+    assert _norm_step(basis) == 1
+    assert_shortest_norm_exact(basis, 3)
+    assert shortest_norm(basis) == 2
+
+
+def test_norm_step_is_exact_on_rows_near_the_norm_cap():
+    # G_01 = 2a^2 - a lies in (2^61, 2^62), so 2 G_01 lies in (2^62, 2^63)
+    a = math.isqrt(2**61)
+    basis = np.array([[a, a], [a, a - 1]], dtype=np.int64)
+    g01 = 2 * a * a - a
+    assert 2**61 < g01 < 2**62
+    assert _norm_step(basis) == math.gcd(2 * a * a, a * a + (a - 1) ** 2, 2 * g01)
+
+
+def test_shortest_norm_lowers_its_limit_mid_walk(monkeypatch):
+    # 3 Z^14 under a random unimodular L U: every basis row is longer than 9,
+    # so the walk meets shorter vectors and lowers its limit while blocks are
+    # still pending
+    rng = np.random.default_rng(0)
+    lower = np.eye(14, dtype=np.int64) + np.tril(rng.integers(-1, 2, size=(14, 14)), -1)
+    upper = np.eye(14, dtype=np.int64) + np.triu(rng.integers(-1, 2, size=(14, 14)), 1)
+    basis = 3 * (lower @ upper)
+    assert (basis * basis).sum(axis=1).min() > 9
+    limits = []
+    ball = zklat.shortvec._ball
+
+    def recorded(*args, **kwargs):
+        for v, q, limit in ball(*args, **kwargs):
+            limits.append(float(limit[0]))
+            yield v, q, limit
+
+    monkeypatch.setattr(zklat.shortvec, "_ball", recorded)
+    assert shortest_norm(basis) == 9
+    drops = [i for i in range(1, len(limits)) if limits[i] < limits[i - 1]]
+    assert drops and drops[0] < len(limits) - 1  # a block came after the first drop
+    assert shortest_norm_unit_step(basis) == 9
 
 
 def test_walk_ends_cleanly_when_the_limit_drops_mid_walk():
