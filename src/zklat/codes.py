@@ -8,8 +8,9 @@ the product of the pivots), `construction_a` and d_E.  The minimum
 Euclidean weight d_E is the shortest vector of the lift that lies
 outside k Z^n.  The code block-reduces its lift at most once, when
 first asked, and `lattice.construction_a` reads the same reduced basis.
-It proves its lift's minimum at most once too, shared the same way
-with `lattice.min_norm` (`ZkCode.lift_minimum`, `min_euclidean_weight`).
+It proves its lift's minimum at most once too (`ZkCode.lift_minimum`),
+for `lattice.min_norm`, and `min_euclidean_weight` reads that proof
+when it already decides d_E.
 The reduction starts from the centred lift (`_centred`), whose short
 rows k e_j LLL need not swap up one by one.
 The paper's generator shapes are written once, here: `systematic`
@@ -41,14 +42,14 @@ def euclidean_weight(x, k: int) -> int:
 
 @dataclass(frozen=True)
 class ZkCode:
-    """A code over Z_k, with its lift's reduction and minimum proofs cached.
+    """A code over Z_k, with its lift's reduction and minimum proof cached.
 
     The lift C + k Z^n is reduced once (`reduced_lift`) and its minimum
-    proved once: `lift_minimum` and `min_euclidean_weight` share one
-    walk, and `lattice.min_norm` of the code's Construction A lattice
-    reads `lift_minimum`.  A value is cached only once its walk has
-    finished, so a walk that overruns its budget caches nothing; a node
-    budget therefore bounds only the first proof of each value.
+    proved once (`lift_minimum`), which `lattice.min_norm` of the code's
+    Construction A lattice reads; `min_euclidean_weight` returns a proven
+    lift minimum below k^2 without a walk.  The minimum is cached only
+    once its walk has finished, so a walk that overruns its budget
+    caches nothing; a node budget therefore bounds only the first proof.
     """
 
     k: int
@@ -56,9 +57,8 @@ class ZkCode:
     cardinality: int = field(init=False)
     _lift: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _reduced: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # proven minima: of the lift's nonzero vectors, and d_E
+    # proven minimum norm of the lift's nonzero vectors
     _lift_min: int | None = field(default=None, init=False, repr=False, compare=False)
-    _d_e: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -100,10 +100,8 @@ class ZkCode:
     def lift_minimum(self, budget: int = DEFAULT_NODE_BUDGET) -> int:
         """Exact minimum norm of the lift's nonzero vectors, proved on the first call.
 
-        One shrinking walk (`shortest_norm`) on `reduced_lift`, unless a
-        finished d_E proof already gives it: k Z^n holds the norm k^2 and
-        no shorter nonzero vector, the rest of the lift holds d_E, so the
-        minimum is min(k^2, d_E).  `budget` is the walk's node budget.
+        One shrinking walk (`shortest_norm`) on `reduced_lift`; `budget`
+        is its node budget.
         """
         if self._lift_min is None:
             object.__setattr__(self, "_lift_min", shortest_norm(self.reduced_lift(), budget))
@@ -215,23 +213,18 @@ def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int
 
     The coset c + k Z^n of a codeword c has shortest squared length
     euclidean_weight(c), so d_E is the shortest vector of the lift
-    C + k Z^n whose entries are not all divisible by k.  It shares the
-    code's one minimum proof: a proven lift minimum below k^2 is d_E
-    itself, since no nonzero vector of k Z^n is that short.  Otherwise
-    one shrinking walk (`shortest_norm`) on the reduced lift
-    (`reduced_lift`) finds d_E, and its end also proves the lift
-    minimum, min(k^2, d_E).  `budget` is the walk's node budget; a value
-    already proved is returned without a walk, so it bounds only the
-    code's first proof.
+    C + k Z^n whose entries are not all divisible by k.  A lift minimum
+    already proved (`ZkCode.lift_minimum`) below k^2 is d_E itself,
+    since no nonzero vector of k Z^n is that short, and is returned
+    without a walk; `budget` then bounds nothing.  Otherwise one
+    shrinking walk (`shortest_norm`) on the reduced lift
+    (`reduced_lift`) finds d_E; `budget` is its node budget.
     """
     if code.cardinality == 1:
         raise PreconditionViolation("the zero code has no nonzero codeword, so no d_E")
     k = code.k
-    if code._d_e is None:
-        low = code._lift_min
-        if low is None or low >= k * k:
-            low = shortest_norm(code.reduced_lift(), budget, keep=lambda v: (v % k).any(axis=1))
-            object.__setattr__(code, "_lift_min", min(k * k, low))
-        object.__setattr__(code, "_d_e", low)
-    return code._d_e
+    low = code._lift_min
+    if low is not None and low < k * k:
+        return low
+    return shortest_norm(code.reduced_lift(), budget, keep=lambda v: (v % k).any(axis=1))
 

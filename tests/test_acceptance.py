@@ -16,7 +16,7 @@ import pytest
 from code_oracle import min_euclidean_weight_naive, random_selfdual_code
 
 from zklat import catalog
-from zklat.codes import is_self_dual, min_euclidean_weight
+from zklat.codes import ZkCode, is_self_dual, min_euclidean_weight
 from zklat.lattice import (
     Frame,
     Lattice,
@@ -38,6 +38,9 @@ from zklat.skew import (
     representation_search,
     scale_frame,
 )
+
+# these tests prove minima of catalog objects, so each builds them afresh
+pytestmark = pytest.mark.usefixtures("fresh_catalog")
 
 SLOW_NODE_BUDGET = 2 * 10**11
 
@@ -213,11 +216,13 @@ def test_report_confirms_dim12_all_k():
 # -- 8. property suites -----------------------------------------------------
 
 def test_min_norm_identity_on_desk_pairs():
+    # two fresh copies of each code: d_E reads a lift minimum that min_norm
+    # proved on the same object, so each side must walk its own proof
     for cid in ["C_13_12", "C_23_12", "C_7_16", "C_5_20", "Cp_4_20"]:
         code = catalog.build(cid)
-        d_e = min_euclidean_weight(code)
+        d_e = min_euclidean_weight(ZkCode(code.k, code.generators))
         expect = min(Fraction(code.k), Fraction(d_e, code.k))
-        assert min_norm(construction_a(code)) == expect
+        assert min_norm(construction_a(ZkCode(code.k, code.generators))) == expect
 
 
 def test_shadow_theta_additivity_small_dims():

@@ -14,6 +14,9 @@ from zklat.intmat import hnf
 from zklat.lattice import Lattice, contains_frame
 from zklat.skew import SkewSeed
 
+# these tests prove minima of catalog objects, so each builds them afresh
+pytestmark = pytest.mark.usefixtures("fresh_catalog")
+
 
 def test_every_code_entry_is_self_dual():
     # self-duality doubles as a transcription checksum for the whole table

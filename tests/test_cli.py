@@ -8,6 +8,9 @@ from zklat import catalog, fileio
 from zklat.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, main
 from zklat.lattice import Lattice, contains_frame
 
+# these tests prove minima of catalog objects, so each builds them afresh
+pytestmark = pytest.mark.usefixtures("fresh_catalog")
+
 
 def test_verify_code(capsys):
     assert main(["verify", "C_13_12"]) == EXIT_OK
@@ -32,18 +35,12 @@ def test_dmin_prints_classification(capsys):
     assert "d_E = 26" in out and "extremal" in out
 
 
-@pytest.fixture
-def fresh_catalog():
-    """Fresh catalog objects: a proof an earlier test cached returns without a walk."""
-    catalog.build.cache_clear()
-
-
-def test_dmin_budget_maps_to_unknown(capsys, fresh_catalog):
+def test_dmin_budget_maps_to_unknown(capsys):
     assert main(["dmin", "C_13_12", "--budget", "10"]) == EXIT_UNKNOWN
     assert "budget exceeded" in capsys.readouterr().out
 
 
-def test_budget_line_prints_used_and_budget(capsys, fresh_catalog):
+def test_budget_line_prints_used_and_budget(capsys):
     assert main(["dmin", "C_13_12", "--budget", "10"]) == EXIT_UNKNOWN
     line = capsys.readouterr().out
     assert re.fullmatch(r"budget exceeded: enumeration nodes: \d+ used, budget 10\n", line)
@@ -251,7 +248,7 @@ def test_reproduce_table3_checks_every_d_e(capsys):
 TABLE2_BUDGET = "150"
 
 
-def test_reproduce_table2_reports_every_row_under_a_budget(capsys, fresh_catalog):
+def test_reproduce_table2_reports_every_row_under_a_budget(capsys):
     assert main(["reproduce", "table2", "--budget", TABLE2_BUDGET]) == EXIT_UNKNOWN
     out = capsys.readouterr().out
     assert "  D12_plus: min norm 2 (expected 2) ok\n" in out
@@ -263,7 +260,7 @@ def test_reproduce_table2_reports_every_row_under_a_budget(capsys, fresh_catalog
     assert "  L48: skipped" in out
 
 
-def test_reproduce_table2_fails_before_it_is_unknown(capsys, monkeypatch, fresh_catalog):
+def test_reproduce_table2_fails_before_it_is_unknown(capsys, monkeypatch):
     wrong = catalog.LatticeInfo("C_12_3_D6", 3, {})
     info = catalog.lattice_info
     monkeypatch.setattr(catalog, "lattice_info", lambda lid: wrong if lid == "D12_plus" else info(lid))

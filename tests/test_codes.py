@@ -24,6 +24,9 @@ from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import hnf
 from zklat.lattice import construction_a, min_norm
 
+# these tests prove minima of catalog objects, so each builds them afresh
+pytestmark = pytest.mark.usefixtures("fresh_catalog")
+
 
 def test_euclidean_weight_basics():
     assert euclidean_weight((0, 0, 0, 0), 5) == 0
@@ -189,33 +192,48 @@ def count_walks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("lattice_first", [True, False], ids=["min_norm_first", "d_e_first"])
 @pytest.mark.parametrize(
     "code, d_e, lift_min, walks",
     [
-        # d_E = 26 < k^2: either proof gives the other
-        (build_four_negacirculant(13, (0, 1, 6), (2, 3, 1)), 26, 26, (1, 1)),
-        # d_E = k^2 and d_E > k^2: a lift minimum of k^2 may lie in k Z^n, so
-        # d_E still walks after it; a finished d_E proof gives min(k^2, d_E)
-        (EXTENDED_HAMMING, 4, 4, (2, 1)),
-        (_extended_golay(), 8, 4, (2, 1)),
+        # d_E = 26 < k^2: the lift minimum is d_E, so d_E takes no walk
+        (build_four_negacirculant(13, (0, 1, 6), (2, 3, 1)), 26, 26, 1),
+        # d_E = k^2 and d_E > k^2: a lift minimum of k^2 may lie in k Z^n,
+        # so d_E still walks after it
+        (EXTENDED_HAMMING, 4, 4, 2),
+        (_extended_golay(), 8, 4, 2),
     ],
     ids=["C_13_12", "hamming_8_4_4", "golay_24_12_8"],
 )
-def test_a_code_and_its_lattice_share_one_minimum_proof(
-    monkeypatch, code, d_e, lift_min, walks, lattice_first
-):
+def test_d_e_reads_a_lift_minimum_below_k_squared(monkeypatch, code, d_e, lift_min, walks):
     code = ZkCode(code.k, code.generators)  # fresh: no proof cached by another test
     lat = construction_a(code)
     calls = count_walks(monkeypatch)
-    proofs = [lambda: min_norm(lat) * code.k, lambda: min_euclidean_weight(code)]
-    want = [lift_min, d_e]
-    if not lattice_first:
-        proofs, want = proofs[::-1], want[::-1]
-    assert [f() for f in proofs] == want
-    assert len(calls) == walks[0 if lattice_first else 1]
-    assert [f() for f in proofs] == want  # cached: no further walk
-    assert len(calls) == walks[0 if lattice_first else 1]
+    assert min_norm(lat) * code.k == lift_min
+    assert len(calls) == 1
+    assert min_euclidean_weight(code) == d_e
+    assert len(calls) == walks
+    assert min_norm(lat) * code.k == lift_min  # cached: no further walk
+    assert len(calls) == walks
+
+
+@pytest.mark.parametrize(
+    "code, d_e, lift_min",
+    [
+        (build_four_negacirculant(13, (0, 1, 6), (2, 3, 1)), 26, 26),
+        (EXTENDED_HAMMING, 4, 4),
+        (_extended_golay(), 8, 4),
+    ],
+    ids=["C_13_12", "hamming_8_4_4", "golay_24_12_8"],
+)
+def test_a_lift_minimum_asked_after_d_e_is_its_own_walk(monkeypatch, code, d_e, lift_min):
+    # d_E leaves nothing behind, so min_norm proves the lift minimum afresh
+    code = ZkCode(code.k, code.generators)
+    lat = construction_a(code)
+    calls = count_walks(monkeypatch)
+    assert min_euclidean_weight(code) == d_e
+    assert code._lift_min is None and len(calls) == 1
+    assert min_norm(lat) * code.k == lift_min
+    assert len(calls) == 2
 
 
 def test_a_proof_that_overruns_its_budget_caches_nothing(monkeypatch):
@@ -224,7 +242,7 @@ def test_a_proof_that_overruns_its_budget_caches_nothing(monkeypatch):
     for overrun in (lambda: min_euclidean_weight(code, budget=10), lambda: min_norm(lat, budget=10)):
         with pytest.raises(BudgetExceeded):
             overrun()
-        assert code._lift_min is None and code._d_e is None
+        assert code._lift_min is None
     calls = count_walks(monkeypatch)
     assert min_norm(lat) == 2 and min_euclidean_weight(code) == 26
     assert len(calls) == 1
