@@ -119,9 +119,9 @@ def cmd_verify(args) -> int:
 
 def cmd_dmin(args) -> int:
     code = _resolve(args.id, ZkCode)
+    bound = bounds.d_E_upper_bound(code.n, code.k).value  # before paying for the walk
     d = min_euclidean_weight(code, budget=args.budget)
-    label = bounds.classify(code.n, code.k, d)
-    print(f"d_E = {d}  ({label}, bound {bounds.d_E_upper_bound(code.n, code.k).value})")
+    print(f"d_E = {d}  ({bounds.classify(code.n, code.k, d)}, bound {bound})")
     return EXIT_OK
 
 

@@ -4,15 +4,15 @@ A code is given by generator rows with entries reduced to
 {0, ..., k-1}; any rows will do, dependent ones included.  The one
 thing the code derives from them is the HNF basis of its lift
 C + k Z^n, made on construction: it gives the cardinality (k^n over
-the product of the pivots), `construction_a` and d_E.  The minimum
-Euclidean weight d_E is the shortest vector of the lift that lies
-outside k Z^n.  The code block-reduces its lift at most once, when
-first asked, and `lattice.construction_a` reads the same reduced basis.
-It proves its lift's minimum at most once too (`ZkCode.lift_minimum`),
-for `lattice.min_norm`, and `min_euclidean_weight` reads that proof
-when it already decides d_E.
-The reduction starts from the centred lift (`_centred`), whose short
-rows k e_j LLL need not swap up one by one.
+the product of the pivots).  `ZkCode.lift()` turns the lift into one
+`Lattice` at scale k, on its first call, over the centred HNF
+(`_centred`), whose short rows k e_j LLL need not swap up one by one.
+That lattice is the only owner of the lift's reduction and of its
+proven minimum: `lattice.construction_a` hands it out for a self-dual
+code, and `min_euclidean_weight` walks its reduced basis, or reads its
+minimum when `lattice.min_norm` already proved one below k^2.  The
+minimum Euclidean weight d_E is the shortest vector of the lift that
+lies outside k Z^n.
 The paper's generator shapes are written once, here: `systematic`
 (I | M), `four_negacirculant` and `bordered`; `skew` builds its seeds
 and codes from the same three.
@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import PreconditionViolation
 from .intmat import hnf
-from .shortvec import DEFAULT_NODE_BUDGET, block_reduce, shortest_norm
+from .lattice import Lattice
+from .shortvec import DEFAULT_NODE_BUDGET, shortest_norm
 
 
 def euclidean_weight(x, k: int) -> int:
@@ -42,23 +43,17 @@ def euclidean_weight(x, k: int) -> int:
 
 @dataclass(frozen=True)
 class ZkCode:
-    """A code over Z_k, with its lift's reduction and minimum proof cached.
+    """A code over Z_k; its lift C + k Z^n is one `Lattice`, built by `lift()`.
 
-    The lift C + k Z^n is reduced once (`reduced_lift`) and its minimum
-    proved once (`lift_minimum`), which `lattice.min_norm` of the code's
-    Construction A lattice reads; `min_euclidean_weight` returns a proven
-    lift minimum below k^2 without a walk.  The minimum is cached only
-    once its walk has finished, so a walk that overruns its budget
-    caches nothing; a node budget therefore bounds only the first proof.
+    The lift lattice owns the lift's reduction and its proven minimum,
+    as any lattice owns its own: the code caches only the lattice.
     """
 
     k: int
     generators: tuple[tuple[int, ...], ...]
     cardinality: int = field(init=False)
     _lift: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _reduced: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # proven minimum norm of the lift's nonzero vectors
-    _lift_min: int | None = field(default=None, init=False, repr=False, compare=False)
+    _lattice: Lattice | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -80,32 +75,18 @@ class ZkCode:
     def n(self) -> int:
         return len(self.generators[0])
 
-    def lift_basis(self) -> list[list[int]]:
-        """HNF basis of the lift C + k Z^n (the rows of A_k(C) times sqrt(k))."""
-        return [list(r) for r in self._lift]
+    def lift(self) -> Lattice:
+        """The lift C + k Z^n as a `Lattice` at scale k, built on the first call.
 
-    def reduced_lift(self) -> np.ndarray:
-        """The lift's basis after `block_reduce`, computed on the first call (read-only).
-
-        LLL starts from the centred lift (`_centred`), not the HNF itself:
-        the HNF (I | A ; 0 | k I) keeps A in [0, k), and LLL would bubble
-        each short row k e_j up past the long rows one swap at a time.
-        `block_reduce` rejects a lift row of norm >= 2^62 (k near 2^31 or
-        above).
+        Its basis is the centred HNF (`_centred`), not the HNF itself: the
+        HNF (I | A ; 0 | k I) keeps A in [0, k), and LLL would bubble each
+        short row k e_j up past the long rows one swap at a time.  The
+        basis is upper triangular with the HNF's pivots.  A lift row of
+        norm >= 2^62 (k near 2^31 or above) is rejected by `Lattice`.
         """
-        if self._reduced is None:
-            object.__setattr__(self, "_reduced", block_reduce(_centred(self._lift)))
-        return self._reduced
-
-    def lift_minimum(self, budget: int = DEFAULT_NODE_BUDGET) -> int:
-        """Exact minimum norm of the lift's nonzero vectors, proved on the first call.
-
-        One shrinking walk (`shortest_norm`) on `reduced_lift`; `budget`
-        is its node budget.
-        """
-        if self._lift_min is None:
-            object.__setattr__(self, "_lift_min", shortest_norm(self.reduced_lift(), budget))
-        return self._lift_min
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", Lattice(_centred(self._lift), self.k))
+        return self._lattice
 
 
 def _centred(h) -> list[list[int]]:
@@ -213,18 +194,17 @@ def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int
 
     The coset c + k Z^n of a codeword c has shortest squared length
     euclidean_weight(c), so d_E is the shortest vector of the lift
-    C + k Z^n whose entries are not all divisible by k.  A lift minimum
-    already proved (`ZkCode.lift_minimum`) below k^2 is d_E itself,
-    since no nonzero vector of k Z^n is that short, and is returned
-    without a walk; `budget` then bounds nothing.  Otherwise one
-    shrinking walk (`shortest_norm`) on the reduced lift
-    (`reduced_lift`) finds d_E; `budget` is its node budget.
+    C + k Z^n whose entries are not all divisible by k.  A minimum that
+    `lattice.min_norm` already proved on the lift lattice (`code.lift()`)
+    below k^2 is d_E itself, since no nonzero vector of k Z^n is that
+    short, and is returned without a walk; `budget` then bounds nothing.
+    Otherwise one shrinking walk (`shortest_norm`) on the lift's reduced
+    basis finds d_E; `budget` is its node budget.
     """
     if code.cardinality == 1:
         raise PreconditionViolation("the zero code has no nonzero codeword, so no d_E")
-    k = code.k
-    low = code._lift_min
+    k, lift = code.k, code.lift()
+    low = lift._min
     if low is not None and low < k * k:
         return low
-    return shortest_norm(code.reduced_lift(), budget, keep=lambda v: (v % k).any(axis=1))
-
+    return shortest_norm(lift.reduced_basis(), budget, keep=lambda v: (v % k).any(axis=1))

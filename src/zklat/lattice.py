@@ -9,6 +9,11 @@ is exact.  A basis and a frame hold their rows as the read-only int64
 array of `shortvec.int64_rows`, the one checked conversion: every row
 has norm below 2^62, so no int64 product of them wraps.
 
+A lattice owns its reduction (`reduced_basis`, one `block_reduce` of
+its basis) and its proven minimum (`min_norm`), each made on the first
+call.  A Construction A lattice is its code's own lift lattice
+(`codes.ZkCode.lift`), so a code and `construction_a` of it share both.
+
 Membership (`Lattice.contains`, `contains_frame`) takes rows at the
 lattice's own scale.  It is decided against the dual lattice when the
 lattice is unimodular, as every lattice of the paper is: then L = L*, so
@@ -38,7 +43,6 @@ from math import isqrt
 
 import numpy as np
 
-from .codes import ZkCode, is_self_dual
 from .cliques import find_orthogonal_set
 from .errors import (
     BudgetExceeded,
@@ -74,7 +78,7 @@ class Lattice:
         if self.basis.shape != (n, n):
             raise PreconditionViolation("basis must be square")
         self._reduced = None
-        self._code = None  # set by construction_a: the code that holds the reduction
+        self._min = None  # proven minimum norm at the scale, set by min_norm
         self._unimodular = None
 
     @property
@@ -112,9 +116,7 @@ class Lattice:
     def reduced_basis(self) -> np.ndarray:
         """The `block_reduce`d basis, computed on the first call (read-only)."""
         if self._reduced is None:
-            self._reduced = (
-                block_reduce(self.basis) if self._code is None else self._code.reduced_lift()
-            )
+            self._reduced = block_reduce(self.basis)
         return self._reduced
 
     def contains(self, rows) -> bool:
@@ -178,30 +180,30 @@ class ThetaPrefix:
         return sorted((q, c) for q, c in self.counts.items() if c)
 
 
-def construction_a(code: ZkCode) -> Lattice:
-    """A_k(C): lift of the code plus k Z^n, scale k.
+def construction_a(code) -> Lattice:
+    """A_k(C) for a self-dual `codes.ZkCode`: the code's own lift lattice.
 
-    Its reduced basis is the code's own `reduced_lift`, so a code and its
-    lattice share one reduction, made only if either asks for it.
+    `code.lift()` is C + k Z^n at scale k, and A_k(C) is unimodular
+    exactly when C is self-dual (Conway and Sloane, SPLAG ch. 7): it is
+    integral iff C is self-orthogonal, and det(B)^2 = (k^n / |C|)^2 is
+    k^n iff |C|^2 = k^n.  So the one check is `is_unimodular()`, and every
+    call hands out the same lattice, with its reduction and its proof.
     """
-    if not is_self_dual(code):
-        raise NotSelfDual("Construction A requires a self-dual code")
-    lat = Lattice(code.lift_basis(), code.k)
-    lat._code = code
+    lat = code.lift()
     if not lat.is_unimodular():
-        raise NotSelfDual("Construction A output failed the unimodularity check")
+        raise NotSelfDual("Construction A requires a self-dual code")
     return lat
 
 
 def min_norm(lattice: Lattice, budget: int = DEFAULT_NODE_BUDGET):
-    """Exact minimum norm: one shrinking walk on `reduced_basis()`.
+    """Exact minimum norm: one shrinking walk on `reduced_basis()`, proved once.
 
-    A Construction A lattice reads its code's `lift_minimum`, so the
-    code and its lattice share one proof, as they share one reduction.
+    The lattice keeps the proof once its walk has finished, so a walk that
+    overruns `budget` keeps nothing, and `budget` bounds only the first proof.
     """
-    if lattice._code is not None:
-        return _norm_value(lattice._code.lift_minimum(budget), lattice.scale)
-    return _norm_value(shortest_norm(lattice.reduced_basis(), budget), lattice.scale)
+    if lattice._min is None:
+        lattice._min = shortest_norm(lattice.reduced_basis(), budget)
+    return _norm_value(lattice._min, lattice.scale)
 
 
 def _norm_value(q_scaled: int, scale: int):

@@ -1,10 +1,12 @@
-"""Reference codeword listing for the tests: the lift's HNF box.
+"""Reference codeword listing for the tests: the lift's pivot box.
 
-The HNF rows h_1..h_n of the lift C + k Z^n are upper triangular with
-pivots h_ii dividing k, so the words sum t_i h_i mod k with
-0 <= t_i < k / h_ii are the codewords, each exactly once, whatever
-generators the code was given.  The oracle lists them and takes the
-least Euclidean weight directly, with no pruning.
+The rows h_1..h_n of the lift's basis (`ZkCode.lift()`, the centred
+HNF of C + k Z^n) are upper triangular with pivots h_ii dividing k, so
+the words sum t_i h_i mod k with 0 <= t_i < k / h_ii are the codewords,
+each exactly once, whatever generators the code was given: two such
+words that agree mod k agree in t_1, then in t_2, and so on down the
+pivots.  The oracle lists them and takes the least Euclidean weight
+directly, with no pruning.
 """
 
 import numpy as np
@@ -15,9 +17,9 @@ WORD_CAP = 10**6
 
 
 def codewords(code: ZkCode) -> np.ndarray:
-    """All codewords (cardinality x n), listed by the lift's HNF box."""
+    """All codewords (cardinality x n), listed by the lift's pivot box."""
     assert code.cardinality <= WORD_CAP, "too many codewords for the oracle"
-    h = np.array(code.lift_basis(), dtype=np.int64)
+    h = code.lift().basis
     box = [np.arange(code.k // h[i, i]) for i in range(code.n)]
     grids = np.meshgrid(*box, indexing="ij")
     coeffs = np.stack([g.ravel() for g in grids], axis=1)

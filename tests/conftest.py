@@ -21,10 +21,27 @@ def pytest_collection_modifyitems(config, items):
 def fresh_catalog():
     """Build catalog objects afresh for the test that uses this.
 
-    A code caches its lift's minimum proof once it finishes, and
-    `catalog.build` shares its objects, so without this a test could
-    read a proof that an earlier test walked and never walk its own.
+    A lattice, a code's lift lattice included, keeps its minimum proof
+    once it finishes, and `catalog.build` shares its objects, so without
+    this a test could read a proof that an earlier test walked and never
+    walk its own.
     """
     from zklat import catalog
 
     catalog.build.cache_clear()
+
+
+@pytest.fixture
+def ball_walks(monkeypatch):
+    """A list that gains one entry per exact walk (`shortvec._ball` call) in the test."""
+    from zklat import shortvec
+
+    calls = []
+    ball = shortvec._ball
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ball(*args, **kwargs)
+
+    monkeypatch.setattr(shortvec, "_ball", counted)
+    return calls

@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 
-import zklat.codes
 import zklat.lattice
 import zklat.shortvec
 from zklat import catalog
@@ -142,7 +141,7 @@ def test_quadruple_certificate_needs_no_reduction(monkeypatch):
     # uncached builds, so no reduced basis is left over from other tests
     monkeypatch.setattr(catalog, "build", catalog.build.__wrapped__)
     monkeypatch.setattr(catalog, "min_norm", forbidden)
-    for module in (zklat.shortvec, zklat.lattice, zklat.codes):
+    for module in (zklat.shortvec, zklat.lattice):
         monkeypatch.setattr(module, "block_reduce", forbidden)
     v = catalog.frame_report("D12_plus", 21)
     assert v.status == "yes" and v.chain[0].startswith("quadruple")

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import zklat.cli
 import zklat.lattice
 from zklat import catalog, fileio
 from zklat.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, main
@@ -56,6 +57,19 @@ def test_dmin_of_the_zero_code_is_an_error(tmp_path, capsys):
     assert main(["dmin", str(p)]) == EXIT_REFUTED
     captured = capsys.readouterr()
     assert "d_E" not in captured.out and "error: " in captured.err
+
+
+def test_dmin_past_the_bound_table_fails_before_the_walk(tmp_path, capsys, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("d_E was walked before the bound lookup")
+
+    monkeypatch.setattr(zklat.cli, "min_euclidean_weight", no_walk)
+    p = tmp_path / "code.txt"
+    p.write_text("zkcode 2 50\n" + " ".join(["1"] * 50) + "\n")  # length 50: past the table
+    assert main(["dmin", str(p)]) == EXIT_REFUTED
+    captured = capsys.readouterr()
+    assert captured.err == "error: bound table covers lengths up to 48\n"
+    assert "d_E" not in captured.out
 
 
 def test_dmin_of_a_code_with_dependent_rows(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_lift_is_computed_once_at_construction(monkeypatch):
         raise AssertionError("the lift's HNF was recomputed")
 
     monkeypatch.setattr(zklat.codes, "hnf", no_hnf)
-    assert construction_a(code).basis.tolist() == code.lift_basis()
+    assert construction_a(code) is code.lift()
     assert min_euclidean_weight(code) == 26
 
 
@@ -179,19 +179,6 @@ def test_binary_codes_at_or_above_k_squared(code, d_e):
     assert min_euclidean_weight(code) == min_euclidean_weight_naive(code) == d_e
 
 
-def count_walks(monkeypatch):
-    """A list that gains one entry per exact walk (`shortvec._ball` call) from now on."""
-    calls = []
-    ball = zklat.shortvec._ball
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ball(*args, **kwargs)
-
-    monkeypatch.setattr(zklat.shortvec, "_ball", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "code, d_e, lift_min, walks",
     [
@@ -204,16 +191,15 @@ def count_walks(monkeypatch):
     ],
     ids=["C_13_12", "hamming_8_4_4", "golay_24_12_8"],
 )
-def test_d_e_reads_a_lift_minimum_below_k_squared(monkeypatch, code, d_e, lift_min, walks):
+def test_d_e_reads_a_lift_minimum_below_k_squared(ball_walks, code, d_e, lift_min, walks):
     code = ZkCode(code.k, code.generators)  # fresh: no proof cached by another test
     lat = construction_a(code)
-    calls = count_walks(monkeypatch)
     assert min_norm(lat) * code.k == lift_min
-    assert len(calls) == 1
+    assert len(ball_walks) == 1
     assert min_euclidean_weight(code) == d_e
-    assert len(calls) == walks
+    assert len(ball_walks) == walks
     assert min_norm(lat) * code.k == lift_min  # cached: no further walk
-    assert len(calls) == walks
+    assert len(ball_walks) == walks
 
 
 @pytest.mark.parametrize(
@@ -225,27 +211,14 @@ def test_d_e_reads_a_lift_minimum_below_k_squared(monkeypatch, code, d_e, lift_m
     ],
     ids=["C_13_12", "hamming_8_4_4", "golay_24_12_8"],
 )
-def test_a_lift_minimum_asked_after_d_e_is_its_own_walk(monkeypatch, code, d_e, lift_min):
+def test_a_lift_minimum_asked_after_d_e_is_its_own_walk(ball_walks, code, d_e, lift_min):
     # d_E leaves nothing behind, so min_norm proves the lift minimum afresh
     code = ZkCode(code.k, code.generators)
     lat = construction_a(code)
-    calls = count_walks(monkeypatch)
     assert min_euclidean_weight(code) == d_e
-    assert code._lift_min is None and len(calls) == 1
+    assert lat._min is None and len(ball_walks) == 1
     assert min_norm(lat) * code.k == lift_min
-    assert len(calls) == 2
-
-
-def test_a_proof_that_overruns_its_budget_caches_nothing(monkeypatch):
-    code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
-    lat = construction_a(code)
-    for overrun in (lambda: min_euclidean_weight(code, budget=10), lambda: min_norm(lat, budget=10)):
-        with pytest.raises(BudgetExceeded):
-            overrun()
-        assert code._lift_min is None
-    calls = count_walks(monkeypatch)
-    assert min_norm(lat) == 2 and min_euclidean_weight(code) == 26
-    assert len(calls) == 1
+    assert len(ball_walks) == 2
 
 
 @settings(deadline=None, max_examples=40)
@@ -328,14 +301,14 @@ def test_a_code_and_its_lattice_share_one_reduction(monkeypatch):
         calls.append(1)
         return reduce(basis)
 
-    for module in (zklat.shortvec, zklat.lattice, zklat.codes):
+    for module in (zklat.shortvec, zklat.lattice):
         monkeypatch.setattr(module, "block_reduce", counted)
     # built afresh, so no reduced lift is left over from other tests
     code = catalog.build.__wrapped__("C_13_12")
     assert min_norm(construction_a(code)) == 2
     assert min_euclidean_weight(code) == 26
     assert len(calls) == 1
-    assert construction_a(code).reduced_basis() is code.reduced_lift()
+    assert construction_a(code).reduced_basis() is code.lift().reduced_basis()
     assert len(calls) == 1
 
 
@@ -355,7 +328,7 @@ def test_frames_read_off_as_selfdual_codes():
             m = prod // lat.scale
             code = ZkCode(k, (m % k).tolist())
             assert is_self_dual(code), (lid, k)
-            assert code.lift_basis() == hnf(m.tolist()), (lid, k)
+            assert hnf(code.lift().basis.tolist()) == hnf(m.tolist()), (lid, k)
             assert min_norm(construction_a(code)) == min_norm(lat), (lid, k)
             checked += 1
     assert checked == 43  # every "yes" with an explicit frame at these k

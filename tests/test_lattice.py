@@ -1,3 +1,4 @@
+import itertools
 import re
 import time
 from fractions import Fraction
@@ -8,13 +9,20 @@ import pytest
 
 import zklat.lattice
 from zklat import catalog
-from zklat.codes import ZkCode, build_four_negacirculant, four_negacirculant, min_euclidean_weight
+from zklat.codes import (
+    ZkCode,
+    build_four_negacirculant,
+    four_negacirculant,
+    is_self_dual,
+    min_euclidean_weight,
+)
 from zklat.errors import (
     BudgetExceeded,
     NotOdd,
     NotSelfDual,
     PreconditionViolation,
 )
+from zklat.fileio import dump_lattice, load, read_text, write_text
 from zklat.intmat import det, hnf, solve_fraction
 from zklat.lattice import (
     Frame,
@@ -50,9 +58,78 @@ def test_construction_a_tiny():
     assert min_norm(lat) == 1  # isometric to Z^2
 
 
-def test_construction_a_requires_selfdual():
-    with pytest.raises(NotSelfDual):
-        construction_a(ZkCode(2, ((1, 0),)))
+@pytest.mark.parametrize("code", [
+    ZkCode(2, ((1, 0),)),  # not self-orthogonal: A_2(C) is not integral
+    ZkCode(4, ((2, 0),)),  # self-orthogonal, but |C|^2 = 4 < 4^2: det(A_4(C))^2 = 4
+], ids=["not_self_orthogonal", "too_small"])
+def test_construction_a_requires_selfdual(code):
+    with pytest.raises(NotSelfDual, match="Construction A requires a self-dual code"):
+        construction_a(code)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_construction_a_accepts_exactly_the_self_dual_one_row_codes(k):
+    # unimodularity of the lift is the one check: it must agree with is_self_dual
+    # on every one-row code of lengths 1-4, odd lengths included
+    accepted = 0
+    for n in range(1, 5):
+        for row in itertools.product(range(k), repeat=n):
+            code = ZkCode(k, (row,))
+            try:
+                lat = construction_a(code)
+            except NotSelfDual:
+                assert not is_self_dual(code), (k, row)
+            else:
+                assert is_self_dual(code) and lat is code.lift(), (k, row)
+                accepted += 1
+    # only (2) over Z_4, whose A_4 is Z; a one-row code over Z_6 is never
+    # self-dual, since |C|^2 = 6^n needs n = 2 and a row of order 6
+    assert accepted == {4: 1, 6: 0}[k]
+
+
+@pytest.mark.parametrize("code", [
+    ZkCode(3037000507, ((1, 0),)),  # not self-dual; the lift row (0, k) has norm k^2 > 2^62
+    ZkCode(1099511627873, ((1, 961209656835),)),  # self-dual: x^2 = -1 mod k = 2^40 + 97
+], ids=["not_self_dual", "self_dual"])
+def test_construction_a_of_a_lift_past_the_norm_cap_is_the_cap_error(code):
+    # the lift lattice is built before the one check, so both report the cap
+    with pytest.raises(PreconditionViolation, match=r"basis row of norm >= 2\^62"):
+        construction_a(code)
+
+
+def test_construction_a_hands_out_one_lattice():
+    code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
+    assert construction_a(code) is construction_a(code) is code.lift()
+
+
+def test_min_norm_of_a_loaded_lattice_is_proved_once(tmp_path, ball_walks):
+    p = tmp_path / "lat.txt"
+    write_text(p, dump_lattice(d6_lattice()))
+    lat = load(read_text(p))
+    assert min_norm(lat) == min_norm(lat) == 2
+    assert len(ball_walks) == 1
+
+
+def test_a_proof_that_overruns_its_budget_caches_nothing(ball_walks):
+    lat = Lattice(d6_lattice().basis, 3)  # a fresh lattice: no proof cached
+    with pytest.raises(BudgetExceeded):
+        min_norm(lat, budget=10)
+    assert lat._min is None
+    ball_walks.clear()
+    assert min_norm(lat) == 2
+    assert len(ball_walks) == 1
+
+
+def test_a_code_proof_that_overruns_caches_nothing_on_its_lift(ball_walks):
+    code = build_four_negacirculant(13, (0, 1, 6), (2, 3, 1))
+    lat = construction_a(code)
+    for overrun in (lambda: min_euclidean_weight(code, budget=10), lambda: min_norm(lat, budget=10)):
+        with pytest.raises(BudgetExceeded):
+            overrun()
+        assert lat._min is None
+    ball_walks.clear()
+    assert min_norm(lat) == 2 and min_euclidean_weight(code) == 26
+    assert len(ball_walks) == 1
 
 
 def unimodular_by_gram(lat) -> bool:

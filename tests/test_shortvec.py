@@ -543,8 +543,8 @@ CATALOG_BASES = [
 def basis_of(kind, name):
     if kind == "lattice":
         return catalog.build(name).basis
-    if kind == "lift":
-        return np.array(catalog.build(name).lift_basis(), dtype=np.int64)
+    if kind == "lift":  # the lift's HNF, not the centred basis its lattice holds
+        return np.array(hnf(catalog.build(name).lift().basis.tolist()), dtype=np.int64)
     return scrambled_basis(np.random.default_rng(500 + name), name)
 
 
@@ -574,11 +574,10 @@ def test_block_reduce_matches_block_by_block_tours(kind, name):
 
 @pytest.mark.parametrize("kind, name", CATALOG_BASES)
 def test_the_bases_the_walks_run_on_are_lll_reduced_block_reduce_fixed_points(kind, name):
-    # the production path: a lattice's reduced_basis() (for a Construction A
-    # lattice, its code's reduced_lift()) and a code's reduced_lift(), which
-    # reduces the centred lift rather than the HNF
+    # the production path: a lattice's reduced_basis(), for a code's lift
+    # lattice a reduction of the centred lift rather than the HNF
     obj = catalog.build(name)
-    red = obj.reduced_basis() if kind == "lattice" else obj.reduced_lift()
+    red = (obj if kind == "lattice" else obj.lift()).reduced_basis()
     assert hnf(red.tolist()) == hnf(basis_of(kind, name).tolist())
     assert_lll_reduced(red)
     assert block_reduce(red).tobytes() == red.tobytes()
@@ -591,10 +590,10 @@ def test_lll_from_the_centred_lift_swaps_a_quarter_as_often(monkeypatch, cid):
     swaps = []
     patch_hypot(monkeypatch, lambda x, y: swaps.append(1) or math.hypot(x, y))
     code = catalog.build(cid)
-    _lll_core(np.array(code.lift_basis(), dtype=np.int64))
+    _lll_core(basis_of("lift", cid))
     raw = len(swaps)
     swaps.clear()
-    ZkCode(code.k, code.generators).reduced_lift()  # a fresh code: nothing cached
+    ZkCode(code.k, code.generators).lift().reduced_basis()  # a fresh code: nothing cached
     assert raw and 4 * len(swaps) <= raw, (raw, len(swaps))
 
 
