@@ -6,7 +6,6 @@ from .bounds import BoundProfile, classify, d_E_upper_bound, unimodular_min_norm
 from .catalog import CatalogEntry, FrameVerdict, build, catalog_get, catalog_list, frame_report
 from .codes import (
     ZkCode,
-    build_bordered_circulant,
     build_four_negacirculant,
     build_z4_two_block,
     euclidean_weight,

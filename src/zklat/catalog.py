@@ -7,7 +7,8 @@ figure the raw numbers were transcribed from, so a failing check points
 back at the data source, and a zero-argument `make` that builds the
 object from its table row.  The rows are transcribed verbatim (signed
 integers for seeds; digit strings for the Z4 block matrices); all
-validity checks happen in the builders, never here.
+validity checks happen in the builders, never here.  Every code is
+Type I (self-dual with an odd lift), as a test checks; none is typed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import lru_cache, partial
 from .cliques import components
 from .codes import (
     ZkCode,
-    build_bordered_circulant,
     build_four_negacirculant,
     build_z4_two_block,
     four_negacirculant,
@@ -247,16 +247,6 @@ for _cid, _d in _Z4_CODES.items():
         partial(_z4_code, _d["top"], _d["two_d"]),
         {"d_E": _d["d_E"]},
     ))
-
-_add(CatalogEntry(
-    "C_4_48", "code",
-    "reference data: length-48 bordered-circulant code",
-    partial(
-        build_bordered_circulant, 4,
-        (1, 1, 3, 0, 3, 3, 1, 2, 0, 1, 3, 2, 3, 0, 0, 3, 3, 2, 1, 2, 1, 1, 0),
-    ),
-    {"d_E": 20},
-))
 
 # codes generated by the skew seeds (generator (I | M + ell I) mod k).
 # Their builders, like the lattices', look `build` up by its module-level

@@ -243,6 +243,8 @@ def _seed_rows(args) -> list[int]:
 
 
 def _min_norm_rows(args) -> list[int]:
+    """Each lattice's proven minimum against the catalog, then against the
+    unimodular bound: extremal at it, near-extremal one below, else FAIL."""
     statuses = []
     for lid in catalog.catalog_list("lattice"):
         info = catalog.lattice_info(lid)
@@ -254,18 +256,27 @@ def _min_norm_rows(args) -> list[int]:
             "min norm", lambda: min_norm(lat, budget=args.budget), info.min_norm
         )
         statuses.append(status)
+        if status != EXIT_UNKNOWN:  # proved, so min_norm reads the kept proof
+            gap = bounds.unimodular_min_norm_bound(lat.dim) - min_norm(lat)
+            word = {0: "extremal", 1: "near-extremal"}.get(gap, f"{gap} below the bound FAIL")
+            text += f", {word}"
+            statuses.append(EXIT_OK if gap in (0, 1) else EXIT_REFUTED)
         print(f"  {lid}: {text}")
     return statuses
 
 
 def _code_rows(ids, args) -> list[int]:
-    """Self-duality of each code, then its d_E against the catalog when n <= 28 or --slow."""
+    """Self-duality and type of each code (a Type II code FAILs), then its d_E
+    against the catalog when n <= 28 or --slow."""
     statuses = []
     for cid in ids:
         code = catalog.build(cid)
         ok = is_self_dual(code)
-        statuses.append(EXIT_OK if ok else EXIT_REFUTED)
         line = f"  {cid}: self-dual {ok}"
+        if ok:  # Type I exactly when the lift is odd
+            ok = not code.lift().is_even()
+            line += ", Type I" if ok else ", Type II FAIL"
+        statuses.append(EXIT_OK if ok else EXIT_REFUTED)
         exp = catalog.catalog_get(cid).expected.get("d_E")
         if exp is not None and (code.n <= 28 or args.slow):
             text, status = _checked(

@@ -10,9 +10,10 @@ the product of the pivots).  `ZkCode.lift()` turns the lift into one
 That lattice is the only owner of the lift's reduction and of its
 proven minimum: `lattice.construction_a` hands it out for a self-dual
 code, and `min_euclidean_weight` walks its reduced basis, or reads its
-minimum when `lattice.min_norm` already proved one below k^2.  The
-minimum Euclidean weight d_E is the shortest vector of the lift that
-lies outside k Z^n.
+minimum when `lattice.min_norm` already proved one below k^2.  The one
+self-duality rule, `is_self_dual`, is that the lift is unimodular (SPLAG
+ch. 7); Type I means the lift is also odd, Type II even.  The minimum
+Euclidean weight d_E is the shortest vector of the lift outside k Z^n.
 The paper's generator shapes are written once, here: `systematic`
 (I | M), `four_negacirculant` and `bordered`; `skew` builds its seeds
 and codes from the same three.
@@ -176,17 +177,9 @@ def build_z4_two_block(a: int, b: int, top_right, bottom_right) -> ZkCode:
     return ZkCode(4, gen)
 
 
-def build_bordered_circulant(k: int, first_row) -> ZkCode:
-    """Length 2(p+1) code with generator (I | circulant bordered by +1)."""
-    return systematic(k, bordered(circulant(first_row), 1))
-
-
 def is_self_dual(code: ZkCode) -> bool:
-    """|C|^2 = k^n (so |C| = |C^perp|) and the rows are orthogonal mod k."""
-    if code.cardinality**2 != code.k**code.n:
-        return False
-    g = np.array(code.generators, dtype=object)  # Python ints: no int64 wrap at large k
-    return not np.any((g @ g.T) % code.k)
+    """Whether the lift is unimodular, as `construction_a` asks; past 2^62 the cap error."""
+    return code.lift().is_unimodular()
 
 
 def min_euclidean_weight(code: ZkCode, budget: int = DEFAULT_NODE_BUDGET) -> int:

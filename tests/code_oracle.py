@@ -6,7 +6,10 @@ the words sum t_i h_i mod k with 0 <= t_i < k / h_ii are the codewords,
 each exactly once, whatever generators the code was given: two such
 words that agree mod k agree in t_1, then in t_2, and so on down the
 pivots.  The oracle lists them and takes the least Euclidean weight
-directly, with no pruning.
+directly, with no pruning.  Self-duality is checked from the
+generators alone: the code is their closure under addition mod k, and
+it is self-dual when |C|^2 = k^n and every two codewords are orthogonal
+mod k.
 """
 
 import numpy as np
@@ -32,6 +35,19 @@ def min_euclidean_weight_naive(code: ZkCode) -> int:
     r = np.arange(code.k)
     weights = (np.minimum(r, code.k - r) ** 2)[words].sum(axis=1)
     return int(weights[words.any(axis=1)].min())
+
+
+def is_self_dual_naive(code: ZkCode) -> bool:
+    """|C|^2 = k^n, counted from the generators' closure, and C orthogonal to itself mod k."""
+    assert code.cardinality <= WORD_CAP, "too many codewords for the oracle"
+    k, words, frontier = code.k, set(), {(0,) * code.n}
+    while frontier:  # add every generator to each new word until no word is new
+        words |= frontier
+        frontier = {
+            tuple((a + b) % k for a, b in zip(w, g)) for w in frontier for g in code.generators
+        } - words
+    c = np.array(sorted(words), dtype=object)
+    return len(words) ** 2 == k**code.n and not np.any((c @ c.T) % k)
 
 
 def random_selfdual_code(k, dsq, n_half, rnd) -> ZkCode:

@@ -113,8 +113,7 @@ def test_catalog_d_e(cid):
 
 
 # length 48 is left out: its proofs run at L48 scale, 4-5 minutes each on 2
-# vCPUs (C_7_48 258 s, C_9_48 236 s), and C_4_48 as built has d_E 24, not its
-# expected 20 (its lift's Gram matrix has diagonal in 8Z and the rest in 4Z)
+# vCPUs (C_7_48 258 s, C_9_48 236 s)
 @pytest.mark.slow
 @pytest.mark.parametrize("cid", _codes_with_d_e(29, 47))
 def test_catalog_d_e_large(cid):

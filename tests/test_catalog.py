@@ -18,10 +18,11 @@ pytestmark = pytest.mark.usefixtures("fresh_catalog")
 
 
 def test_every_code_entry_is_self_dual():
-    # self-duality doubles as a transcription checksum for the whole table
+    # self-duality doubles as a transcription checksum for the whole table;
+    # an odd lift makes each code Type I, the paper's kind
     for cid in catalog.catalog_list("code"):
         code = catalog.build(cid)
-        assert is_self_dual(code), cid
+        assert is_self_dual(code) and not code.lift().is_even(), cid
 
 
 def test_every_seed_entry_validates():
@@ -34,7 +35,9 @@ def test_every_seed_entry_validates():
 
 
 def test_small_lattices_unimodular_and_odd():
-    for lid in ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"]:
+    lids = catalog.catalog_list("lattice")
+    assert len(lids) == 12
+    for lid in lids:
         lat = catalog.build(lid)
         assert isinstance(lat, Lattice)
         assert lat.is_unimodular() and not lat.is_even()

@@ -5,8 +5,9 @@ import pytest
 
 import zklat.cli
 import zklat.lattice
-from zklat import catalog, fileio
+from zklat import bounds, catalog, fileio
 from zklat.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, main
+from zklat.codes import systematic
 from zklat.lattice import Lattice, contains_frame
 
 # these tests prove minima of catalog objects, so each builds them afresh
@@ -242,7 +243,24 @@ def test_bound(capsys):
 
 def test_reproduce_fig1(capsys):
     assert main(["reproduce", "fig1"]) == EXIT_OK
-    assert "  Cp_4_20: self-dual True, d_E 8 (expected 8) ok\n" in capsys.readouterr().out
+    assert "  Cp_4_20: self-dual True, Type I, d_E 8 (expected 8) ok\n" in capsys.readouterr().out
+
+
+def test_reproduce_fails_a_type_ii_code(capsys, monkeypatch):
+    # (I | J - I) over Z_2 is the extended Hamming code: self-dual, and its lift is E8, even
+    hamming = systematic(2, 1 - np.eye(4, dtype=np.int64))
+    build = catalog.build
+    monkeypatch.setattr(catalog, "build", lambda cid: hamming if cid == "Cp_4_20" else build(cid))
+    assert main(["reproduce", "fig1"]) == EXIT_REFUTED
+    assert "  Cp_4_20: self-dual True, Type II FAIL, d_E 4" in capsys.readouterr().out
+
+
+def test_reproduce_table9_lists_only_type_i_codes(capsys):
+    assert main(["reproduce", "table9"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for cid in ("C_7_48", "C_9_48", "C_48_5_D24"):
+        assert f"  {cid}: self-dual True, Type I\n" in out
+    assert "FAIL" not in out and "C_4_48" not in out
 
 
 def test_reproduce_table1(capsys):
@@ -253,7 +271,7 @@ def test_reproduce_table1(capsys):
 def test_reproduce_table3_checks_every_d_e(capsys):
     assert main(["reproduce", "table3"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "  C_13_20: self-dual True, d_E 26 (expected 26) ok\n" in out
+    assert "  C_13_20: self-dual True, Type I, d_E 26 (expected 26) ok\n" in out
     assert "FAIL" not in out
 
 
@@ -265,7 +283,7 @@ TABLE2_BUDGET = "150"
 def test_reproduce_table2_reports_every_row_under_a_budget(capsys):
     assert main(["reproduce", "table2", "--budget", TABLE2_BUDGET]) == EXIT_UNKNOWN
     out = capsys.readouterr().out
-    assert "  D12_plus: min norm 2 (expected 2) ok\n" in out
+    assert "  D12_plus: min norm 2 (expected 2) ok, extremal\n" in out
     for lid in ("D20", "R28_15"):  # rows after the first overrun are reported too
         assert re.search(
             rf"  {lid}: min norm unknown \(budget exceeded: enumeration nodes: \d+ used, "
@@ -280,7 +298,25 @@ def test_reproduce_table2_fails_before_it_is_unknown(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "lattice_info", lambda lid: wrong if lid == "D12_plus" else info(lid))
     assert main(["reproduce", "table2", "--budget", TABLE2_BUDGET]) == EXIT_REFUTED
     out = capsys.readouterr().out
-    assert "  D12_plus: min norm 2 (expected 3) FAIL\n" in out and "D20: min norm unknown" in out
+    assert "  D12_plus: min norm 2 (expected 3) FAIL, extremal\n" in out
+    assert "D20: min norm unknown" in out
+
+
+def test_reproduce_table2_says_how_far_each_minimum_is_from_the_bound(capsys):
+    # the unimodular bound is 2 up to dim 23 and 4 at dim 28
+    assert main(["reproduce", "table2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "  D20: min norm 2 (expected 2) ok, extremal\n" in out
+    for lid in ("R28_32", "R28_15"):
+        assert f"  {lid}: min norm 3 (expected 3) ok, near-extremal\n" in out
+
+
+def test_reproduce_table2_fails_a_minimum_two_below_the_bound(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "unimodular_min_norm_bound", lambda n: 4)
+    assert main(["reproduce", "table2", "--budget", TABLE2_BUDGET]) == EXIT_REFUTED
+    assert "  D12_plus: min norm 2 (expected 2) ok, 2 below the bound FAIL\n" in (
+        capsys.readouterr().out
+    )
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from code_oracle import is_self_dual_naive
 
 import zklat.lattice
 from zklat import catalog
@@ -69,18 +70,20 @@ def test_construction_a_requires_selfdual(code):
 
 @pytest.mark.parametrize("k", [4, 6])
 def test_construction_a_accepts_exactly_the_self_dual_one_row_codes(k):
-    # unimodularity of the lift is the one check: it must agree with is_self_dual
-    # on every one-row code of lengths 1-4, odd lengths included
+    # unimodularity of the lift is the one rule: it must agree with the
+    # codeword-list check on every one-row code of lengths 1-4, odd lengths included
     accepted = 0
     for n in range(1, 5):
         for row in itertools.product(range(k), repeat=n):
             code = ZkCode(k, (row,))
+            want = is_self_dual_naive(code)
+            assert is_self_dual(code) == want, (k, row)
             try:
                 lat = construction_a(code)
             except NotSelfDual:
-                assert not is_self_dual(code), (k, row)
+                assert not want, (k, row)
             else:
-                assert is_self_dual(code) and lat is code.lift(), (k, row)
+                assert want and lat is code.lift(), (k, row)
                 accepted += 1
     # only (2) over Z_4, whose A_4 is Z; a one-row code over Z_6 is never
     # self-dual, since |C|^2 = 6^n needs n = 2 and a row of order 6
@@ -92,9 +95,11 @@ def test_construction_a_accepts_exactly_the_self_dual_one_row_codes(k):
     ZkCode(1099511627873, ((1, 961209656835),)),  # self-dual: x^2 = -1 mod k = 2^40 + 97
 ], ids=["not_self_dual", "self_dual"])
 def test_construction_a_of_a_lift_past_the_norm_cap_is_the_cap_error(code):
-    # the lift lattice is built before the one check, so both report the cap
-    with pytest.raises(PreconditionViolation, match=r"basis row of norm >= 2\^62"):
-        construction_a(code)
+    # the lift lattice is built before the one check, so both report the cap,
+    # from construction_a and from is_self_dual alike
+    for check in (construction_a, is_self_dual):
+        with pytest.raises(PreconditionViolation, match=r"basis row of norm >= 2\^62"):
+            check(code)
 
 
 def test_construction_a_hands_out_one_lattice():
