@@ -5,6 +5,9 @@ nonzero entry, so intermediate entries stay small (Havas, Majewski and
 Matthews, Experimental Math. 7, 1998).  `_eliminate`, for `det` and
 `solve_rows`, is fraction-free (Bareiss, Math. Comp. 22, 1968): its
 entries are minors of the input and its divisions are exact.
+`solve_rows` builds a lattice's dual basis (`lattice.Lattice.dual`) and
+decides membership in a lattice that is not unimodular.  No walk solves
+for a centre: the enumerator has no shift, and every walk is centred at 0.
 """
 
 from __future__ import annotations
@@ -96,10 +99,4 @@ def solve_rows(a: list[list], rhs: list[list]) -> list[list[Fraction]] | None:
             acc = [s - f * t for s, t in zip(acc, y)]
         dx[i] = [s // row[i] for s in acc]
     return [[Fraction(dx[i][c], d) for i in range(n)] for c in range(len(rhs))]
-
-
-def solve_fraction(a: list[list[int]], b: list) -> list[Fraction] | None:
-    """Solve x A = b exactly (row-vector convention); None if singular."""
-    x = solve_rows(a, [b])
-    return None if x is None else x[0]
 

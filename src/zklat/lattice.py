@@ -10,9 +10,13 @@ array of `shortvec.int64_rows`, the one checked conversion: every row
 has norm below 2^62, so no int64 product of them wraps.
 
 A lattice owns its reduction (`reduced_basis`, one `block_reduce` of
-its basis) and its proven minimum (`min_norm`), each made on the first
-call.  A Construction A lattice is its code's own lift lattice
-(`codes.ZkCode.lift`), so a code and `construction_a` of it share both.
+its basis), its proven minimum (`min_norm`), its dual (`dual`) and its
+walked ball, each made on the first call that needs it.  A Construction
+A lattice is its code's own lift lattice (`codes.ZkCode.lift`), so a
+code and `construction_a` of it share them.  The ball is kept as counts
+per (class, norm) (`shortvec.enumerate_ball`), never as vectors, for the
+largest bound walked so far; a smaller bound reads it, and a walk that
+overruns its budget keeps nothing.
 
 Membership (`Lattice.contains`, `contains_frame`) takes rows at the
 lattice's own scale.  It is decided against the dual lattice when the
@@ -22,9 +26,11 @@ of rows, in int64 when every row passes `shortvec.int64_rows`.  Any other
 basis solves x B = v exactly (`intmat.solve_rows`) and asks for an
 integral x; a singular basis is an error.
 
-Theta prefixes count the vectors of each norm.  A coset, and any lattice
-that is not unimodular, walks its whole ball (`shortvec.enumerate_ball`).
-A unimodular lattice of dimension n walks it only to norm J = n // 8:
+Theta prefixes count the vectors of each norm.  A coset of an integral
+lattice L is a class of the ball of L* (`coset_theta`): the shadow's
+three cosets and the theta of L0* share one walk of L0*.  A lattice
+that is not unimodular walks its whole ball.  A unimodular lattice of
+dimension n walks it only to norm J = n // 8:
 its theta series is sum_{j <= J} a_j theta_3^(n-8j) Delta_8^j (Hecke;
 Conway and Sloane, SPLAG ch. 7, Thm. 7), a form of which the leading
 J + 1 coefficients fix the rest, so every count above J is read off the
@@ -57,6 +63,7 @@ from .shortvec import (
     NORM_CAP,
     block_reduce,
     check_bound,
+    characters,
     enumerate_ball,
     enumerate_shell,
     int64_rows,
@@ -80,6 +87,8 @@ class Lattice:
         self._reduced = None
         self._min = None  # proven minimum norm at the scale, set by min_norm
         self._unimodular = None
+        self._dual = None
+        self._ball = None  # (bound, counts, norms, keys): the largest ball walked
 
     @property
     def dim(self) -> int:
@@ -118,6 +127,39 @@ class Lattice:
         if self._reduced is None:
             self._reduced = block_reduce(self.basis)
         return self._reduced
+
+    def dual(self) -> Lattice:
+        """The dual lattice L* at L's own scale s, built on the first call.
+
+        Its basis is s G^-1 B (G = B B^T): row i pairs with b_j to
+        s delta_ij.  One exact solve (`intmat.solve_rows`) gives it, and
+        PreconditionViolation is raised unless every entry is an integer,
+        that is unless L* has a basis at scale s.
+        """
+        if self._dual is None:
+            s = self.scale
+            # G is symmetric, so column j of s G^-1 B is the x with x G = s * column j of B
+            rhs = [[s * x for x in col] for col in self.basis.T.tolist()]
+            cols = solve_rows(self.gram_scaled().tolist(), rhs)
+            if cols is None:
+                raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
+            if any(x.denominator != 1 for c in cols for x in c):
+                raise PreconditionViolation(f"the dual lattice has no integer basis at scale {s}")
+            self._dual = Lattice([[int(c[i]) for c in cols] for i in range(self.dim)], s)
+        return self._dual
+
+    def _tally(self, bound: int, budget: int):
+        """The class tally (`shortvec.enumerate_ball`) of the vectors of scaled norm <= bound.
+
+        One walk of `reduced_basis()` at the largest bound asked so far
+        serves every smaller one, whatever its budget; a walk that
+        overruns `budget` keeps nothing.
+        """
+        if self._ball is None or self._ball[0] < bound:
+            self._ball = (bound, *enumerate_ball(self.reduced_basis(), bound, self.scale, budget))
+        _, counts, norms, keys = self._ball
+        inside = norms <= bound
+        return counts[:, inside], norms[inside], keys
 
     def contains(self, rows) -> bool:
         """Whether a vector, or every row of a matrix, lies in the lattice.
@@ -220,37 +262,72 @@ def theta_prefix(lattice: Lattice, max_norm, budget: int = DEFAULT_NODE_BUDGET) 
     sum_{j <= J} a_j theta_3^(n - 8j) Delta_8^j (Hecke; Conway and Sloane,
     SPLAG ch. 7, Thm. 7), so the exact counts N_0..N_J fix every later
     one.  The lattice's own `is_unimodular()`, an exact determinant of the
-    basis, picks this path; any other lattice walks its whole ball.  Both
-    paths give exact counts.  The walk and the series arithmetic are each held to
-    `budget` and raise BudgetExceeded past it: no prefix is truncated.
+    basis, picks this path; any other lattice counts its whole ball, every
+    class of it.  Both paths give exact counts.  The walk and the series
+    arithmetic are each held to `budget` and raise BudgetExceeded past it:
+    no prefix is truncated.
     """
-    return _theta(lattice, None, max_norm, budget)
-
-
-def coset_theta(
-    lattice: Lattice, shift, max_norm, budget: int = DEFAULT_NODE_BUDGET
-) -> ThetaPrefix:
-    """Theta prefix of the coset shift + lattice (shift in scaled coords)."""
-    return _theta(lattice, shift, max_norm, budget)
-
-
-def _theta(lattice: Lattice, shift, max_norm, budget: int) -> ThetaPrefix:
-    """Nonzero counts by norm; with no (or a zero) shift the zero vector counts at norm 0."""
-    bound = Fraction(max_norm) * lattice.scale
-    if bound.denominator != 1:
-        raise PreconditionViolation("max_norm * scale must be an integer")
-    bound = check_bound(int(bound))  # before paying for the reduction
+    bound = _scaled_bound(lattice, max_norm)
     top, fixed = bound // lattice.scale, lattice.dim // 8  # floor(max_norm), J
-    derive = (shift is None or not np.any(shift)) and top > fixed and lattice.is_unimodular()
+    derive = top > fixed and lattice.is_unimodular()
     if derive:
         bound = fixed * lattice.scale
-    counts, norms = enumerate_ball(lattice.reduced_basis(), bound, shift=shift, budget=budget)
-    theta = {Fraction(q, lattice.scale): c for q, c in zip(norms.tolist(), counts.tolist())}
+    counts, norms, _ = lattice._tally(bound, budget)
+    theta = _by_norm(counts.sum(axis=0), norms, lattice.scale)
     if derive:
         low = [theta.get(j, 0) for j in range(fixed + 1)]
         series = _unimodular_theta(lattice.dim, low, top, budget)
         theta.update((Fraction(m), c) for m, c in enumerate(series) if m > fixed and c)
     return ThetaPrefix(theta, Fraction(max_norm))
+
+
+def coset_theta(
+    lattice: Lattice, shift, max_norm, budget: int = DEFAULT_NODE_BUDGET
+) -> ThetaPrefix:
+    """Theta prefix of the coset shift + L: one class of the ball of L*.
+
+    L must be integral, so L lies in L* = `lattice.dual()` and the classes
+    of L*'s ball (`shortvec.characters`) are the cosets of L in L*; shift,
+    in scaled coordinates, must lie in L* (shift . b = 0 mod s for every
+    basis row b); and L* must have an integer basis at L's scale s.
+    Each rule raises PreconditionViolation when broken.  A zero shift is
+    `theta_prefix(L)`.  Any other coset reads its class off the tally of
+    L*'s ball, which L*'s own `theta_prefix` and every other coset share.
+    """
+    bound = _scaled_bound(lattice, max_norm)
+    if not lattice.is_integral():
+        raise PreconditionViolation("a coset theta needs an integral lattice")
+    v = np.asarray(shift)
+    if v.shape != (lattice.dim,):
+        raise PreconditionViolation(
+            f"shift of shape {v.shape} for a lattice in dimension {lattice.dim}"
+        )
+    v = int64_rows(v[None], "shift")[0]
+    if np.any(v @ lattice.basis.T % lattice.scale):
+        raise PreconditionViolation(
+            "shift is not in the dual lattice: some shift . b is not 0 mod the scale"
+        )
+    if not v.any():
+        return theta_prefix(lattice, max_norm, budget)
+    dual = lattice.dual()
+    key = v @ characters(dual.reduced_basis(), dual.scale).T % dual.scale
+    counts, norms, keys = dual._tally(bound, budget)
+    row = np.flatnonzero((keys == key).all(axis=1))
+    coset = counts[row[0]] if row.size else np.zeros_like(norms)
+    return ThetaPrefix(_by_norm(coset, norms, lattice.scale), Fraction(max_norm))
+
+
+def _scaled_bound(lattice: Lattice, max_norm) -> int:
+    """max_norm * scale, checked before anyone pays for the reduction."""
+    bound = Fraction(max_norm) * lattice.scale
+    if bound.denominator != 1:
+        raise PreconditionViolation("max_norm * scale must be an integer")
+    return check_bound(int(bound))
+
+
+def _by_norm(counts: np.ndarray, norms: np.ndarray, scale: int) -> dict:
+    """The nonzero counts keyed by their true norm q / scale."""
+    return {Fraction(q, scale): c for q, c in zip(norms.tolist(), counts.tolist()) if c}
 
 
 def _unimodular_theta(n: int, low: list[int], top: int, budget: int) -> list[int]:
@@ -331,17 +408,12 @@ def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
         raise NotOdd("lattice has no odd-norm basis vector (even lattice)")
     scale = 4 * lattice.scale
     l0_ref = Lattice(2 * np.array(_parity_kernel(lattice.basis, parity)), scale)
-
-    n = lattice.dim
-    g0 = l0_ref.gram_true()
-    # with B0 the refined basis, the rows of G0^-1 B0 span L0*.  G0 is
-    # symmetric, so column j of G0^-1 B0 is the x with x G0 = column j of B0
-    cols = solve_rows(g0.tolist(), l0_ref.basis.T.tolist())
-    l0_dual = Lattice([[int(c[i]) for c in cols] for i in range(n)], scale)
+    l0_dual = l0_ref.dual()
     dual_basis = l0_dual.basis
 
+    n = lattice.dim
     # coordinates of L0 in the dual basis equal the Gram matrix of L0
-    h = hnf(g0.tolist())
+    h = hnf(l0_ref.gram_true().tolist())
     box = np.array(list(product(*(range(h[i][i]) for i in range(n)))), dtype=np.int64)
     reps = [v for v in box @ dual_basis if v.any()]
     assert len(reps) == 3, "L0*/L0 must have order 4"

@@ -7,22 +7,26 @@ parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo et al.,
 CHES 2011), so memory stays bounded at every dimension while the tree
 order stays that of Fincke-Pohst.  It prunes every level at one limit
 and yields the leaves, the coefficient rows of the ball, in blocks.
+Every walk is centred at 0 and holds the zero row and one row of each
++-pair; nothing walks a shifted ball.  A coset of a lattice L is a class
+of the ball of the dual lattice L* (`characters`, `lattice.coset_theta`).
 One reader, `_ball`, recomputes their norms in integer arithmetic, so
-every reported count and norm is exact, and serves three consumers: `enumerate_ball` counts a ball by
-the norms that occur, `enumerate_shell` keeps the vectors of one norm,
-and `shortest_norm` is the one exact shortest-vector search, a single
-walk whose bound shrinks each time a shorter vector turns up (Schnorr
-and Euchner, Math. Programming 66, 1994).  Its bound stays one norm step
-below the best norm found: the norm of x * B is sum x_i^2 G_ii +
-2 sum_{i<j} x_i x_j G_ij, so every norm is a multiple of
-g = gcd(G_ii, 2 G_ij), and no norm lies strictly between best - g and
-best.  On the lift of a self-dual code over Z_k, g = k.
+every reported count and norm is exact, and serves three consumers:
+`enumerate_ball` tallies a ball by class and norm, `enumerate_shell`
+keeps the vectors of one norm, and `shortest_norm` is the one exact
+shortest-vector search, a single walk whose bound shrinks each time a
+shorter vector turns up (Schnorr and Euchner, Math. Programming 66,
+1994).  Its bound stays one norm step below the best norm found: the
+norm of x * B is sum x_i^2 G_ii + 2 sum_{i<j} x_i x_j G_ij, so every
+norm is a multiple of g = gcd(G_ii, 2 G_ij), and no norm lies strictly
+between best - g and best.  On the lift of a self-dual code over Z_k,
+g = k.
 
 Pruning uses a float Cholesky factor R of the Gram matrix G and the
 bound padded by a slack of 1e-4 (bound + 1).  `_factor` checks once per
 call that the padding covers the float error: R is the exact factor of
 G + E, it measures err = max|E|, and it bounds the coefficient sum
-|x + t|_1 of every vector in the ball by c, from the dual basis norms.
+|x|_1 of every vector in the ball by c, from the dual basis norms.
 Every partial norm of such a vector, taken with G + E, is at most its
 full norm, bound + err c^2.  The check demands err c^2 <= slack / 1000
 (the rounding of the partial sums themselves is far smaller still) and
@@ -58,7 +62,7 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolation
-from .intmat import hnf, solve_fraction
+from .intmat import hnf
 
 CHUNK = 1024  # frontier rows created per numpy step
 DEFAULT_NODE_BUDGET = 2_000_000_000
@@ -121,7 +125,7 @@ def _factor(basis: np.ndarray, bound: int):
         raise PreconditionViolation("Gram matrix is not numerically positive definite")
     slack = 1e-4 * (bound + 1)
     err = float(np.abs(R.T @ R - gram).max())
-    # |x_i + t_i| <= sqrt(bound * (G^-1)_ii) for every vector in the ball
+    # |x_i| <= sqrt(bound * (G^-1)_ii) for every vector in the ball
     coef = float(np.sqrt(bound * (np.linalg.inv(R) ** 2).sum(axis=1)).sum())
     if not err * coef**2 <= SLACK_MARGIN * slack:
         raise PreconditionViolation(
@@ -131,27 +135,23 @@ def _factor(basis: np.ndarray, bound: int):
     return R, np.array([bound + slack])
 
 
-def _fincke_pohst(R, t, limit, budget):
-    """The integer rows x with |(x + t) R^T|^2 <= limit[0], in blocks.
+def _fincke_pohst(R, limit, budget):
+    """The integer rows x with |x R^T|^2 <= limit[0], one of each +-pair, in blocks.
 
     A node at level i is a suffix x[i:] with float partial norm
-    |((x + t) R^T)[i:]|^2 <= limit[0]; the rows yielded are the nodes at
+    |(x R^T)[i:]|^2 <= limit[0]; the rows yielded are the nodes at
     level 0.  Each step takes the deepest pending block, expands its
     leading rows whose children number at most CHUNK (at least one row)
     to the next level and leaves the rest on the stack, so the walk is
     depth first and holds at most one block of about CHUNK rows per
-    level.  When t is zero the tree is symmetric
-    under x -> -x and only the zero row and, of each +-pair, the row
-    whose last nonzero entry is positive are walked.  The consumer may
-    lower the limit between blocks; pending nodes are then pruned against
-    the lowered limit.  Raises BudgetExceeded once more than `budget`
-    tree nodes were expanded.
+    level.  The tree is symmetric under x -> -x, so only the zero row
+    and, of each +-pair, the row whose last nonzero entry is positive
+    are walked.  The consumer may lower the limit between blocks;
+    pending nodes are then pruned against the lowered limit.  Raises
+    BudgetExceeded once more than `budget` tree nodes were expanded.
     """
     n = R.shape[0]
     diag = R.diagonal()
-    # (x + t) . R[i, i+1:] = x . R[i, i+1:] + toff[i]
-    toff = np.array([t[i + 1 :] @ R[i, i + 1 :] for i in range(n)])
-    pairs = not np.any(t)
     nodes = 0
     # (level, suffix rows x[level:], their partial norms)
     stack = [(n, np.zeros((1, 0), dtype=np.int64), np.zeros(1))]
@@ -160,12 +160,12 @@ def _fincke_pohst(R, t, limit, budget):
         i = level - 1
         lim = limit[0]
         xs, part = rows[:CHUNK], parts[:CHUNK]
-        c = xs @ R[i, level:] + toff[i]
+        c = xs @ R[i, level:]
         rad = np.sqrt(np.maximum(lim - part, 0.0))
-        lo = np.ceil((-rad - c) / diag[i] - t[i])
-        hi = np.floor((rad - c) / diag[i] - t[i])
-        if pairs:  # only the zero row has partial norm exactly 0
-            np.maximum(lo, 0.0, out=lo, where=part == 0.0)
+        lo = np.ceil((-rad - c) / diag[i])
+        hi = np.floor((rad - c) / diag[i])
+        # only the zero row has partial norm exactly 0
+        np.maximum(lo, 0.0, out=lo, where=part == 0.0)
         width = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
         ends = np.cumsum(width)
         # expand the leading rows whose children fit in CHUNK (at least one)
@@ -178,7 +178,7 @@ def _fincke_pohst(R, t, limit, budget):
         xs, part, c, width = xs[:m], part[:m], c[:m], width[:m]
         parent = np.repeat(np.arange(m), width)
         x = np.arange(total) + np.repeat(lo[:m].astype(np.int64) - (ends[:m] - width), width)
-        y = diag[i] * (x + t[i]) + c[parent]
+        y = diag[i] * x + c[parent]
         newpart = part[parent] + y * y
         keep = newpart <= lim
         x, parent, newpart = x[keep], parent[keep], newpart[keep]
@@ -318,7 +318,7 @@ def _shortest(R, bound):
     row is skipped.
     """
     best, bestx = bound, None
-    for xs in _fincke_pohst(R, np.zeros(R.shape[0]), np.array([bound]), np.inf):
+    for xs in _fincke_pohst(R, np.array([bound]), np.inf):
         q = _norms(xs @ R.T)
         q[~xs.any(axis=1)] = np.inf
         j = int(np.argmin(q))
@@ -378,53 +378,89 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     return int64_rows(b)
 
 
-def _ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_BUDGET):
-    """Blocks (v, q, limit): the vectors v = shift + x * basis of norm q <= bound.
+def _ball(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BUDGET):
+    """Blocks (v, q, limit): the vectors v = x * basis of norm q <= bound.
 
     The one exact reader of the walk: q holds the exact integer norms, and
     limit is the walk's one-entry limit array, which the consumer may lower
-    between blocks.  A shift in the basis's rational span describes a
-    lattice coset; its exact coefficients against the basis centre the
-    walk.  Without a shift (or with a zero one) the walk holds 0 and one
-    vector of each +-pair.  The basis is `int64_rows` output: each public
-    walker checks the basis it is given once, before its walk.
+    between blocks.  The walk holds 0 and one vector of each +-pair.  The
+    basis is `int64_rows` output: each public walker checks the basis it
+    is given once, before its walk.
     """
     R, limit = _factor(basis, bound)
-    t = np.zeros(basis.shape[0])
-    sv = 0
-    if shift is not None:
-        sv = np.asarray(shift, dtype=np.int64)
-        center = solve_fraction(basis.tolist(), sv.tolist())
-        if center is None:
-            raise PreconditionViolation("shift not in the lattice's span")
-        t = np.array([float(x) for x in center])
-    for xs in _fincke_pohst(R, t, limit, budget):
+    for xs in _fincke_pohst(R, limit, budget):
         # int64 wraparound is exact mod 2^64, so v is exact: each of its
         # entries is below 2^32, since its norm is about bound or less
-        v = xs @ basis + sv
+        v = xs @ basis
         q = _norms(v)
         inside = q <= bound  # the slack admits a few vectors just outside
         yield (v, q, limit) if inside.all() else (v[inside], q[inside], limit)
 
 
-def enumerate_ball(basis: np.ndarray, bound: int, shift=None, budget: int = DEFAULT_NODE_BUDGET):
-    """Sparse counts (counts, norms) of the vectors shift + x * basis of norm <= bound.
+def characters(basis: np.ndarray, scale: int) -> np.ndarray:
+    """The basis rows p whose pairings v -> v . p mod scale separate the classes.
 
-    norms lists the norms that occur, ascending, and counts[i] is the
-    number of vectors of norm norms[i], so counts.sum() is the number of
-    vectors.  Memory grows with the vectors found, not with the bound.
+    Two vectors v, w of the lattice M spanned by the rows at this scale
+    lie in one class when v - w lies in the dual M*, that is when
+    (v - w) . b = 0 (mod scale) for every row b.  For v = x * basis,
+    v . b_i = x . G[:, i] with G the Gram matrix, so rows whose Gram
+    columns agree mod scale give one character of M modulo its
+    intersection with M*, and a zero column gives the trivial one: the
+    first row of each distinct nonzero column is kept, in basis order.  An integral lattice keeps
+    none: it is one class.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    # each block's distinct norms and their counts, merged once at the end
-    walk = _ball(int64_rows(basis), bound, shift, budget)
-    blocks = [np.unique(q, return_counts=True) for _, q, _ in walk]
-    seen, tallies = (np.concatenate(a) for a in zip((empty, empty), *blocks))
-    norms, at = np.unique(seen, return_inverse=True)
-    counts = np.zeros(norms.size, dtype=np.int64)
-    np.add.at(counts, at, tallies)
-    if shift is None or not np.any(shift):  # the walk held one vector of each +-pair
-        counts[norms > 0] *= 2
-    return counts, norms
+    first: dict[tuple, int] = {}
+    for i, col in enumerate((basis @ basis.T % scale).tolist()):  # G is symmetric
+        if any(col):
+            first.setdefault(tuple(col), i)
+    return basis[list(first.values())]
+
+
+def _group(rows: np.ndarray, weights: np.ndarray):
+    """The distinct rows of an integer matrix, sorted, with their summed weights."""
+    if not len(rows):
+        return rows, weights
+    order = np.lexsort(rows.T[::-1])
+    rows, weights = rows[order], weights[order]
+    start = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    return rows[start], np.add.reduceat(weights, start)
+
+
+def enumerate_ball(
+    basis: np.ndarray, bound: int, scale: int = 1, budget: int = DEFAULT_NODE_BUDGET
+):
+    """The class tally (counts, norms, keys) of the vectors x * basis of norm <= bound.
+
+    The class of v (`characters`) has the key v . p mod scale over the
+    characters p, one entry each, and -v has the key -key mod scale.
+    keys holds one row per class that occurs, in lexicographic order;
+    norms lists the norms that occur, ascending; counts[c, i] is the
+    number of vectors of class keys[c] and norm norms[i], so counts.sum()
+    is the number of vectors.  An integral lattice (any basis at scale 1)
+    is one class with an empty key and takes no pairing product.  The
+    products are exact in int64: v and p both have norm below 2^62
+    (Cauchy-Schwarz).  Each block of the walk is tallied by (class, norm)
+    before the next is read, so memory grows with classes times norms,
+    not with the ball or the bound.
+    """
+    basis = int64_rows(basis)
+    chars = characters(basis, scale).T
+    blocks = [(np.zeros((0, chars.shape[1] + 1), dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    for v, q, _ in _ball(basis, bound, budget):
+        keys = v @ chars % scale if chars.size else v[:, :0]
+        blocks.append(_group(np.column_stack([keys, q]), np.ones(q.size, dtype=np.int64)))
+    rows, counts = (np.concatenate(a) for a in zip(*blocks))
+    # the walk held 0 and one vector of each +-pair: add the negatives
+    pair = rows[:, -1] > 0
+    neg = rows[pair]
+    neg[:, :-1] = -neg[:, :-1] % scale
+    rows, counts = _group(np.concatenate([rows, neg]), np.concatenate([counts, counts[pair]]))
+    keys = rows[:, :-1]
+    new = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    norms, at = np.unique(rows[:, -1], return_inverse=True)
+    tally = np.zeros((int(new.sum()), norms.size), dtype=np.int64)
+    tally[np.cumsum(new) - 1, at] = counts
+    return tally, norms, keys[new]
 
 
 def enumerate_shell(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:

@@ -33,15 +33,15 @@ def fresh_catalog():
 
 @pytest.fixture
 def ball_walks(monkeypatch):
-    """A list that gains one entry per exact walk (`shortvec._ball` call) in the test."""
+    """A list that gains the norm bound of each exact walk (`shortvec._ball` call) in the test."""
     from zklat import shortvec
 
     calls = []
     ball = shortvec._ball
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ball(*args, **kwargs)
+    def counted(basis, bound, *args, **kwargs):
+        calls.append(bound)
+        return ball(basis, bound, *args, **kwargs)
 
     monkeypatch.setattr(shortvec, "_ball", counted)
     return calls

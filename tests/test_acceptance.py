@@ -238,6 +238,83 @@ def test_shadow_theta_additivity_small_dims():
             assert sums.get(q, 0) == c, (lid, q)
 
 
+def _times(a, b, top):
+    """The product of two power series, to exponent top."""
+    out = [0] * (top + 1)
+    for i, x in enumerate(a[: top + 1]):
+        if x:
+            for j, y in enumerate(b[: top + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _power(f, e, top):
+    out = [1] + [0] * top
+    for _ in range(e):
+        out = _times(out, f, top)
+    return out
+
+
+def shadow_series(lat, max_norm):
+    """Theta_S of L to max_norm, from L's own theta series (Conway and Sloane 1990).
+
+    In x = q^(1/4), so that exponent e counts norm e / 4: theta_3 =
+    sum_m x^(4m^2), theta_2 = sum_m x^((2m+1)^2), theta_4(z) =
+    sum_m (-1)^m x^(4m^2) and theta_4(2z) = sum_m (-1)^m x^(8m^2).  L's
+    series is sum_j a_j theta_3^(n-8j) Delta_8^j with Delta_8 =
+    theta_2^4 theta_4^4 / 16, its a_j fixed by the counts N_0..N_J of L's
+    own walk to J = n // 8; then Theta_S = sum_j (-1)^j 16^-j a_j
+    theta_2^(n-8j) theta_4(2z)^(8j).
+    """
+    n, fixed = lat.dim, lat.dim // 8
+    top = 4 * max(max_norm, fixed)
+    roots = range(-top, top + 1)
+    theta2, theta3, theta4, theta4_2z = ([0] * (top + 1) for _ in range(4))
+    for m in roots:
+        for series, e, c in ((theta2, (2 * m + 1) ** 2, 1), (theta3, 4 * m * m, 1),
+                             (theta4, 4 * m * m, 1 - 2 * (m % 2)), (theta4_2z, 8 * m * m, 1 - 2 * (m % 2))):
+            if e <= top:
+                series[e] += c
+    delta8 = [Fraction(c, 16) for c in _times(_power(theta2, 4, top), _power(theta4, 4, top), top)]
+    forms = [_times(_power(theta3, n - 8 * j, top), _power(delta8, j, top), top) for j in range(fixed + 1)]
+    low = theta_prefix(lat, fixed)
+    a = []
+    for j in range(fixed + 1):
+        assert forms[j][4 * j] == 1 and not any(forms[j][:4 * j])
+        a.append(low.coefficient(j) - sum(ai * f[4 * j] for ai, f in zip(a, forms)))
+    shadow = [0] * (top + 1)
+    for j, aj in enumerate(a):
+        term = _times(_power(theta2, n - 8 * j, top), _power(theta4_2z, 8 * j, top), top)
+        shadow = [s + (-1) ** j * aj / Fraction(16**j) * t for s, t in zip(shadow, term)]
+    assert all(Fraction(c).denominator == 1 for c in shadow)
+    return [(Fraction(e, 4), int(c)) for e, c in enumerate(shadow) if c and e <= 4 * max_norm]
+
+
+def shadow_counts(lat, max_norm):
+    """The counts by norm of the shadow L1 u L3, from the coset thetas of L0*'s ball."""
+    parts = even_sublattice_and_shadow(lat)
+    counts = {}
+    for rep in (parts.rep_l1, parts.rep_l3):
+        for q, c in coset_theta(parts.l0_refined, rep, max_norm, budget=SLOW_NODE_BUDGET).as_pairs():
+            counts[q] = counts.get(q, 0) + c
+    return sorted(counts.items())
+
+
+@pytest.mark.parametrize("lid, max_norm", [
+    ("D12_plus", 3), ("D8_2", 2), ("D4_5", 3), ("A5_4", 3), ("D20", 3),
+])
+def test_shadow_theta_matches_the_series_of_l(lid, max_norm):
+    lat = catalog.build(lid)
+    assert shadow_counts(lat, max_norm) == shadow_series(lat, max_norm)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lid", ["R28_15", "L32_82", "L36"])
+def test_shadow_theta_matches_the_series_of_l_large(lid):
+    lat = catalog.build(lid)
+    assert shadow_counts(lat, 3) == shadow_series(lat, 3)
+
+
 def test_scale_frame_up_to_25():
     z4 = Lattice(np.eye(4, dtype=np.int64), 1)
     base = find_frame(z4, 1)

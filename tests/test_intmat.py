@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zklat.intmat import det, hnf, solve_fraction, solve_rows
+from zklat.intmat import det, hnf, solve_rows
 
 
 def random_unimodular(n, rng, steps=20):
@@ -78,11 +78,11 @@ def test_hnf_matches_euclid_on_rank_deficient_matrices():
         assert hnf(a) == hnf_by_euclid(a)
 
 
-def test_solve_fraction_roundtrip():
+def test_solve_rows_roundtrip():
     a = [[2, 1], [1, 1]]
-    x = solve_fraction(a, [5, 3])
+    x = solve_rows(a, [[5, 3]])[0]
     assert x == [Fraction(2), Fraction(1)]  # (2,1)·A = (5,3)
-    assert solve_fraction([[1, 0], [2, 0]], [0, 1]) is None
+    assert solve_rows([[1, 0], [2, 0]], [[0, 1]]) is None
 
 
 def test_solve_rows_solves_every_right_hand_side():
@@ -112,4 +112,4 @@ def test_solve_rows_on_random_matrices():
         for x, b in zip(xs, rhs):
             assert all(isinstance(t, Fraction) for t in x)
             assert [sum(x[i] * a[i][j] for i in range(n)) for j in range(n)] == b
-            assert solve_fraction(a, b) == x
+            assert solve_rows(a, [b])[0] == x

@@ -24,7 +24,7 @@ from zklat.errors import (
     PreconditionViolation,
 )
 from zklat.fileio import dump_lattice, load, read_text, write_text
-from zklat.intmat import det, hnf, solve_fraction
+from zklat.intmat import det, hnf, solve_rows
 from zklat.lattice import (
     Frame,
     Lattice,
@@ -250,8 +250,8 @@ def test_shadow_partition_theta_additive():
 
 def walked(lat, max_norm):
     """The theta pairs of one walk of the whole ball, by `enumerate_ball` itself."""
-    counts, norms = enumerate_ball(lat.reduced_basis(), int(max_norm * lat.scale))
-    return [(Fraction(q, lat.scale), c) for q, c in zip(norms.tolist(), counts.tolist()) if c]
+    counts, norms, _ = enumerate_ball(lat.reduced_basis(), int(max_norm * lat.scale), lat.scale)
+    return [(Fraction(q, lat.scale), c) for q, c in zip(norms.tolist(), counts.sum(axis=0).tolist()) if c]
 
 
 # J = n // 8 is the last norm a unimodular theta_prefix walks to
@@ -275,27 +275,115 @@ def root_lattice_d6():
                     [0, 0, 0, 1, -1, 0], [0, 0, 0, 0, 1, -1], [0, 0, 0, 0, 1, 1]], 1)
 
 
-def test_only_a_unimodular_theta_stops_its_walk_at_j(monkeypatch):
-    bounds = []
-
-    def spy(basis, bound, **kw):
-        bounds.append(bound)
-        return enumerate_ball(basis, bound, **kw)
-
-    monkeypatch.setattr(zklat.lattice, "enumerate_ball", spy)
+def test_only_a_unimodular_theta_stops_its_walk_at_j(fresh_catalog, ball_walks):
     for lid in ("D12_plus", "D8_2", "D20"):
         lat = catalog.build(lid)
         theta_prefix(lat, 6)
-        assert bounds.pop() == lat.dim // 8 * lat.scale, lid
+        assert ball_walks.pop() == lat.dim // 8 * lat.scale, lid
     d6 = root_lattice_d6()
     # norm 4: the 12 vectors +-2e_i and the 2^4 C(6, 4) with four entries +-1
     assert theta_prefix(d6, 4).coefficient(4) == 12 + 16 * 15
-    assert bounds.pop() == 4
+    assert ball_walks.pop() == 4
     parts = even_sublattice_and_shadow(catalog.build("D12_plus"))
     theta_prefix(parts.l0_dual, 3)
-    assert bounds.pop() == 3 * parts.scale
-    coset_theta(parts.l0_refined, parts.rep_l1, 3)
-    assert bounds.pop() == 3 * parts.scale
+    assert ball_walks.pop() == 3 * parts.scale
+    coset_theta(parts.l0_refined, parts.rep_l1, 3)  # a class of the walk just made
+    assert not ball_walks
+
+
+@pytest.mark.parametrize("lid", ["D12_plus", "D8_2"])
+def test_a_shadow_walks_its_dual_once(lid, ball_walks):
+    parts = even_sublattice_and_shadow(catalog.build(lid))
+    assert parts.l0_dual is parts.l0_refined.dual()
+    reps = (parts.rep_l1, parts.rep_l2, parts.rep_l3)
+    cosets = [coset_theta(parts.l0_refined, rep, 3) for rep in reps]
+    whole = theta_prefix(parts.l0_dual, 3)
+    assert ball_walks == [3 * parts.scale]
+    # L0* is L0 and its three cosets; L0 (class 0 of the same ball) walks itself
+    sums = dict(theta_prefix(parts.l0_refined, 3).counts)
+    for th in cosets:
+        for q, c in th.as_pairs():
+            sums[q] = sums.get(q, 0) + c
+    assert sums == dict(whole.as_pairs()) and len(ball_walks) == 2
+    # a lower bound reads the tally of the larger one
+    ball_walks.clear()
+    low = [coset_theta(parts.l0_refined, rep, 2) for rep in reps]
+    assert [th.as_pairs() for th in low] == [
+        [(q, c) for q, c in th.as_pairs() if q <= 2] for th in cosets
+    ]
+    assert theta_prefix(parts.l0_dual, Fraction(3, 2)).bound == Fraction(3, 2)
+    assert not ball_walks
+
+
+def test_a_ball_that_overruns_its_budget_keeps_nothing(ball_walks):
+    parts = even_sublattice_and_shadow(catalog.build("D12_plus"))
+    with pytest.raises(BudgetExceeded):
+        coset_theta(parts.l0_refined, parts.rep_l1, 3, budget=10)
+    assert parts.l0_dual._ball is None and len(ball_walks) == 1
+    assert coset_theta(parts.l0_refined, parts.rep_l1, 3).coefficient(1) == 24
+    assert len(ball_walks) == 2
+
+
+def random_integral_lattice(rng, n):
+    """A random integral lattice L at a scale where L* has an integer basis.
+
+    Rows A of small entries span L in true coordinates; written as d A at
+    scale d^2, d = det(A A^T), L*'s basis s G^-1 B = d (A A^T)^-1 A is an
+    integer matrix.
+    """
+    while True:
+        a = rng.integers(-2, 3, size=(n, n))
+        d = det((a @ a.T).tolist())
+        if d:
+            return Lattice(d * a, d * d)
+
+
+def brute_coset(lat, shift, max_norm):
+    """Nonzero counts by true norm of shift + L to max_norm, from a provable box."""
+    bound = int(max_norm * lat.scale)
+    b = lat.basis.astype(float)
+    center = np.linalg.solve(b.T, shift.astype(float))  # shift = center * B
+    # |x_i + center_i| <= sqrt(bound * (G^-1)_ii) for every vector of the coset's ball
+    rad = np.sqrt(bound * np.linalg.inv(b @ b.T).diagonal())
+    ranges = [range(int(np.floor(-c - r)) - 1, int(np.ceil(-c + r)) + 2) for c, r in zip(center, rad)]
+    counts = {}
+    for x in itertools.product(*ranges):
+        v = shift + np.array(x) @ lat.basis
+        q = int(v @ v)
+        if q <= bound:
+            counts[Fraction(q, lat.scale)] = counts.get(Fraction(q, lat.scale), 0) + 1
+    return sorted(counts.items())
+
+
+def test_cosets_of_random_lattices_match_bruteforce():
+    rng = np.random.default_rng(31)
+    orders = set()
+    for _ in range(12):
+        lat = random_integral_lattice(rng, int(rng.integers(2, 5)))
+        assert lat.is_integral()
+        dual = lat.dual()
+        for _ in range(4):
+            shift = rng.integers(-2, 3, size=lat.dim) @ dual.basis
+            orders.add(next(m for m in range(1, 10**4) if lat.contains(m * shift)))
+            assert coset_theta(lat, shift, 3).as_pairs() == brute_coset(lat, shift, 3)
+    assert {2, 4} <= orders
+
+
+def test_coset_theta_rejects_what_is_no_class_of_the_dual_ball():
+    z2 = Lattice(2 * np.eye(2, dtype=np.int64), 4)  # Z^2 = Z^2*
+    with pytest.raises(PreconditionViolation, match="shift is not in the dual lattice"):
+        coset_theta(z2, np.array([1, 1]), 2)
+    with pytest.raises(PreconditionViolation, match=r"shift of shape \(3,\)"):
+        coset_theta(z2, np.array([2, 0, 0]), 2)
+    # (1/sqrt 2) Z^2 has norms 1/2: not integral, so it does not lie in its dual
+    with pytest.raises(PreconditionViolation, match="needs an integral lattice"):
+        coset_theta(Lattice(np.eye(2, dtype=np.int64), 2), np.zeros(2, dtype=np.int64), 2)
+    # 2 Z^2 at scale 1: (1, 1) lies in L* = Z^2 / 2, which has no integer basis at scale 1
+    two = Lattice(2 * np.eye(2, dtype=np.int64), 1)
+    with pytest.raises(PreconditionViolation, match="no integer basis at scale 1"):
+        coset_theta(two, np.array([1, 1]), 2)
+    # a zero shift is the lattice's own theta prefix
+    assert coset_theta(z2, np.zeros(2, dtype=np.int64), 2).as_pairs() == theta_prefix(z2, 2).as_pairs()
 
 
 def test_a_series_past_its_budget_raises_at_once():
@@ -454,8 +542,8 @@ def test_lattices_and_shadow_parts_compare_by_identity():
 
 def _solve_member(basis, v) -> bool:
     """Reference membership: an exact rational solve of x B = v."""
-    sol = solve_fraction(np.asarray(basis).tolist(), [int(a) for a in v])
-    return sol is not None and all(x.denominator == 1 for x in sol)
+    sol = solve_rows(np.asarray(basis).tolist(), [[int(a) for a in v]])
+    return sol is not None and all(x.denominator == 1 for x in sol[0])
 
 
 def _perturbed(v, rng):

@@ -28,18 +28,18 @@ from zklat.shortvec import (
     _norms,
     _shortest,
     block_reduce,
+    characters,
     enumerate_ball,
     enumerate_shell,
     shortest_norm,
 )
 
 
-def brute_counts(basis, bound, shift=None, box=12):
+def brute_counts(basis, bound, box=12):
     n = basis.shape[0]
-    shift = np.zeros(basis.shape[1], dtype=np.int64) if shift is None else shift
     hist = np.zeros(bound + 1, dtype=np.int64)
     for coeffs in itertools.product(range(-box, box + 1), repeat=n):
-        v = shift + np.array(coeffs) @ basis
+        v = np.array(coeffs) @ basis
         q = int(v @ v)
         if q <= bound:
             hist[q] += 1
@@ -47,8 +47,10 @@ def brute_counts(basis, bound, shift=None, box=12):
 
 
 def dense(ball, bound):
-    """The sparse (counts, norms) of `enumerate_ball` as a histogram of bound + 1 entries."""
-    counts, norms = ball
+    """The class tally of `enumerate_ball` at scale 1 as a histogram of bound + 1 entries."""
+    counts, norms, keys = ball
+    assert counts.shape == (1, norms.size) and keys.shape == (1, 0)  # one class
+    counts = counts[0]
     # only the norms that occur, ascending, each once
     assert (np.diff(norms) > 0).all() and (counts > 0).all() and norms.max(initial=0) <= bound
     hist = np.zeros(bound + 1, dtype=np.int64)
@@ -56,10 +58,10 @@ def dense(ball, bound):
     return hist
 
 
-def ball_vectors(basis, bound, shift=None):
+def ball_vectors(basis, bound):
     """Every vector `_ball` yields, each checked against its exact norm."""
     blocks = [np.zeros((0, basis.shape[1]), dtype=np.int64)]
-    for v, q, _ in _ball(basis, bound, shift):
+    for v, q, _ in _ball(basis, bound):
         assert np.array_equal(np.einsum("ij,ij->i", v, v), q) and (q <= bound).all()
         blocks.append(v)
     return np.concatenate(blocks)
@@ -67,9 +69,9 @@ def ball_vectors(basis, bound, shift=None):
 
 def test_z2_counts():
     basis = np.eye(2, dtype=np.int64)
-    counts, norms = enumerate_ball(basis, 4)
-    assert norms.tolist() == [0, 1, 2, 4] and counts.tolist() == [1, 4, 4, 4]
-    assert dense((counts, norms), 4).tolist() == [1, 4, 4, 0, 4]
+    counts, norms, keys = enumerate_ball(basis, 4)
+    assert norms.tolist() == [0, 1, 2, 4] and counts.tolist() == [[1, 4, 4, 4]]
+    assert dense((counts, norms, keys), 4).tolist() == [1, 4, 4, 0, 4]
 
 
 def test_z24_norm_counts():
@@ -91,12 +93,42 @@ def test_random_lattices_match_bruteforce(seed):
     ball_vectors(basis, bound)  # the reader's vectors carry their exact norms
 
 
-def test_coset_enumeration():
-    basis = 2 * np.eye(2, dtype=np.int64)
-    shift = np.array([1, 1], dtype=np.int64)
-    hist = dense(enumerate_ball(basis, 8, shift=shift), 8)
-    assert np.array_equal(hist, brute_counts(basis, 8, shift=shift))
-    assert hist[0] == 0 and hist[2] == 4  # (±1, ±1)
+@pytest.mark.parametrize("seed", range(6))
+def test_class_tally_matches_bruteforce(seed):
+    # a random basis at a scale that divides none of its Gram entries: M is
+    # not integral, and its classes are the cosets of M & M* in M
+    rng = np.random.default_rng(900 + seed)
+    basis = random_basis(rng, int(rng.integers(2, 5)))
+    scale = int(rng.integers(2, 7))
+    bound = int(rng.integers(6, 20))
+    counts, norms, keys = enumerate_ball(basis, bound, scale)
+    chars = characters(basis, scale)
+    v, q = brute_ball(basis, bound)
+    want = {}
+    for key, norm in zip((v @ chars.T % scale).tolist(), q.tolist()):
+        want[tuple(key), norm] = want.get((tuple(key), norm), 0) + 1
+    got = {(tuple(k), n): c for k, row in zip(keys.tolist(), counts.tolist())
+           for n, c in zip(norms.tolist(), row) if c}
+    assert got == want
+    assert keys.tolist() == sorted(keys.tolist()) and (np.diff(norms) > 0).all()
+    # v and w share a class iff v - w lies in M*: (v - w) . b = 0 mod scale for every row b
+    pair = (v @ basis.T % scale)[:, None, :] == (v @ basis.T % scale)[None, :, :]
+    same = (v @ chars.T % scale)[:, None, :] == (v @ chars.T % scale)[None, :, :]
+    assert np.array_equal(pair.all(axis=2), same.all(axis=2))
+
+
+def test_an_integral_basis_has_no_characters():
+    # Z^2 at scale 1, and D4 at scale 1: one class, no pairing product
+    d4 = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
+    for basis in (np.eye(2, dtype=np.int64), d4):
+        assert characters(basis, 1).shape == (0, basis.shape[1])
+        counts, norms, keys = enumerate_ball(basis, 4)
+        assert counts.shape[0] == 1 and keys.shape == (1, 0)
+    # Z^2 at scale 4 is (1/2) Z^2: both rows are characters, 16 classes mod 2 Z^2
+    chars = characters(np.eye(2, dtype=np.int64), 4)
+    assert chars.tolist() == [[1, 0], [0, 1]]
+    counts, _, keys = enumerate_ball(np.eye(2, dtype=np.int64), 32, 4)
+    assert len(keys) == 16 and counts.sum() == 101
 
 
 def test_budget_raises():
@@ -131,16 +163,14 @@ def random_basis(rng, n, spread=3):
             return basis
 
 
-def brute_ball(basis, bound, shift=None, center=None):
-    """Every vector shift + x * basis of norm <= bound, from a provable box."""
+def brute_ball(basis, bound):
+    """Every vector x * basis of norm <= bound, from a provable box."""
     n = basis.shape[0]
-    shift = np.zeros(basis.shape[1], dtype=np.int64) if shift is None else shift
-    center = np.zeros(n) if center is None else center
     ginv = np.linalg.inv((basis @ basis.T).astype(float))
-    # |x_i + t_i| <= sqrt(bound * (G^-1)_ii) inside the ball
-    box = int(np.ceil((np.sqrt(bound * ginv.diagonal()) + np.abs(center)).max())) + 1
+    # |x_i| <= sqrt(bound * (G^-1)_ii) inside the ball
+    box = int(np.ceil(np.sqrt(bound * ginv.diagonal()).max())) + 1
     coeffs = np.indices((2 * box + 1,) * n).reshape(n, -1).T - box
-    v = shift + coeffs @ basis
+    v = coeffs @ basis
     q = np.einsum("ij,ij->i", v, v)
     return v[q <= bound], q[q <= bound]
 
@@ -253,7 +283,7 @@ def test_walk_ends_cleanly_when_the_limit_drops_mid_walk():
     for final in (0.5, 20.5):
         R, limit = _factor(basis, 200)
         blocks = []
-        for xs in _fincke_pohst(R, np.zeros(4), limit, np.inf):
+        for xs in _fincke_pohst(R, limit, np.inf):
             blocks.append(xs @ basis)
             limit[:] = final
         assert all(len(b) for b in blocks) and (len(blocks) >= 2 or final < 1)
@@ -263,22 +293,6 @@ def test_walk_ends_cleanly_when_the_limit_drops_mid_walk():
         got |= {tuple(-x for x in r) for r in got}
         want, _ = brute_ball(basis, int(final))
         assert got == {tuple(r) for r in want.tolist()}
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_random_shift_cosets_match_bruteforce(seed):
-    rng = np.random.default_rng(200 + seed)
-    n = int(rng.integers(2, 5))
-    den = int(rng.integers(2, 5))
-    basis = den * random_basis(rng, n, spread=2)
-    num = rng.integers(-den, den + 1, size=n)
-    shift = num @ (basis // den)  # = (num / den) * basis, an integer vector
-    center = num / den
-    bound = int(rng.integers(8, 40))
-    hist = dense(enumerate_ball(basis, bound, shift=shift), bound)
-    want, q = brute_ball(basis, bound, shift=shift, center=center)
-    assert np.array_equal(hist, np.bincount(q, minlength=bound + 1))
-    assert sorted(ball_vectors(basis, bound, shift).tolist()) == sorted(want.tolist())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -312,7 +326,7 @@ def test_d20_ball_runs_in_bounded_memory():
     basis = lat.reduced_basis()
     tracemalloc.start()
     try:
-        counts, _ = enumerate_ball(basis, 5 * lat.scale)
+        counts, _, _ = enumerate_ball(basis, 5 * lat.scale)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,7 +528,7 @@ def test_a_scaled_ball_needs_no_array_sized_by_its_bound():
     tracemalloc.start()
     try:
         frame = find_frame(lat, 12)
-        counts, norms = enumerate_ball(lat.reduced_basis(), 12 * s * s)
+        counts, norms, _ = enumerate_ball(lat.reduced_basis(), 12 * s * s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
