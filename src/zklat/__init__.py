@@ -13,15 +13,9 @@ from .codes import (
     min_euclidean_weight,
 )
 from .errors import (
-    BadDimension,
     BudgetExceeded,
-    CongruenceViolation,
     MembershipViolation,
-    NotOdd,
-    NotSelfDual,
-    OutOfRange,
     PreconditionViolation,
-    SkewViolation,
     UnknownId,
     ZklatError,
 )

@@ -2,15 +2,15 @@
 Z_k, and on the minimum norm of unimodular lattices, with extremality
 classification relative to those bounds.
 
-Valid for code lengths n <= 48 (k >= 2); larger lengths raise OutOfRange
-rather than extrapolating.
+Valid for code lengths n <= 48 (k >= 2); larger lengths raise
+PreconditionViolation rather than extrapolating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfRange, PreconditionViolation
+from .errors import PreconditionViolation
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ def d_E_upper_bound(n: int, k: int, type_one: bool = False) -> BoundProfile:
     if k < 2:
         raise PreconditionViolation("modulus must be at least 2")
     if n > 48:
-        raise OutOfRange("bound table covers lengths up to 48")
+        raise PreconditionViolation("bound table covers lengths up to 48")
 
     if n == 23 and k >= 4:
         prof = BoundProfile(3 * k, "exception n=23, k>=4")
@@ -71,5 +71,5 @@ def unimodular_min_norm_bound(n: int) -> int:
     if n < 1:
         raise PreconditionViolation("dimension must be positive")
     if n > 48:
-        raise OutOfRange("bound table covers dimensions up to 48")
+        raise PreconditionViolation("bound table covers dimensions up to 48")
     return 2 * (n // 24) + 2 + (n % 24 == 23)

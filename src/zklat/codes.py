@@ -1,6 +1,6 @@
 """Codes over Z_k: construction, self-duality, Euclidean weights.
 
-A code is given by generator rows with entries reduced to
+A code is given by generator rows of integers, reduced to
 {0, ..., k-1}; any rows will do, dependent ones included.  The one
 thing the code derives from them is the HNF basis of its lift
 C + k Z^n, made on construction: it gives the cardinality (k^n over
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PreconditionViolation
 from .intmat import hnf
 from .lattice import Lattice
-from .shortvec import DEFAULT_NODE_BUDGET, shortest_norm
+from .shortvec import DEFAULT_NODE_BUDGET, check_integer, shortest_norm
 
 
 def euclidean_weight(x, k: int) -> int:
@@ -57,9 +57,13 @@ class ZkCode:
     _lattice: Lattice | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", check_integer(self.k, "modulus"))
         if self.k < 2:
             raise PreconditionViolation("modulus must be >= 2")
-        gens = tuple(tuple(int(v) % self.k for v in row) for row in self.generators)
+        gens = tuple(
+            tuple(check_integer(v, "generator entry") % self.k for v in row)
+            for row in self.generators
+        )
         if not gens:
             raise PreconditionViolation("a code needs at least one generator row")
         if len({len(row) for row in gens}) != 1 or not gens[0]:

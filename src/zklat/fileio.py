@@ -9,7 +9,6 @@ exactly the rows its header announces, each of the announced width.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 
 from .codes import ZkCode
@@ -117,17 +116,5 @@ def dump_theta(theta: ThetaPrefix) -> str:
     return _text(f"# theta prefix up to norm {theta.bound}", theta.as_pairs())
 
 
-def load_theta(text: str) -> dict[Fraction, int]:
-    out: dict[Fraction, int] = {}
-    for line in _data_lines(text):
-        q, c = line.split()
-        out[Fraction(q)] = int(c)
-    return out
-
-
 def write_text(path, text: str) -> None:
     Path(path).write_text(text)
-
-
-def read_text(path) -> str:
-    return Path(path).read_text()

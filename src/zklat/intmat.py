@@ -4,10 +4,12 @@
 nonzero entry, so intermediate entries stay small (Havas, Majewski and
 Matthews, Experimental Math. 7, 1998).  `_eliminate`, for `det` and
 `solve_rows`, is fraction-free (Bareiss, Math. Comp. 22, 1968): its
-entries are minors of the input and its divisions are exact.
-`solve_rows` builds a lattice's dual basis (`lattice.Lattice.dual`) and
-decides membership in a lattice that is not unimodular.  No walk solves
-for a centre: the enumerator has no shift, and every walk is centred at 0.
+entries are minors of the input and its divisions are exact.  `det`
+is the one rank test of a lattice basis, in `lattice.Lattice`'s
+constructor, which refuses a zero determinant; `solve_rows` builds a
+lattice's dual basis (`lattice.Lattice.dual`) and decides membership in
+a lattice that is not unimodular.  No walk solves for a centre: the
+enumerator has no shift, and every walk is centred at 0.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ lattice is spanned by the rows divided by sqrt(s).  Construction A
 lattices carry s = k so every vector has integer coordinates; shadow
 machinery refines the scale to 4s.  All correctness-critical arithmetic
 is exact.  A basis and a frame hold their rows as the read-only int64
-array of `shortvec.int64_rows`, the one checked conversion: every row
-has norm below 2^62, so no int64 product of them wraps.
+array of `shortvec.int64_rows`, the one checked conversion: every entry
+is an integer and every row has norm below 2^62, so no int64 product of
+them wraps.  The constructor takes one exact determinant of the basis:
+a zero one (dependent rows) is refused there, and nowhere else, and the
+same determinant decides `is_unimodular()`.
 
 A lattice owns its reduction (`reduced_basis`, one `block_reduce` of
 its basis), its proven minimum (`min_norm`), its dual (`dual`) and its
@@ -18,13 +21,14 @@ per (class, norm) (`shortvec.enumerate_ball`), never as vectors, for the
 largest bound walked so far; a smaller bound reads it, and a walk that
 overruns its budget keeps nothing.
 
-Membership (`Lattice.contains`, `contains_frame`) takes rows at the
-lattice's own scale.  It is decided against the dual lattice when the
-lattice is unimodular, as every lattice of the paper is: then L = L*, so
-v lies in L iff B v = 0 (mod s), one integer product for a whole batch
-of rows, in int64 when every row passes `shortvec.int64_rows`.  Any other
-basis solves x B = v exactly (`intmat.solve_rows`) and asks for an
-integral x; a singular basis is an error.
+Membership (`Lattice.contains`, `contains_frame`) takes integer rows at
+the lattice's own scale; any other entry is an error, on either path.
+It is decided against the dual lattice when the lattice is unimodular,
+as every lattice of the paper is: then L = L*, so v lies in L iff
+B v = 0 (mod s), one integer product for a whole batch of rows, in int64
+when every row passes `shortvec.int64_rows`.  Any other basis solves
+x B = v exactly (`intmat.solve_rows`), which its nonzero determinant
+makes possible, and asks for an integral x.
 
 Theta prefixes count the vectors of each norm.  A coset of an integral
 lattice L is a class of the ball of L* (`coset_theta`): the shadow's
@@ -50,23 +54,19 @@ from math import isqrt
 import numpy as np
 
 from .cliques import find_orthogonal_set
-from .errors import (
-    BudgetExceeded,
-    MembershipViolation,
-    NotOdd,
-    NotSelfDual,
-    PreconditionViolation,
-)
+from .errors import BudgetExceeded, MembershipViolation, PreconditionViolation
 from .intmat import det, hnf, solve_rows
 from .shortvec import (
     DEFAULT_NODE_BUDGET,
     NORM_CAP,
     block_reduce,
     check_bound,
+    check_integer,
     characters,
     enumerate_ball,
     enumerate_shell,
     int64_rows,
+    integer_rows,
     shortest_norm,
 )
 
@@ -77,6 +77,7 @@ class Lattice:
     scale: int
 
     def __post_init__(self):
+        self.scale = check_integer(self.scale, "lattice scale")
         if self.scale < 1:
             raise PreconditionViolation(f"lattice scale {self.scale} is not a positive integer")
         # read-only: catalog.build hands one cached Lattice to every caller
@@ -84,9 +85,13 @@ class Lattice:
         n = self.basis.shape[0]
         if self.basis.shape != (n, n):
             raise PreconditionViolation("basis must be square")
+        d = det(self.basis.tolist())
+        if not d:
+            raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
+        # the Gram determinant is det(B)^2 / s^n, never negative: it is +-1 iff det(B)^2 = s^n
+        self._unimodular = self.is_integral() and d * d == self.scale**n
         self._reduced = None
         self._min = None  # proven minimum norm at the scale, set by min_norm
-        self._unimodular = None
         self._dual = None
         self._ball = None  # (bound, counts, norms, keys): the largest ball walked
 
@@ -107,16 +112,12 @@ class Lattice:
         return not np.any(self.gram_scaled() % self.scale != 0)
 
     def is_unimodular(self) -> bool:
-        """Integral with Gram determinant +-1, computed on the first call.
+        """Integral with Gram determinant +-1, decided by the constructor.
 
-        The Gram determinant is det(B)^2 / s^n for the n x n basis B, never
-        negative, so it is +-1 exactly when det(B)^2 = s^n: one exact
-        determinant of the basis, not of its (larger-entried) Gram matrix.
+        The constructor's one exact determinant of the basis (not of its
+        larger-entried Gram matrix) both proves the rows independent and
+        decides this.
         """
-        if self._unimodular is None:
-            self._unimodular = (
-                self.is_integral() and det(self.basis.tolist()) ** 2 == self.scale**self.dim
-            )
         return self._unimodular
 
     def is_even(self) -> bool:
@@ -141,8 +142,6 @@ class Lattice:
             # G is symmetric, so column j of s G^-1 B is the x with x G = s * column j of B
             rhs = [[s * x for x in col] for col in self.basis.T.tolist()]
             cols = solve_rows(self.gram_scaled().tolist(), rhs)
-            if cols is None:
-                raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
             if any(x.denominator != 1 for c in cols for x in c):
                 raise PreconditionViolation(f"the dual lattice has no integer basis at scale {s}")
             self._dual = Lattice([[int(c[i]) for c in cols] for i in range(self.dim)], s)
@@ -164,8 +163,9 @@ class Lattice:
     def contains(self, rows) -> bool:
         """Whether a vector, or every row of a matrix, lies in the lattice.
 
-        The rows are in scaled coordinates at the lattice's own scale s.
-        A unimodular lattice equals its dual, so v is a member iff every
+        The rows are in scaled coordinates at the lattice's own scale s,
+        and every entry must be an integer (`shortvec.integer_rows`).  A
+        unimodular lattice equals its dual, so v is a member iff every
         <v, b_i> / s is an integer: one product of the rows with B^T,
         reduced mod s.  It runs in int64 when the rows pass `int64_rows`,
         as the basis rows do, so no partial sum can wrap; a longer row
@@ -179,14 +179,13 @@ class Lattice:
             raise PreconditionViolation(
                 f"vector of length {v.shape[-1]} for a lattice in dimension {self.dim}"
             )
+        v = integer_rows(v, "vector")
         if not self.is_unimodular():
             x = solve_rows(self.basis.tolist(), v.tolist())
-            if x is None:
-                raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
             return all(c.denominator == 1 for row in x for c in row)
         try:
             v = int64_rows(v, "vector")
-        except PreconditionViolation:  # a row of norm >= 2^62: the product stays in Python ints
+        except PreconditionViolation:  # integers, one of norm >= 2^62: stay in Python ints
             v = v.astype(object)
         return not np.any(v @ self.basis.T % self.scale)
 
@@ -198,6 +197,8 @@ class Frame:
     norm_k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "scale", check_integer(self.scale, "frame scale"))
+        object.__setattr__(self, "norm_k", check_integer(self.norm_k, "frame norm"))
         if self.scale < 1 or self.norm_k < 1:
             raise PreconditionViolation(
                 f"frame scale {self.scale} and norm {self.norm_k} must be positive integers"
@@ -233,7 +234,7 @@ def construction_a(code) -> Lattice:
     """
     lat = code.lift()
     if not lat.is_unimodular():
-        raise NotSelfDual("Construction A requires a self-dual code")
+        raise PreconditionViolation("Construction A requires a self-dual code")
     return lat
 
 
@@ -405,7 +406,7 @@ def even_sublattice_and_shadow(lattice: Lattice) -> ShadowParts:
     gt = lattice.gram_true()
     parity = gt.diagonal() % 2
     if not parity.any():
-        raise NotOdd("lattice has no odd-norm basis vector (even lattice)")
+        raise PreconditionViolation("lattice has no odd-norm basis vector (even lattice)")
     scale = 4 * lattice.scale
     l0_ref = Lattice(2 * np.array(_parity_kernel(lattice.basis, parity)), scale)
     l0_dual = l0_ref.dual()

@@ -40,16 +40,18 @@ One cap, NORM_CAP = 2^62, keeps int64 exact: bounds lie below it
 (`check_bound`), and `int64_rows`, the one way an integer matrix becomes
 int64, checks exactly that every row's norm does.  By Cauchy-Schwarz no
 inner product of such rows, nor a partial sum of one, then reaches 2^62.
+It first refuses any entry that is not an integer (`integer_rows`,
+`check_integer`): a float or a Fraction is an error, never truncated.
 `Lattice`, `Frame`, `SkewSeed`, `block_reduce` and the public walkers
 (so every basis a walk runs on, however it is passed) take their rows
 through it.
 
-`block_reduce` prepares the bases the walks run on.  It checks the rank
-exactly, as the row count of the basis's HNF, then runs float LLL that
-keeps one Gram-Schmidt factor current in place (`_lll_core`, on Python
-ints and floats: per step it does too little arithmetic to repay a numpy
-call; a bound on its swaps read from the input turns drift that would
-cycle into an error), then BKZ tours with one walk (`_shortest`) per
+`block_reduce` prepares the bases the walks run on: a `Lattice`'s basis,
+whose rows its constructor has proved independent.  It runs float LLL
+that keeps one Gram-Schmidt factor current in place (`_lll_core`, on
+Python ints and floats: per step it does too little arithmetic to repay
+a numpy call; a bound on its swaps read from the input turns drift that
+would cycle into an error), then BKZ tours with one walk (`_shortest`) per
 block search, each over a projection of at most BKZ_BLOCK dimensions.
 It only changes the basis by unimodular steps, so it never changes a
 verdict.
@@ -62,7 +64,6 @@ import math
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolation
-from .intmat import hnf
 
 CHUNK = 1024  # frontier rows created per numpy step
 DEFAULT_NODE_BUDGET = 2_000_000_000
@@ -86,24 +87,46 @@ def check_bound(bound: int) -> int:
     return bound
 
 
+def check_integer(x, what: str) -> int:
+    """x as a Python int, once it is an int or a numpy integer.
+
+    A float, Fraction, NaN or inf raises PreconditionViolation naming
+    `what`: nothing is truncated.
+    """
+    if not isinstance(x, (int, np.integer)):
+        raise PreconditionViolation(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
+def integer_rows(rows, what: str) -> np.ndarray:
+    """The rows as an integer matrix, each entry checked by `check_integer`.
+
+    An integer array comes back as it is; anything else as an object
+    array of Python ints.
+    """
+    arr = np.asarray(rows)  # object dtype for entries beyond int64
+    if arr.ndim != 2:
+        raise PreconditionViolation(f"{what} rows must form a matrix")
+    if arr.dtype.kind in "iu":
+        return arr
+    exact = [[check_integer(x, f"{what} entry") for x in row] for row in arr.tolist()]
+    return np.array(exact, dtype=object).reshape(arr.shape)
+
+
 def int64_rows(rows, what: str = "basis") -> np.ndarray:
-    """A fresh read-only int64 copy of the rows, once each has norm below 2^62.
+    """A fresh read-only int64 copy of the rows (`integer_rows`), once each has norm below 2^62.
 
     Exact: an integer array passes at once if max|entry|^2 * ncols < 2^62
     in Python ints; otherwise (or for lists and object arrays) each row's
     norm is summed in Python ints before any conversion.
     """
-    arr = np.asarray(rows)  # object dtype for entries beyond int64
-    if arr.ndim != 2:
-        raise PreconditionViolation(f"{what} rows must form a matrix")
-    top = NORM_CAP  # any other dtype takes the row sums
-    if arr.dtype.kind in "iu":
+    arr = integer_rows(rows, what)
+    top = NORM_CAP  # an object array takes the row sums
+    if arr.dtype != object:
         top = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
     if top * top * arr.shape[1] >= NORM_CAP:
-        exact = [[int(x) for x in row] for row in arr.tolist()]
-        if any(sum(x * x for x in row) >= NORM_CAP for row in exact):
+        if any(sum(x * x for x in row) >= NORM_CAP for row in arr.tolist()):
             raise PreconditionViolation(f"{what} row of norm >= 2^62 would overflow int64 products")
-        arr = np.array(exact, dtype=np.int64).reshape(arr.shape)
     out = arr.astype(np.int64)
     out.flags.writeable = False
     return out
@@ -330,9 +353,9 @@ def _shortest(R, bound):
 def block_reduce(basis: np.ndarray) -> np.ndarray:
     """Float LLL, then BKZ tours until no block holds a shorter vector.
 
-    Accepts any integer basis of independent rows, reduced or not, and
-    raises PreconditionViolation on dependent ones: the rank is the row
-    count of the exact HNF.  Input and output pass `int64_rows`.  Every
+    Takes a `lattice.Lattice`'s basis, reduced or not: its rows are
+    independent, since the lattice's constructor refuses a zero
+    determinant.  Input and output pass `int64_rows`.  Every
     transformation applied is unimodular, so the output spans the same
     lattice; quality only affects downstream enumeration speed, never
     correctness.
@@ -349,8 +372,6 @@ def block_reduce(basis: np.ndarray) -> np.ndarray:
     proves that the tours end.
     """
     b = int64_rows(basis).copy()
-    if len(hnf(b.tolist())) < b.shape[0]:
-        raise PreconditionViolation("basis rows are linearly dependent: no lattice basis")
     n = b.shape[0]
     _lll_core(b)
     if n <= BKZ_BLOCK:

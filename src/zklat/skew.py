@@ -22,15 +22,9 @@ from math import isqrt
 import numpy as np
 
 from .codes import ZkCode, bordered, circulant, systematic
-from .errors import (
-    BadDimension,
-    CongruenceViolation,
-    OutOfRange,
-    PreconditionViolation,
-    SkewViolation,
-)
+from .errors import PreconditionViolation
 from .lattice import Frame
-from .shortvec import NORM_CAP, check_bound, int64_rows
+from .shortvec import NORM_CAP, check_bound, check_integer, int64_rows
 
 
 # below _MR_LIMIT, Miller-Rabin to the first 13 prime bases decides
@@ -42,7 +36,7 @@ _MR_LIMIT = 3317044064679887385961981
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin over _MR_BASES, exact for p < _MR_LIMIT."""
     if p >= _MR_LIMIT:
-        raise OutOfRange("the prime test supports p < 3.3 * 10^24")
+        raise PreconditionViolation("the prime test supports p < 3.3 * 10^24")
     if p < 2:
         return False
     for q in _MR_BASES:
@@ -71,7 +65,7 @@ def factorize(k: int) -> dict[int, int]:
     small factors costs a few Miller-Rabin tests, not a scan to its root.
     """
     if k >= 1 << 63:
-        raise OutOfRange("factorization by trial division supports k < 2^63")
+        raise PreconditionViolation("factorization by trial division supports k < 2^63")
     out: dict[int, int] = {}
     d, prime = 2, is_prime(k)
     while not prime and d * d <= k:
@@ -118,18 +112,20 @@ class SkewSeed:
     ell: int
 
     def __post_init__(self):
+        for name in ("k", "m", "ell"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), f"seed {name}"))
         mat = int64_rows(self.matrix, "seed")
         object.__setattr__(self, "matrix", mat)
         if mat.shape != mat.T.shape or np.any(mat.T != -mat):
-            raise SkewViolation("M^T != -M")
+            raise PreconditionViolation("M^T != -M")
         eye = np.eye(len(mat), dtype=np.int64)
         # MM^T's diagonal holds row norms below NORM_CAP, so a larger m never matches
         if not 0 <= self.m < NORM_CAP or np.any(mat @ mat.T != self.m * eye):
-            raise SkewViolation("MM^T != mI")
+            raise PreconditionViolation("MM^T != mI")
         if not 0 <= self.ell <= self.k - 1:
             raise PreconditionViolation("ell must satisfy 0 <= ell <= k-1")
         if (self.m + self.ell**2 + 1) % self.k != 0:
-            raise SkewViolation("m + ell^2 != -1 (mod k)")
+            raise PreconditionViolation("m + ell^2 != -1 (mod k)")
 
     @property
     def order(self) -> int:
@@ -145,9 +141,9 @@ class FrameQuadruple:
 
     def check(self, k: int, ell: int) -> None:
         if (self.b - self.c + ell * self.d) % k != 0:
-            raise CongruenceViolation("b != c - ell*d (mod k)")
+            raise PreconditionViolation("b != c - ell*d (mod k)")
         if (self.d - self.a - ell * self.b) % k != 0:
-            raise CongruenceViolation("d != a + ell*b (mod k)")
+            raise PreconditionViolation("d != a + ell*b (mod k)")
 
 
 def build_paley_skew(p: int) -> np.ndarray:
@@ -161,7 +157,9 @@ def build_paley_skew(p: int) -> np.ndarray:
 
 def build_code_from_skew(seed: SkewSeed) -> ZkCode:
     """Self-dual code of length 2n with generator (I_n | M + ell*I_n)."""
-    return systematic(seed.k, seed.matrix + np.diag([seed.ell] * seed.order))  # ell may pass int64
+    right = seed.matrix.astype(object)  # Python ints: ell may pass int64
+    right[np.diag_indices(seed.order)] += seed.ell
+    return systematic(seed.k, right)
 
 
 def frame_constant(seed: SkewSeed, q: FrameQuadruple) -> int:
@@ -275,7 +273,7 @@ def scale_frame(frame: Frame, m: int) -> Frame:
     v = frame.vectors
     n = v.shape[0]
     if n % 4 != 0:
-        raise BadDimension("frame scaling needs dimension divisible by 4")
+        raise PreconditionViolation("frame scaling needs dimension divisible by 4")
     if m < 1:
         raise PreconditionViolation("m must be positive")
     check_bound(frame.norm_k * m * frame.scale)

@@ -16,7 +16,7 @@ from zklat.skew import (
     star_condition_check,
 )
 from zklat.catalog import frame_report
-from zklat.errors import BadDimension, PreconditionViolation
+from zklat.errors import PreconditionViolation
 from zklat.lattice import Lattice, contains_frame, find_frame
 
 
@@ -106,7 +106,7 @@ def test_scale_frame_checks_its_norm_bound_before_the_four_squares(monkeypatch):
 def test_scale_frame_rejects_bad_dimension():
     z2 = Lattice(np.eye(2, dtype=np.int64), 1)
     frame = find_frame(z2, 1)
-    with pytest.raises(BadDimension):
+    with pytest.raises(PreconditionViolation, match="frame scaling needs dimension divisible by 4"):
         scale_frame(frame, 2)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from zklat.bounds import BoundProfile, classify, d_E_upper_bound, unimodular_min_norm_bound
 from zklat.catalog import build, catalog_list, lattice_info
-from zklat.errors import OutOfRange, PreconditionViolation
+from zklat.errors import PreconditionViolation
 
 
 @pytest.mark.parametrize(
@@ -47,7 +47,7 @@ def test_bound_rule_strings():
 
 
 def test_bound_domain_errors():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(PreconditionViolation, match="bound table covers lengths up to 48"):
         d_E_upper_bound(49, 2)
     with pytest.raises(PreconditionViolation):
         d_E_upper_bound(0, 2)
@@ -78,5 +78,5 @@ def test_unimodular_min_norm_bound():
     assert unimodular_min_norm_bound(46) == 4
     assert unimodular_min_norm_bound(47) == 5  # 2 floor(n/24) + 3 at n = 23 (mod 24)
     assert unimodular_min_norm_bound(48) == 6
-    with pytest.raises(OutOfRange):
+    with pytest.raises(PreconditionViolation, match="bound table covers dimensions up to 48"):
         unimodular_min_norm_bound(49)

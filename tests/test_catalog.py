@@ -8,7 +8,7 @@ import zklat.lattice
 import zklat.shortvec
 from zklat import catalog
 from zklat.codes import ZkCode, is_self_dual, min_euclidean_weight
-from zklat.errors import BudgetExceeded, PreconditionViolation, SkewViolation, UnknownId
+from zklat.errors import BudgetExceeded, PreconditionViolation, UnknownId
 from zklat.intmat import hnf
 from zklat.lattice import Lattice, contains_frame
 from zklat.skew import SkewSeed
@@ -83,7 +83,7 @@ def test_lattice_info_fields():
 
 def test_every_lattice_dimension_is_divisible_by_four():
     # frame_report scales a d-frame to every multiple of d by quaternions,
-    # which needs 4 | n; scale_frame raises BadDimension otherwise
+    # which needs 4 | n; scale_frame raises PreconditionViolation otherwise
     for lid in catalog.catalog_list("lattice"):
         assert catalog.build(lid).dim % 4 == 0, lid
 
@@ -289,7 +289,7 @@ def test_every_model_seed_has_its_case_row():
 
 def test_seed_rows_must_give_their_case_m():
     # the D6_seed rows give MM^T = 25 I, but case c has m = 49
-    with pytest.raises(SkewViolation, match=r"MM\^T != mI"):
+    with pytest.raises(PreconditionViolation, match=r"MM\^T != mI"):
         catalog._seed("c", ((0, 2, 2), (0, 1, -4)))
 
 

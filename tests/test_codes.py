@@ -1,4 +1,6 @@
 import itertools
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +105,19 @@ def test_bordered_circulant_selfdual_probe():
     g = np.array(code.generators)
     expect = not np.any((g @ g.T) % 4) and code.cardinality == 4**4
     assert is_self_dual(code) == expect
+
+
+@pytest.mark.parametrize("k, gens, message", [
+    (4, [[0.5, 2.7]], "generator entry 0.5"),
+    (4, [[2, Fraction(1, 2)]], "generator entry Fraction(1, 2)"),
+    (4, np.array([[2.0, 0.0]]), "generator entry np.float64(2.0)"),
+    (4.0, [[2, 0]], "modulus 4.0"),
+    (Fraction(4), [[2, 0]], "modulus Fraction(4, 1)"),
+], ids=["floats", "fraction", "float_array", "float_k", "fraction_k"])
+def test_a_code_refuses_what_is_not_an_integer(k, gens, message):
+    # (0.5, 2.7) over Z_4 was read as (0, 2): no entry is truncated
+    with pytest.raises(PreconditionViolation, match=f"^{re.escape(message)} is not an integer$"):
+        ZkCode(k, gens)
 
 
 def test_is_self_dual_tiny():

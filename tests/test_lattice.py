@@ -17,13 +17,8 @@ from zklat.codes import (
     is_self_dual,
     min_euclidean_weight,
 )
-from zklat.errors import (
-    BudgetExceeded,
-    NotOdd,
-    NotSelfDual,
-    PreconditionViolation,
-)
-from zklat.fileio import dump_lattice, load, read_text, write_text
+from zklat.errors import BudgetExceeded, PreconditionViolation
+from zklat.fileio import dump_lattice, load, write_text
 from zklat.intmat import det, hnf, solve_rows
 from zklat.lattice import (
     Frame,
@@ -64,7 +59,7 @@ def test_construction_a_tiny():
     ZkCode(4, ((2, 0),)),  # self-orthogonal, but |C|^2 = 4 < 4^2: det(A_4(C))^2 = 4
 ], ids=["not_self_orthogonal", "too_small"])
 def test_construction_a_requires_selfdual(code):
-    with pytest.raises(NotSelfDual, match="Construction A requires a self-dual code"):
+    with pytest.raises(PreconditionViolation, match="Construction A requires a self-dual code"):
         construction_a(code)
 
 
@@ -80,8 +75,8 @@ def test_construction_a_accepts_exactly_the_self_dual_one_row_codes(k):
             assert is_self_dual(code) == want, (k, row)
             try:
                 lat = construction_a(code)
-            except NotSelfDual:
-                assert not want, (k, row)
+            except PreconditionViolation as e:
+                assert not want and str(e) == "Construction A requires a self-dual code", (k, row)
             else:
                 assert want and lat is code.lift(), (k, row)
                 accepted += 1
@@ -110,7 +105,7 @@ def test_construction_a_hands_out_one_lattice():
 def test_min_norm_of_a_loaded_lattice_is_proved_once(tmp_path, ball_walks):
     p = tmp_path / "lat.txt"
     write_text(p, dump_lattice(d6_lattice()))
-    lat = load(read_text(p))
+    lat = load(p.read_text())
     assert min_norm(lat) == min_norm(lat) == 2
     assert len(ball_walks) == 1
 
@@ -179,7 +174,8 @@ def random_unimodular(rng, n, steps=8):
 @pytest.mark.parametrize("scale", [1, 2, 4, 9])
 def test_is_unimodular_is_the_gram_determinant_test_random(scale):
     # U Z^n at the scale's root (at scale 2, U times blocks (1 1; 1 -1)),
-    # the same with a row doubled, and an arbitrary basis
+    # the same with a row doubled, and an arbitrary basis, which may be
+    # singular and then is no lattice
     rng = np.random.default_rng(900 + scale)
     seen = set()
     for _ in range(12):
@@ -192,6 +188,10 @@ def test_is_unimodular_is_the_gram_determinant_test_random(scale):
         doubled = b.copy()
         doubled[int(rng.integers(n))] *= 2
         for basis in (b, doubled, rng.integers(-3, 4, size=(n, n))):
+            if det(basis.tolist()) == 0:
+                with pytest.raises(PreconditionViolation, match="linearly dependent"):
+                    Lattice(basis, scale)
+                continue
             lat = Lattice(basis, scale)
             seen.add(unimodular_by_gram(lat))
             assert_unimodular_as_defined(lat, unimodular_by_gram(lat))
@@ -443,7 +443,7 @@ def test_shadow_reps_are_pinned(lid):
 def test_shadow_rejects_even():
     e8 = _e8()
     assert e8.is_unimodular() and e8.is_even()
-    with pytest.raises(NotOdd):
+    with pytest.raises(PreconditionViolation, match=r"no odd-norm basis vector \(even lattice\)"):
         even_sublattice_and_shadow(e8)
 
 
@@ -695,21 +695,57 @@ def test_every_explicit_frame_passes_contains_frame(lid, monkeypatch):
         assert [contains_frame(lat, f) for f in swapped] == want
 
 
-def test_contains_rank_deficient_basis():
-    full = catalog.build("D12_plus").reduced_basis()
-    b = full.copy()
-    b[-1] = b[0] + b[1]  # rank 11: no lattice basis
-    lat = Lattice(b, 3)
-    v = np.arange(1, 13) @ b  # in the span of the rows, yet no verdict is given
-    for rows in (v, full[-1], np.array([v, full[-1]])):
-        with pytest.raises(PreconditionViolation, match="linearly dependent"):
-            lat.contains(rows)
+def _rank_deficient(name):
+    if name == "D12_plus_rank_11":
+        b = catalog.build("D12_plus").reduced_basis().copy()
+        b[-1] = b[0] + b[1]
+        return b, 3
+    return np.array([[2, 1, 0], [0, 1, 1], [2, 2, 1]]), 1  # row 2 = row 0 + row 1
 
 
-def test_a_rank_deficient_basis_has_no_reduced_basis():
-    b = np.array([[2, 1, 0], [0, 1, 1], [2, 2, 1]])  # row 2 = row 0 + row 1
-    lat = Lattice(b, 1)  # accepted, but every verdict on it raises
-    verdicts = (lambda: lat.contains([2, 2, 1]), lambda: min_norm(lat), lambda: theta_prefix(lat, 2))
-    for verdict in verdicts:
-        with pytest.raises(PreconditionViolation, match="linearly dependent"):
-            verdict()
+@pytest.mark.parametrize("name", ["D12_plus_rank_11", "rank_2_in_dim_3"])
+def test_a_rank_deficient_basis_is_no_lattice(name):
+    # the constructor's determinant refuses it, so no verdict (membership,
+    # minimum, theta, dual) is ever asked of dependent rows
+    b, scale = _rank_deficient(name)
+    want = "^basis rows are linearly dependent: no lattice basis$"
+    with pytest.raises(PreconditionViolation, match=want):
+        Lattice(b, scale)
+
+
+def test_contains_refuses_entries_that_are_not_integers():
+    # one lattice on each path: D12_plus is unimodular (the int64 dual test),
+    # D4 is not (x B = v solved exactly); neither truncates 1/2 or 0.5 to 0
+    d12 = catalog.build("D12_plus")
+    d4 = Lattice([[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]], 1)
+    assert d12.is_unimodular() and not d4.is_unimodular()
+    for lat in (d12, d4):
+        zero = [0] * (lat.dim - 1)
+        b0 = lat.basis[0]
+        for rows in (
+            [Fraction(1, 2)] + zero,
+            [0.5] + zero,
+            3.7 * b0,
+            np.array([b0, 2.5 * b0]),
+            [float("nan")] + zero,
+            [float("inf")] + zero,
+        ):
+            with pytest.raises(PreconditionViolation, match="^vector entry .* is not an integer$"):
+                lat.contains(rows)
+        assert lat.contains(b0) and lat.contains([int(x) for x in b0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Lattice([[1.5, 0], [0, 1]], 1), "basis entry 1.5"),
+    (lambda: Lattice(np.eye(2), 1), "basis entry 1.0"),
+    (lambda: Lattice([[Fraction(1, 2), 0], [0, 1]], 1), "basis entry Fraction(1, 2)"),
+    (lambda: Lattice(np.eye(2, dtype=np.int64), 1.5), "lattice scale 1.5"),
+    (lambda: Lattice(np.eye(2, dtype=np.int64), float("nan")), "lattice scale nan"),
+    (lambda: Frame(np.eye(2), 1, 1), "frame entry 1.0"),
+    (lambda: Frame(np.eye(2, dtype=np.int64), 1.0, 1), "frame scale 1.0"),
+    (lambda: Frame(np.eye(2, dtype=np.int64), 1, Fraction(1)), "frame norm Fraction(1, 1)"),
+], ids=["float_entry", "float_array", "fraction_entry", "float_scale", "nan_scale",
+        "float_frame", "float_frame_scale", "fraction_norm_k"])
+def test_constructors_refuse_what_is_not_an_integer(make, message):
+    with pytest.raises(PreconditionViolation, match=f"^{re.escape(message)} is not an integer$"):
+        make()

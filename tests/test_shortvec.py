@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 import tracemalloc
 import types
@@ -31,6 +32,7 @@ from zklat.shortvec import (
     characters,
     enumerate_ball,
     enumerate_shell,
+    int64_rows,
     shortest_norm,
 )
 
@@ -482,23 +484,48 @@ def test_a_huge_size_reduction_refactors_r(monkeypatch):
 
 
 def test_dependent_rows_are_rejected_before_reduction():
-    with pytest.raises(PreconditionViolation, match="linearly dependent"):
-        block_reduce(np.array([[1, 2], [2, 4]]))
-    with pytest.raises(PreconditionViolation, match="linearly dependent"):
-        block_reduce(np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+    # block_reduce takes a Lattice's basis: the constructor refuses dependent rows
+    for basis in ([[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(PreconditionViolation, match="linearly dependent"):
+            Lattice(np.array(basis), 1)
 
 
 def test_rank_check_is_exact():
     # singular mod the prime 2^31 - 1, but not over the integers
     for basis in ([[2**31 - 1, 0], [0, 1]], [[1, 1], [-(2**30) + 1, 2**30]]):
-        assert block_reduce(np.array(basis)).shape == (2, 2)
+        assert Lattice(np.array(basis), 1).reduced_basis().shape == (2, 2)
     # a row of norm 2^62 + 1 is refused before any int64 product
-    with pytest.raises(PreconditionViolation, match=r"norm >= 2\^62"):
-        block_reduce(np.array([[1, 1], [1, 2**31]]))
+    for make in (block_reduce, lambda b: Lattice(b, 1)):
+        with pytest.raises(PreconditionViolation, match=r"norm >= 2\^62"):
+            make(np.array([[1, 1], [1, 2**31]]))
     with pytest.raises(PreconditionViolation, match="linearly dependent"):
-        block_reduce(np.array([[2, 4], [3, 6]]))
+        Lattice(np.array([[2, 4], [3, 6]]), 1)
     # nonsingular however close to parallel: the float-check test's basis
-    assert block_reduce(np.array([[3, 1], [3 * 10**8 + 1, 10**8]])).shape == (2, 2)
+    assert Lattice(np.array([[3, 1], [3 * 10**8 + 1, 10**8]]), 1).reduced_basis().shape == (2, 2)
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([[0.5, 1]], "0.5"),
+    ([[Fraction(2), 1]], "Fraction(2, 1)"),
+    (np.array([[1.0, 0.0]]), "1.0"),
+    ([[float("nan"), 1]], "nan"),
+    ([[float("-inf"), 1]], "-inf"),
+    ([[2**70 + 0.5, 0]], "1.1805916207174113e+21"),
+], ids=["half", "fraction", "float_array", "nan", "minus_inf", "huge_float"])
+def test_int64_rows_refuses_every_entry_that_is_not_an_integer(rows, bad):
+    want = f"^basis entry {re.escape(bad)} is not an integer$"
+    with pytest.raises(PreconditionViolation, match=want):
+        int64_rows(rows)
+    with pytest.raises(PreconditionViolation, match="is not an integer"):
+        block_reduce(rows)
+
+
+def test_int64_rows_takes_integers_of_any_kind():
+    rows = [[np.int32(3), True, 2**30], [np.uint64(2**30), 0, -1]]
+    want = [[3, 1, 2**30], [2**30, 0, -1]]
+    assert int64_rows(np.array(rows, dtype=object)).tolist() == want
+    small = [[3, 1], [2**30, 0]]
+    assert int64_rows(np.array(small, dtype=np.uint64)).tolist() == small
 
 
 def test_the_public_walkers_reject_a_row_past_the_norm_cap():

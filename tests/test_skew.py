@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zklat.codes import build_four_negacirculant, four_negacirculant, is_self_dual, negacirculant
-from zklat.errors import CongruenceViolation, OutOfRange, PreconditionViolation, SkewViolation
+from zklat.errors import PreconditionViolation
 from zklat.skew import (
     REPRESENTATION_CASES,
     FrameQuadruple,
@@ -53,7 +53,7 @@ def test_skew_negacirculant_d6():
 
 
 def test_skew_negacirculant_rejects_nonskew():
-    with pytest.raises(SkewViolation):
+    with pytest.raises(PreconditionViolation, match=r"M\^T != -M"):
         # nonzero diagonal
         SkewSeed(four_negacirculant((1, 0, 0), (0, 0, 0)), k=3, m=1, ell=1)
 
@@ -65,15 +65,24 @@ def test_a_seed_row_beyond_the_norm_cap_is_rejected(entry):
         SkewSeed(((0, entry), (-entry, 0)), k=2, m=0, ell=1)
 
 
-def test_a_seed_with_m_past_int64_or_a_non_square_matrix_is_a_skew_violation():
-    with pytest.raises(SkewViolation, match="MM\\^T != mI"):
+def test_a_seed_with_m_past_int64_or_a_non_square_matrix_breaks_the_skew_rule():
+    with pytest.raises(PreconditionViolation, match="MM\\^T != mI"):
         SkewSeed(((0, 1), (-1, 0)), k=2, m=2**64, ell=1)
-    with pytest.raises(SkewViolation, match="M\\^T != -M"):
+    with pytest.raises(PreconditionViolation, match="M\\^T != -M"):
         SkewSeed(np.ones((2, 3), dtype=np.int64), k=3, m=1, ell=1)
 
 
+@pytest.mark.parametrize("field, value", [("k", 2.0), ("m", 1.0), ("ell", 0.5)])
+def test_a_seed_refuses_what_is_not_an_integer(field, value):
+    fields = dict(k=2, m=1, ell=0)  # M = (0 1; -1 0): MM^T = I, and 1 + 0 + 1 = 0 mod 2
+    SkewSeed(((0, 1), (-1, 0)), **fields)
+    fields[field] = value
+    with pytest.raises(PreconditionViolation, match=f"^seed {field} {value} is not an integer$"):
+        SkewSeed(((0, 1), (-1, 0)), **fields)
+
+
 def test_seed_congruence_validation():
-    with pytest.raises(SkewViolation):
+    with pytest.raises(PreconditionViolation, match=r"m \+ ell\^2 != -1 \(mod k\)"):
         SkewSeed(four_negacirculant(*D6), k=4, m=25, ell=1)  # 27 != 0 mod 4
 
 
@@ -98,7 +107,7 @@ def test_frame_constant_and_congruences():
     assert frame_constant(seed, FrameQuadruple(0, 0, 3, 0)) == 3
     assert frame_constant(seed, FrameQuadruple(1, 0, 1, 1)) == 9
     assert frame_constant(seed, FrameQuadruple(1, 1, 0, 2)) == 42
-    with pytest.raises(CongruenceViolation):
+    with pytest.raises(PreconditionViolation, match=r"b != c - ell\*d \(mod k\)"):
         frame_constant(seed, FrameQuadruple(0, 1, 2, 0))
 
 
@@ -229,7 +238,7 @@ def test_is_prime_rejects_pseudoprimes_and_carmichael_numbers():
     assert is_prime(2**61 - 1) and is_prime(1000000000000037)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(3317044064679887385961813)  # the largest prime below the exact range's end
-    with pytest.raises(OutOfRange, match="prime test supports"):
+    with pytest.raises(PreconditionViolation, match="prime test supports"):
         is_prime(3317044064679887385961981)
 
 
