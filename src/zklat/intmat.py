@@ -8,13 +8,16 @@ entries are minors of the input and its divisions are exact.  `det`
 is the one rank test of a lattice basis, in `lattice.Lattice`'s
 constructor, which refuses a zero determinant; `solve_rows` builds a
 lattice's dual basis (`lattice.Lattice.dual`) and decides membership in
-a lattice that is not unimodular.  No walk solves for a centre: the
+a lattice that is not unimodular, both over a nonsingular matrix, and
+refuses a singular one.  No walk solves for a centre: the
 enumerator has no shift, and every walk is centred at 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import PreconditionViolation
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -81,8 +84,11 @@ def det(rows: list[list[int]]) -> int:
     return _eliminate([list(map(int, r)) for r in rows], len(rows))
 
 
-def solve_rows(a: list[list], rhs: list[list]) -> list[list[Fraction]] | None:
-    """Solve x A = b exactly for every row b of rhs; None if A is singular.
+def solve_rows(a: list[list], rhs: list[list]) -> list[list[Fraction]]:
+    """Solve x A = b exactly for every row b of rhs.
+
+    A must be nonsingular, as a lattice's basis and Gram matrix are: a
+    zero det A raises PreconditionViolation.
 
     One elimination on A^T with every right-hand side carried along as a
     column, then back-substitution for d x in integers: d = det A, so
@@ -92,7 +98,7 @@ def solve_rows(a: list[list], rhs: list[list]) -> list[list[Fraction]] | None:
     m = [[int(a[i][j]) for i in range(n)] + [int(b[j]) for b in rhs] for j in range(n)]
     d = _eliminate(m, n)
     if not d:
-        return None
+        raise PreconditionViolation("solve_rows needs a nonsingular matrix: det A = 0")
     dx = [None] * n  # dx[i][c]: d times x_i for right-hand side c
     for i in range(n - 1, -1, -1):
         row = m[i]

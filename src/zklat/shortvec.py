@@ -1,12 +1,21 @@
 """Exhaustive short-vector enumeration (Fincke-Pohst).
 
-One enumerator, `_fincke_pohst`, serves every caller.  It expands the
-Fincke-Pohst tree one level at a time as numpy arrays and walks it depth
-first over frontier chunks of at most `CHUNK` rows, the scheme of
-parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo et al.,
-CHES 2011), so memory stays bounded at every dimension while the tree
-order stays that of Fincke-Pohst.  It prunes every level at one limit
-and yields the leaves, the coefficient rows of the ball, in blocks.
+Every walk goes through one entry, `_walk`, which runs one of two
+kernels that yield the same rows in the same order.  `_fincke_pohst`
+expands the Fincke-Pohst tree one level at a time as numpy arrays and
+walks it depth first over frontier chunks of at most `CHUNK` rows, the
+scheme of parallel enumeration (Hermans et al., AFRICACRYPT 2010; Kuo
+et al., CHES 2011), so memory stays bounded at every dimension while the
+tree order stays that of Fincke-Pohst.  It prunes every level at one
+limit and yields the leaves, the coefficient rows of the ball, in
+blocks, in lexicographic (x_{n-1}..x_0) order.  Its step costs about
+30 us per level however few rows it holds, so a small tree goes instead
+to `_scalar_walk`, one depth-first walk on Python floats at about 1.5 us
+per node, which yields the same rows as one block.  `_walk` reads the
+tree's size off the Gaussian heuristic (`_tree_nodes`, a few float
+operations per level): the minimum proofs of the catalog's small
+lattices and codes, 62-275 nodes over 12-20 levels, walk in Python
+floats, while balls, shells and the larger proofs walk in numpy.
 Every walk is centred at 0 and holds the zero row and one row of each
 +-pair; nothing walks a shifted ball.  A coset of a lattice L is a class
 of the ball of the dual lattice L* (`characters`, `lattice.coset_theta`).
@@ -29,12 +38,19 @@ G + E, it measures err = max|E|, and it bounds the coefficient sum
 |x|_1 of every vector in the ball by c, from the dual basis norms.
 Every partial norm of such a vector, taken with G + E, is at most its
 full norm, bound + err c^2.  The check demands err c^2 <= slack / 1000
-(the rounding of the partial sums themselves is far smaller still) and
-raises PreconditionViolation otherwise, so no vector of the ball is
-ever pruned.  The walk reads its limit from a one-entry array that
+and raises PreconditionViolation otherwise.  The rounding of the walk's
+own sums is far smaller still, and in any order of summation: the centre
+sum_{j>i} x_j R_ij, which the numpy kernel takes as a BLAS product and
+the scalar kernel left to right in Python floats, is off by at most
+m u sum_j |x_j R_ij| for m terms and u = 2^-53, whatever the order.
+Both kernels prune against the same limit with the same slack, so
+neither ever prunes a vector of the ball; they can differ only on a
+node within rounding of the limit, which `_ball` drops by its exact
+norm.  The numpy walk reads its limit from a one-entry array that
 `shortest_norm` lowers between blocks, keeping the slack of the
-starting bound.  A smaller ball has a smaller coefficient bound c, so
-the check made at the start still covers every lowered bound.
+starting bound; the scalar walk yields one block, so its limit stays
+fixed.  A smaller ball has a smaller coefficient bound c, so the check
+made at the start still covers every lowered bound.
 
 One cap, NORM_CAP = 2^62, keeps int64 exact: bounds lie below it
 (`check_bound`), and `int64_rows`, the one way an integer matrix becomes
@@ -51,21 +67,25 @@ whose rows its constructor has proved independent.  It runs float LLL
 that keeps one Gram-Schmidt factor current in place (`_lll_core`, on
 Python ints and floats: per step it does too little arithmetic to repay
 a numpy call; a bound on its swaps read from the input turns drift that
-would cycle into an error), then BKZ tours with one walk (`_shortest`) per
-block search, each over a projection of at most BKZ_BLOCK dimensions.
-It only changes the basis by unimodular steps, so it never changes a
-verdict.
+would cycle into an error), then BKZ tours with one walk (`_shortest`,
+through `_walk`) per block search, each over a projection of at most
+BKZ_BLOCK dimensions.  It only changes the basis by unimodular steps,
+so it never changes a verdict.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import BudgetExceeded, PreconditionViolation
 
 CHUNK = 1024  # frontier rows created per numpy step
+# walk a tree estimated below this many nodes per level on Python floats:
+# the scalar walk costs about 1.5 us per node, a numpy step about 30 us per level
+SCALAR_NODES_PER_LEVEL = 25
 DEFAULT_NODE_BUDGET = 2_000_000_000
 SLACK_MARGIN = 1e-3  # float error allowed, as a share of the pruning slack
 NORM_CAP = 2**62  # every norm bound, and every row norm held in int64, lies in [0, NORM_CAP)
@@ -102,13 +122,17 @@ def integer_rows(rows, what: str) -> np.ndarray:
     """The rows as an integer matrix, each entry checked by `check_integer`.
 
     An integer array comes back as it is; anything else as an object
-    array of Python ints.
+    array of Python ints.  Rows that are not an array but that numpy reads
+    as floats are re-read entry by entry, since numpy promotes integers of
+    mixed kinds, such as np.uint64(3) and -1, to float64.
     """
     arr = np.asarray(rows)  # object dtype for entries beyond int64
     if arr.ndim != 2:
         raise PreconditionViolation(f"{what} rows must form a matrix")
     if arr.dtype.kind in "iu":
         return arr
+    if arr.dtype.kind == "f" and not isinstance(rows, np.ndarray):
+        arr = np.array(rows, dtype=object)
     exact = [[check_integer(x, f"{what} entry") for x in row] for row in arr.tolist()]
     return np.array(exact, dtype=object).reshape(arr.shape)
 
@@ -217,6 +241,89 @@ def _fincke_pohst(R, limit, budget):
             stack.append((i, child, newpart))
         else:
             yield child
+
+
+def _scalar_walk(R, lim, budget):
+    """`_fincke_pohst`'s rows at the fixed limit lim, as one int64 block, or None past budget.
+
+    One depth-first walk over a mutable coefficient list on Python floats
+    (Schnorr and Euchner, Math. Programming 66, 1994), for trees too small
+    to repay a numpy step per level.  Each level steps x_i up from lo to
+    hi, so the rows come in the numpy walker's lexicographic
+    (x_{n-1}..x_0) order; the interval, the pruning test and the zero-row
+    and +-pair rule are the numpy walker's, term by term, and only the
+    centre sum runs in another order.  The walk keeps its levels in lists,
+    not on the call stack, so no dimension meets Python's recursion limit.
+    Returns None once more than `budget` nodes were kept.
+    """
+    n = R.shape[0]
+    rows = R.tolist()
+    x, top, centre, part = [0] * n, [0] * n, [0.0] * n, [0.0] * (n + 1)
+    out, nodes, i, p = [], 0, n, 0.0
+    while True:
+        # open level i - 1 under the node x[i:], whose partial norm is p
+        i -= 1
+        r = rows[i]
+        c = sum(map(operator.mul, x[i + 1 :], r[i + 1 :]))
+        t = lim - p
+        rad = math.sqrt(t) if t > 0.0 else 0.0
+        lo = math.ceil((-rad - c) / r[i])
+        if p == 0.0 and lo < 0:  # only the zero row has partial norm exactly 0
+            lo = 0
+        x[i], top[i], centre[i], part[i + 1] = lo - 1, math.floor((rad - c) / r[i]), c, p
+        # step to the next kept node, climbing out of each level that is done
+        while True:
+            xi = x[i] = x[i] + 1
+            if xi > top[i]:
+                i += 1
+                if i == n:
+                    return np.array(out, dtype=np.int64).reshape(-1, n)
+                continue
+            y = rows[i][i] * xi + centre[i]
+            p = part[i + 1] + y * y
+            if p > lim:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return None
+            if i:
+                break
+            out.append(x[:])
+
+
+def _tree_nodes(diag, lim) -> float:
+    """The Gaussian-heuristic node count of a walk's tree, +-pairs halved.
+
+    Level n - k holds about t_k = V_k(sqrt lim) / prod_{j >= n-k} R_jj
+    nodes, the volume of the ball over that of the projected lattice
+    (Gama, Nguyen and Regev, EUROCRYPT 2010).  V_k(r) = V_{k-2}(r) 2 pi
+    r^2 / k gives each t_k from t_{k-2} in a few float operations; a term
+    past the float range reads inf, which is no small tree either.
+    """
+    n = len(diag)
+    older, old = 1.0, 2 * math.sqrt(lim) / diag[n - 1]  # t_0, t_1
+    total = old
+    for k in range(2, n + 1):
+        older, old = old, older * (2 * math.pi * lim / k) / (diag[n - k] * diag[n - k + 1])
+        total += old
+    return total / 2
+
+
+def _walk(R, limit, budget):
+    """The one walk entry: `_fincke_pohst`'s rows, in its order, from the cheaper kernel.
+
+    A tree estimated (`_tree_nodes`) below SCALAR_NODES_PER_LEVEL nodes per
+    level goes to `_scalar_walk`, which yields it as one block; any other,
+    and any the scalar walk finds past the budget, goes to `_fincke_pohst`,
+    so an overrun raises its exact BudgetExceeded.
+    """
+    lim = float(limit[0])
+    if _tree_nodes(R.diagonal().tolist(), lim) < SCALAR_NODES_PER_LEVEL * R.shape[0]:
+        rows = _scalar_walk(R, lim, budget)
+        if rows is not None:  # never empty: the zero row lies in every ball
+            yield rows
+            return
+    yield from _fincke_pohst(R, limit, budget)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -341,7 +448,7 @@ def _shortest(R, bound):
     row is skipped.
     """
     best, bestx = bound, None
-    for xs in _fincke_pohst(R, np.array([bound]), np.inf):
+    for xs in _walk(R, np.array([bound]), np.inf):
         q = _norms(xs @ R.T)
         q[~xs.any(axis=1)] = np.inf
         j = int(np.argmin(q))
@@ -409,7 +516,7 @@ def _ball(basis: np.ndarray, bound: int, budget: int = DEFAULT_NODE_BUDGET):
     is given once, before its walk.
     """
     R, limit = _factor(basis, bound)
-    for xs in _fincke_pohst(R, limit, budget):
+    for xs in _walk(R, limit, budget):
         # int64 wraparound is exact mod 2^64, so v is exact: each of its
         # entries is below 2^32, since its norm is about bound or less
         v = xs @ basis

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from zklat.errors import PreconditionViolation
 from zklat.intmat import det, hnf, solve_rows
 
 
@@ -82,7 +84,8 @@ def test_solve_rows_roundtrip():
     a = [[2, 1], [1, 1]]
     x = solve_rows(a, [[5, 3]])[0]
     assert x == [Fraction(2), Fraction(1)]  # (2,1)·A = (5,3)
-    assert solve_rows([[1, 0], [2, 0]], [[0, 1]]) is None
+    with pytest.raises(PreconditionViolation, match="nonsingular matrix"):
+        solve_rows([[1, 0], [2, 0]], [[0, 1]])
 
 
 def test_solve_rows_solves_every_right_hand_side():
@@ -90,7 +93,8 @@ def test_solve_rows_solves_every_right_hand_side():
     rhs = [[5, 3, 1], [0, 0, 1], [-7, 2, 9]]
     xs = solve_rows(a, rhs)
     assert [[sum(x[i] * a[i][j] for i in range(3)) for j in range(3)] for x in xs] == rhs
-    assert solve_rows([[1, 2], [2, 4]], [[1, 0], [0, 1]]) is None
+    with pytest.raises(PreconditionViolation, match="nonsingular matrix"):
+        solve_rows([[1, 2], [2, 4]], [[1, 0], [0, 1]])
 
 
 def test_solve_rows_on_random_matrices():
@@ -104,10 +108,11 @@ def test_solve_rows_on_random_matrices():
         else:
             a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         rhs = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        xs = solve_rows(a, rhs)
         if det(a) == 0:
-            assert xs is None
+            with pytest.raises(PreconditionViolation, match="nonsingular matrix"):
+                solve_rows(a, rhs)
             continue
+        xs = solve_rows(a, rhs)
         assert len(xs) == len(rhs)
         for x, b in zip(xs, rhs):
             assert all(isinstance(t, Fraction) for t in x)

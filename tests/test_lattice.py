@@ -543,7 +543,7 @@ def test_lattices_and_shadow_parts_compare_by_identity():
 def _solve_member(basis, v) -> bool:
     """Reference membership: an exact rational solve of x B = v."""
     sol = solve_rows(np.asarray(basis).tolist(), [[int(a) for a in v]])
-    return sol is not None and all(x.denominator == 1 for x in sol[0])
+    return all(x.denominator == 1 for x in sol[0])
 
 
 def _perturbed(v, rng):

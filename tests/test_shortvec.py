@@ -14,11 +14,20 @@ from zklat import catalog
 from zklat.codes import ZkCode
 from zklat.errors import BudgetExceeded, PreconditionViolation
 from zklat.intmat import det, hnf
-from zklat.lattice import Lattice, even_sublattice_and_shadow, find_frame
+from zklat.lattice import (
+    Lattice,
+    construction_a,
+    even_sublattice_and_shadow,
+    find_frame,
+    min_norm,
+    norm_shell,
+    theta_prefix,
+)
 from zklat.shortvec import (
     BKZ_BLOCK,
     CHUNK,
     RECOMPUTE_ABOVE,
+    SCALAR_NODES_PER_LEVEL,
     _ball,
     _complete_unimodular,
     _factor,
@@ -27,7 +36,10 @@ from zklat.shortvec import (
     _lll_core,
     _norm_step,
     _norms,
+    _scalar_walk,
     _shortest,
+    _tree_nodes,
+    _walk,
     block_reduce,
     characters,
     enumerate_ball,
@@ -526,6 +538,10 @@ def test_int64_rows_takes_integers_of_any_kind():
     assert int64_rows(np.array(rows, dtype=object)).tolist() == want
     small = [[3, 1], [2**30, 0]]
     assert int64_rows(np.array(small, dtype=np.uint64)).tolist() == small
+    # numpy reads this list as float64; its entries are integers all the same
+    assert int64_rows([[np.uint64(3), -1]]).tolist() == [[3, -1]]
+    with pytest.raises(PreconditionViolation, match=r"^basis entry 3\.0 is not an integer$"):
+        int64_rows([[3.0, -1]])
 
 
 def test_the_public_walkers_reject_a_row_past_the_norm_cap():
@@ -710,15 +726,15 @@ def test_first_shorter_block_is_the_first_block_shortest_finds(seed):
 
 
 def count_walks(monkeypatch):
-    """A list that gains one entry per `_fincke_pohst` call from now on."""
+    """A list that gains one entry per `_walk` call, whichever kernel it takes, from now on."""
     calls = []
-    walk = zklat.shortvec._fincke_pohst
+    walk = zklat.shortvec._walk
 
     def counted(*args):
         calls.append(1)
         return walk(*args)
 
-    monkeypatch.setattr(zklat.shortvec, "_fincke_pohst", counted)
+    monkeypatch.setattr(zklat.shortvec, "_walk", counted)
     return calls
 
 
@@ -745,7 +761,7 @@ def test_each_block_search_is_one_walk(monkeypatch):
     # dimension 28: every block search walks its block once, and nothing else walks
     basis = catalog.build("R28_15").basis
     counts = {"walks": 0, "searches": 0}
-    walk, search = zklat.shortvec._fincke_pohst, zklat.shortvec._shortest
+    walk, search = zklat.shortvec._walk, zklat.shortvec._shortest
 
     def counted_walk(*args):
         counts["walks"] += 1
@@ -755,7 +771,140 @@ def test_each_block_search_is_one_walk(monkeypatch):
         counts["searches"] += 1
         return search(*args)
 
-    monkeypatch.setattr(zklat.shortvec, "_fincke_pohst", counted_walk)
+    monkeypatch.setattr(zklat.shortvec, "_walk", counted_walk)
     monkeypatch.setattr(zklat.shortvec, "_shortest", counted_search)
     block_reduce(basis)
     assert counts["walks"] == counts["searches"] > 1
+
+
+def numpy_walk_nodes(R, lim):
+    """The nodes `_fincke_pohst` keeps at the fixed limit lim: the least budget it does not overrun."""
+
+    def fits(budget):
+        try:
+            for _ in _fincke_pohst(R, np.array([lim]), budget):
+                pass
+        except BudgetExceeded:
+            return False
+        return True
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+    lo = hi // 2  # the zero row's path alone is n >= 1 nodes, so budget 0 never fits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+def assert_kernels_agree(R, lim):
+    """Both kernels give the same rows, order, node count and overrun; True if `_walk` takes the scalar one."""
+    want = np.concatenate(list(_fincke_pohst(R, np.array([lim]), np.inf)))
+    got = _scalar_walk(R, lim, np.inf)
+    assert got.dtype == np.int64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.concatenate(list(_walk(R, np.array([lim]), np.inf))).tobytes() == want.tobytes()
+    nodes = numpy_walk_nodes(R, lim)
+    assert _scalar_walk(R, lim, nodes).tobytes() == want.tobytes()
+    assert _scalar_walk(R, lim, nodes - 1) is None
+    for budget in (nodes - 1, nodes // 3):
+        overruns = []
+        for walk in (_walk, _fincke_pohst):
+            with pytest.raises(BudgetExceeded) as info:
+                list(walk(R, np.array([lim]), budget))
+            overruns.append((info.value.used, info.value.budget))
+        assert overruns[0] == overruns[1]
+    return _tree_nodes(R.diagonal().tolist(), lim) < SCALAR_NODES_PER_LEVEL * R.shape[0]
+
+
+def test_both_kernels_walk_random_trees_alike():
+    # dims 3 to 8, at bounds from half the shortest row norm to four times it
+    rng = np.random.default_rng(800)
+    sides = set()
+    for _ in range(12):
+        basis = random_basis(rng, int(rng.integers(3, 9)))
+        top = int(_norms(basis).min())
+        for bound in (top // 2, top, 2 * top, 4 * top):
+            R, limit = _factor(basis, bound)
+            sides.add(assert_kernels_agree(R, limit[0]))
+    assert sides == {True, False}
+
+
+DESK_LATTICES = ["D12_plus", "D8_2", "D4_5", "A5_4", "D20"]
+
+
+@pytest.mark.parametrize("lid", DESK_LATTICES)
+def test_both_kernels_walk_the_desk_lattices_alike(lid):
+    # the minimum proof's bound best - g is a scalar tree, the bound best a numpy one
+    basis = catalog.build(lid).reduced_basis()
+    best = int(_norms(basis).min())
+    sides = []
+    for bound in (best - _norm_step(basis), best):
+        R, limit = _factor(basis, bound)
+        sides.append(assert_kernels_agree(R, limit[0]))
+    assert sides == [True, False]
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """A list that gains the kernel each walk takes from now on: "scalar" or "numpy"."""
+    taken = []
+    scalar, numpy_walk = zklat.shortvec._scalar_walk, zklat.shortvec._fincke_pohst
+
+    def counted_scalar(*args):
+        taken.append("scalar")
+        return scalar(*args)
+
+    def counted_numpy(*args):
+        taken.append("numpy")
+        return numpy_walk(*args)
+
+    monkeypatch.setattr(zklat.shortvec, "_scalar_walk", counted_scalar)
+    monkeypatch.setattr(zklat.shortvec, "_fincke_pohst", counted_numpy)
+    return taken
+
+
+def test_the_estimate_picks_the_kernel(kernels, fresh_catalog):
+    # the minimum proofs of the minnorm pool and D12_plus's ball to J = 1 are
+    # small trees; D12_plus's norm-5 shell, D20's ball to J = 2 and L44's
+    # minimum proof are not.  Each walk starts from a fresh catalog, since
+    # D12_plus and D8_2 are the lifts of C_12_3_D6 and C_16_4_P8 and would
+    # share their proofs.
+    walks = [lambda lid=lid: min_norm(catalog.build(lid)) for lid in DESK_LATTICES]
+    walks += [lambda cid=cid: min_norm(construction_a(catalog.build(cid))) for cid in MINNORM_POOL_CODES]
+    walks.append(lambda: theta_prefix(catalog.build("D12_plus"), 4))
+    for walk in walks:
+        catalog.build.cache_clear()
+        kernels.clear()
+        walk()
+        assert kernels == ["scalar"]
+    kernels.clear()
+    norm_shell(catalog.build("D12_plus"), 5)
+    theta_prefix(catalog.build("D20"), 4)
+    assert kernels == ["numpy"] * 2
+    basis = catalog.build("L44").reduced_basis()  # its BKZ tours walk too
+    R, limit = _factor(basis, int(_norms(basis).min()) - _norm_step(basis))
+    kernels.clear()
+    with pytest.raises(BudgetExceeded):  # the choice alone: budget 0 stops the walk at once
+        list(_walk(R, limit, 0))
+    assert kernels == ["numpy"]
+
+
+def test_the_scalar_walk_needs_no_call_stack_per_level(kernels):
+    # a tree of one path through 1500 levels, deeper than Python's default recursion limit
+    rows = np.concatenate(list(_walk(np.eye(1500), np.array([0.5]), np.inf)))
+    assert kernels == ["scalar"] and rows.shape == (1, 1500) and not rows.any()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lid", ["R28_32", "R28_15", "L32_82", "L36", "L40", "L44", "L48"])
+def test_block_reduce_is_the_same_with_the_numpy_kernel_forced(kernels, monkeypatch, lid):
+    # every BKZ block search of dims 28-48 through `_walk`, some of them on
+    # the scalar kernel, then through `_fincke_pohst` alone
+    basis = catalog.build(lid).basis
+    red = block_reduce(basis)
+    assert "scalar" in kernels
+    monkeypatch.setattr(zklat.shortvec, "SCALAR_NODES_PER_LEVEL", 0)
+    kernels.clear()
+    assert block_reduce(basis).tobytes() == red.tobytes()
+    assert "scalar" not in kernels
